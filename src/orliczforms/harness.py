@@ -21,7 +21,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,25 +30,20 @@ from .corpus import CorpusEntry
 from .errors import InvalidInputError, RejectedPairError
 from .forms import DifferentialForm, codifferential
 from .geometry import Ball, Box, Domain, ball_family
-from .homotopy import apply_T, closed_part, materialize
+from .homotopy import FD_SCALE, apply_T, closed_part, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
-from .young import (YoungFunction, check_g_class, check_wrh, luxemburg_norm,
-                    lp_norm, oscillation_profile)
+from .young import (OscillationNormSpec, YoungFunction, check_g_class,
+                    check_wrh, luxemburg_norm, lp_norm, oscillation_norm,
+                    oscillation_profile)
 
 __all__ = [
-    "HarnessContext", "VerificationReport", "VERIFIER_NAMES",
+    "HarnessContext", "VerificationReport", "Verifier", "VERIFIERS", "VERIFIER_NAMES",
     "verify_lemma_T_bound", "verify_lemma_closedpart_bound",
     "verify_sobolev_poincare", "verify_oscillation_lower_bound",
     "verify_thm_lipschitz", "verify_thm_bmo", "verify_thm_bmo_le_lip",
     "verify_conjugate_pair", "verify_weighted_lipschitz",
     "run_suite", "suite_passed", "reports_to_json", "reports_to_csv",
 ]
-
-VERIFIER_NAMES = (
-    "lemma_T_bound", "lemma_closed_part_bound", "sobolev_poincare",
-    "oscillation_lower_bound", "thm_lipschitz", "thm_bmo", "thm_bmo_le_lip",
-    "conjugate_pair", "weighted_lipschitz",
-)
 
 STABILITY_TOLERANCE = 0.10
 _EPS = 1e-13
@@ -125,7 +121,7 @@ class HarnessContext:
     def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
                  ball_resolution: int = 15, ball_count: int = 24, t_nodes: int = 32,
                  sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
-                 radius_fraction: float = 0.25, fd_scale: float = 1e-4):
+                 radius_fraction: float = 0.25):
         if not sigma > 1:
             raise InvalidInputError(f"sigma must exceed 1, got {sigma}")
         if not 0 < k < 1:
@@ -141,7 +137,6 @@ class HarnessContext:
         self.rho = sigma if rho is None else rho
         self.k = k
         self.radius_fraction = radius_fraction
-        self.fd_scale = fd_scale
         self._balls: tuple | None = None
         self._tu: dict = {}
         self._closed: dict = {}
@@ -160,9 +155,6 @@ class HarnessContext:
                                             self.radius_fraction,
                                             expansion=self.sigma))
         return self._balls
-
-    def ball_volumes(self) -> np.ndarray:
-        return np.array([b.volume() for b in self.balls()])
 
     def echo(self, **extra) -> dict:
         base = {"dims": self.dims, "grid_resolution": self.grid_resolution,
@@ -204,34 +196,27 @@ class HarnessContext:
                                                 resolution=self.grid_res(scale),
                                                 t_nodes=self.t_nodes)
             else:
-                step = self.fd_scale * self.domain.diameter()
+                step = FD_SCALE * self.domain.diameter()
                 self._closed[key] = self.Tu(entry, scale).d(fd_step=step)
         return self._closed[key]
 
-    def profile(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
-                weight: Weight | None, scale: int = 1) -> np.ndarray:
-        """Per-ball oscillation profile ||form - form_B||_{phi, B} over balls().
+    def oscillation(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
+                    kind: str, weight: Weight | None = None, scale: int = 1):
+        """(value, argmax ball) of the BMO or Lipschitz seminorm over balls().
 
-        Shared between the BMO and Lipschitz seminorms so their comparison is
-        exact to rounding.
+        The per-ball profile ||form - form_B||_{phi, B} is cached and shared
+        between the two kinds, so their comparison is exact to rounding.
         """
         wkey = None if weight is None else weight.describe()
         key = (form_key, phi.describe(), wkey, scale)
         if key not in self._profiles:
             self._profiles[key] = oscillation_profile(
                 form, list(self.balls()), phi, weight,
-                ball_resolution=self.ball_res(scale), t_nodes=self.t_nodes,
-                fd_scale=self.fd_scale)
-        return self._profiles[key]
-
-    def oscillation(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
-                    kind: str, weight: Weight | None = None, scale: int = 1):
-        """(value, argmax ball) of the BMO (e=-1) or Lipschitz (e=-(n+k)/n) sup."""
-        prof = self.profile(form_key, form, phi, weight, scale)
-        e = -1.0 if kind == "bmo" else -(self.dims + self.k) / self.dims
-        vals = self.ball_volumes() ** e * prof
-        i = int(np.argmax(vals))
-        return float(vals[i]), self.balls()[i]
+                ball_resolution=self.ball_res(scale), t_nodes=self.t_nodes)
+        res = oscillation_norm(form, self.domain, phi,
+                               OscillationNormSpec(kind, k=self.k, sigma=self.sigma),
+                               balls=list(self.balls()), profile=self._profiles[key])
+        return res.value, res.argmax_ball
 
 
 def _ball_dict(ball: Ball) -> dict:
@@ -250,13 +235,57 @@ def _ratio_entry(eid: str, lhs: float, rhs: float, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verifiers
+# verifiers and their parameter gates (verify_* raises on a gate, load_config
+# reports it)
+
+
+def _raise_on(violations: list) -> None:
+    if violations:
+        raise InvalidInputError("; ".join(violations))
+
+
+def _exponent_t_gate(t: float) -> list:
+    return [] if t > 1 else [f"exponent t must exceed 1, got {t}"]
+
+
+def _sobolev_gate(n: int, t: float) -> list:
+    return [] if 1 < t < n else [f"need 1 < t < dims={n}, got t={t}"]
+
+
+def _thm_bmo_gate(n: int, p: float, q: float) -> list:
+    out = [] if 1 < p < q else [f"need 1 < p < q, got p={p}, q={q}"]
+    if not q * (n - p) < n * p:
+        out.append(f"exponent gate q(n-p) < np fails: {q}*({n}-{p}) = "
+                   f"{q * (n - p)} >= {n * p}")
+    return out
+
+
+def _conjugate_gate(p: float, q: float) -> list:
+    ok = p > 0 and q > 0 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
+    return [] if ok else [f"conjugate exponents need 1/p + 1/q = 1, got p={p}, q={q}"]
+
+
+def _weighted_gate(phi: YoungFunction, p: float, q: float, alpha: float, s: float) -> list:
+    out = []
+    if not alpha > 1:
+        out.append(f"alpha must exceed 1, got {alpha}")
+    gate = alpha * p - p - alpha * q
+    if not gate > 0:
+        out.append(f"exponent gate alpha*p - p - alpha*q > 0 fails: {alpha}*{p} "
+                   f"- {p} - {alpha}*{q} = {gate}")
+    if not 1 <= s < q:
+        out.append(f"need 1 <= s < q, got s={s}, q={q}")
+    else:
+        dom_rep = check_phi_dominated(phi, s)
+        if not dom_rep.ok:
+            out.append(f"Young function is not dominated by t^{s}: ratio "
+                       f"{dom_rep.worst_ratio:.6g} at t={dom_rep.worst_t:.3g}")
+    return out
 
 
 def verify_lemma_T_bound(ctx: HarnessContext, t: float, scale: int = 1) -> VerificationReport:
     """||Tu||_t <= C |domain| diam(domain) ||u||_t over entries of degree >= 1."""
-    if not t > 1:
-        raise InvalidInputError(f"exponent t must exceed 1, got {t}")
+    _raise_on(_exponent_t_gate(t))
     dom = ctx.domain
     geom = dom.volume() * dom.diameter()
     entries = []
@@ -270,8 +299,7 @@ def verify_lemma_T_bound(ctx: HarnessContext, t: float, scale: int = 1) -> Verif
 def verify_lemma_closedpart_bound(ctx: HarnessContext, t: float,
                                   scale: int = 1) -> VerificationReport:
     """||u_Omega||_t <= C |domain| ||u||_t (mean for 0-forms, d(Tu) above)."""
-    if not t > 1:
-        raise InvalidInputError(f"exponent t must exceed 1, got {t}")
+    _raise_on(_exponent_t_gate(t))
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries():
@@ -289,8 +317,7 @@ def verify_sobolev_poincare(ctx: HarnessContext, t: float,
     Closed entries make both sides vanish and are skip-flagged.
     """
     n = ctx.dims
-    if not 1 < t < n:
-        raise InvalidInputError(f"need 1 < t < dims={n}, got t={t}")
+    _raise_on(_sobolev_gate(n, t))
     s = n * t / (n - t)
     dom = ctx.domain
     entries = []
@@ -298,7 +325,7 @@ def verify_sobolev_poincare(ctx: HarnessContext, t: float,
         try:
             du = e.form.d()
         except InvalidInputError:
-            du = e.form.d(fd_step=ctx.fd_scale * dom.diameter())
+            du = e.form.d(fd_step=FD_SCALE * dom.diameter())
         rhs = lp_norm(du, dom, t, resolution=ctx.grid_res(scale))
         diff = e.form - ctx.closed_part_global(e, scale)
         lhs = lp_norm(diff, dom, s, resolution=ctx.grid_res(scale))
@@ -385,12 +412,7 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
     No reverse-Hoelder hypothesis here; the gate on (p, q) replaces it.
     """
     n = ctx.dims
-    if not 1 < p < q:
-        raise InvalidInputError(f"need 1 < p < q, got p={p}, q={q}")
-    if not q * (n - p) < n * p:
-        raise InvalidInputError(
-            f"exponent gate q(n-p) < np fails: {q}*({n}-{p}) = {q * (n - p)} "
-            f">= {n * p}")
+    _raise_on(_thm_bmo_gate(n, p, q))
     _require_g_class(phi, p, q, c)
     dom = ctx.domain
     entries = []
@@ -446,9 +468,7 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
     identically whenever v has top degree (every top form is its own closed
     part), which would make the comparison vacuous.
     """
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise InvalidInputError(f"conjugate exponents need 1/p + 1/q = 1, "
-                                f"got p={p}, q={q}")
+    _raise_on(_conjugate_gate(p, q))
     # conjugacy forces p <= 2 <= q; the sandwich class is defined for p < q
     # only, so the boundary case p = q = 2 skips the membership gate
     if p < q:
@@ -498,21 +518,8 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
     """Weighted comparison ||u||_{phi locLip_k, w} <= C ||u||_{p, w} under the
     exponent gate alpha*p - p - alpha*q > 0 and the ball-average weight class.
     """
-    gate = alpha * p - p - alpha * q
-    if not alpha > 1:
-        raise InvalidInputError(f"alpha must exceed 1, got {alpha}")
-    if not gate > 0:
-        raise InvalidInputError(
-            f"exponent gate alpha*p - p - alpha*q > 0 fails: {alpha}*{p} - {p} "
-            f"- {alpha}*{q} = {gate}")
-    if not 1 <= s < q:
-        raise InvalidInputError(f"need 1 <= s < q, got s={s}, q={q}")
-    dom_rep = check_phi_dominated(phi, s)
-    if not dom_rep.ok:
-        raise InvalidInputError(
-            f"Young function is not dominated by t^{s}: ratio "
-            f"{dom_rep.worst_ratio:.6g} at t={dom_rep.worst_t:.3g}")
-    beta = alpha * q / gate
+    _raise_on(_weighted_gate(phi, p, q, alpha, s))
+    beta = alpha * q / (alpha * p - p - alpha * q)
     gamma = alpha * q / p
     a_rep = check_a_class(weight, alpha, beta, gamma, list(ctx.balls()),
                           resolution=ctx.ball_res(scale))
@@ -538,11 +545,60 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
 # suite driver
 
 
-def _with_stability(run, stability: bool) -> VerificationReport:
-    base = run(1)
-    if not stability:
-        return base
-    doubled = run(2)
+@dataclass(frozen=True)
+class Verifier:
+    """One verifier: ``gate(config, dims)`` lists its parameter violations,
+    which ``load_config`` reports when it is requested; ``run(ctx, config,
+    scale)`` returns its reports.  Runners look ``verify_*`` up in this module
+    at call time, so rebinding the module attribute reaches ``run_suite``."""
+
+    name: str
+    needs_box: bool  # reads the homotopy image or u_Omega on the whole domain
+    gate: Callable[[object, int], list]
+    run: Callable[[HarnessContext, object, int], list]
+
+
+VERIFIERS = (
+    Verifier("lemma_T_bound", True,
+             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
+             lambda ctx, c, sc: [verify_lemma_T_bound(ctx, c.lemma_exponent_t, sc)]),
+    Verifier("lemma_closed_part_bound", True,
+             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
+             lambda ctx, c, sc: [verify_lemma_closedpart_bound(ctx, c.lemma_exponent_t, sc)]),
+    Verifier("sobolev_poincare", True,
+             lambda c, n: _sobolev_gate(n, c.sobolev_t),
+             lambda ctx, c, sc: [verify_sobolev_poincare(ctx, c.sobolev_t, sc)]),
+    Verifier("oscillation_lower_bound", True, lambda c, n: [],
+             lambda ctx, c, sc: [verify_oscillation_lower_bound(
+                 ctx, c.build_young(), tuple(c.osc_a_values), None, sc)]),
+    Verifier("thm_lipschitz", True, lambda c, n: [],
+             lambda ctx, c, sc: [verify_thm_lipschitz(
+                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"],
+                 c.g_class.get("c"), sc)]),
+    Verifier("thm_bmo", True,
+             lambda c, n: _thm_bmo_gate(n, c.g_class["p"], c.g_class["q"]),
+             lambda ctx, c, sc: [verify_thm_bmo(
+                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"],
+                 c.g_class.get("c"), sc)]),
+    Verifier("thm_bmo_le_lip", False, lambda c, n: [],
+             lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.build_young(), sc)]),
+    Verifier("conjugate_pair", False,
+             lambda c, n: _conjugate_gate(c.conjugate["p"], c.conjugate["q"]),
+             lambda ctx, c, sc: [verify_conjugate_pair(
+                 ctx, c.build_young(), c.conjugate["p"], c.conjugate["q"], None, sc)]),
+    Verifier("weighted_lipschitz", False,
+             lambda c, n: _weighted_gate(
+                 c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
+                 c.weighted["alpha"], c.weighted["s"]),
+             lambda ctx, c, sc: [verify_weighted_lipschitz(
+                 ctx, c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
+                 c.weighted["alpha"], c.weighted["s"], w, sc)
+                 for w in c.build_weights()]),
+)
+VERIFIER_NAMES = tuple(v.name for v in VERIFIERS)
+
+
+def _attach_stability(base: VerificationReport, doubled: VerificationReport):
     b, d = base.empirical_constant, doubled.empirical_constant
     if b is None or d is None:
         info = {"base": b, "doubled": d, "drift": None, "ok": True}
@@ -553,7 +609,6 @@ def _with_stability(run, stability: bool) -> VerificationReport:
         if not info["ok"] and base.ok:
             base.status = "fail:stability"
     base.stability = info
-    return base
 
 
 def run_suite(config) -> list:
@@ -575,53 +630,16 @@ def run_suite(config) -> list:
         ball_resolution=config.ball_resolution, ball_count=config.ball_count,
         t_nodes=config.t_nodes, sigma=config.sigma, rho=config.rho,
         k=config.k, radius_fraction=config.radius_fraction)
-    phi = config.build_young()
-    weights = config.build_weights()
     enabled = config.enabled_verifiers()
-    g = config.g_class
-    wt = config.weighted
-    stability = config.stability_check
-
     reports = []
-    if "lemma_T_bound" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_lemma_T_bound(ctx, config.lemma_exponent_t, sc),
-            stability))
-    if "lemma_closed_part_bound" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_lemma_closedpart_bound(ctx, config.lemma_exponent_t, sc),
-            stability))
-    if "sobolev_poincare" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_sobolev_poincare(ctx, config.sobolev_t, sc),
-            stability))
-    if "oscillation_lower_bound" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_oscillation_lower_bound(
-                ctx, phi, tuple(config.osc_a_values), None, sc), stability))
-    if "thm_lipschitz" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_thm_lipschitz(ctx, phi, g["p"], g["q"], g["c"], sc),
-            stability))
-    if "thm_bmo" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_thm_bmo(ctx, phi, g["p"], g["q"], g["c"], sc),
-            stability))
-    if "thm_bmo_le_lip" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_thm_bmo_le_lip(ctx, phi, sc), stability))
-    if "conjugate_pair" in enabled:
-        reports.append(_with_stability(
-            lambda sc: verify_conjugate_pair(
-                ctx, phi, config.conjugate["p"], config.conjugate["q"], None, sc),
-            stability))
-    if "weighted_lipschitz" in enabled:
-        phi_s = config.build_weighted_young()
-        for w in weights:
-            reports.append(_with_stability(
-                lambda sc, w=w: verify_weighted_lipschitz(
-                    ctx, phi_s, wt["p"], wt["q"], wt["alpha"], wt["s"], w, sc),
-                stability))
+    for verifier in VERIFIERS:
+        if verifier.name not in enabled:
+            continue
+        base = verifier.run(ctx, config, 1)
+        if config.stability_check:
+            for b, d in zip(base, verifier.run(ctx, config, 2)):
+                _attach_stability(b, d)
+        reports.extend(base)
     return reports
 
 

@@ -33,8 +33,10 @@ from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
                     LinearCombinationField)
 from .geometry import Ball, Box, Domain, ball_inside
 
-__all__ = ["BumpFunction", "apply_Ky", "apply_T", "closed_part",
+__all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
            "decomposition_residual", "materialize"]
+
+FD_SCALE = 1e-4  # FD step for d of a quadrature-defined form, per unit diameter
 
 
 class BumpFunction:
@@ -174,8 +176,7 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
 
 
 def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
-                *, resolution: int = 15, t_nodes: int = 32,
-                fd_scale: float = 1e-4) -> DifferentialForm:
+                *, resolution: int = 15, t_nodes: int = 32) -> DifferentialForm:
     """The closed part u_B = d(Tu) on the region; the mean for 0-forms."""
     if u.degree == 0:
         quad = region.quadrature(resolution)
@@ -183,7 +184,7 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
         mean = quad.integrate(u.components[0](quad.points)) / mass
         return DifferentialForm(u.dims, 0, (ConstantField(mean),))
     tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
-    return tu.d(fd_step=fd_scale * region.diameter())
+    return tu.d(fd_step=FD_SCALE * region.diameter())
 
 
 def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
@@ -221,7 +222,7 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
     try:
         du = u.d()
     except InvalidInputError:
-        du = u.d(fd_step=1e-4 * region.diameter())
+        du = u.d(fd_step=FD_SCALE * region.diameter())
     tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
     tdu = apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
     h = fd_coefficient * region.diameter() / resolution

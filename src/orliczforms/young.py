@@ -389,13 +389,13 @@ class OscillationResult:
 
 
 def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,
-                        weight=None, *, ball_resolution: int = 15, t_nodes: int = 32,
-                        fd_scale: float = 1e-4) -> list[float]:
+                        weight=None, *, ball_resolution: int = 15,
+                        t_nodes: int = 32) -> list[float]:
     """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part."""
     out = []
     for ball in balls:
         u_b = homotopy.closed_part(u, ball, resolution=ball_resolution,
-                                   t_nodes=t_nodes, fd_scale=fd_scale)
+                                   t_nodes=t_nodes)
         out.append(luxemburg_norm(u - u_b, ball, phi, weight=weight,
                                   resolution=ball_resolution))
     return out
@@ -404,7 +404,7 @@ def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFuncti
 def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
                      spec: OscillationNormSpec, weight=None, *,
                      ball_resolution: int = 15, t_nodes: int = 32,
-                     fd_scale: float = 1e-4, balls: list[Ball] | None = None,
+                     balls: list[Ball] | None = None,
                      profile: list[float] | None = None) -> OscillationResult:
     """sup over the ball family of |B|^e ||u - u_B||_{phi,B}.
 
@@ -420,7 +420,7 @@ def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
     if profile is None:
         profile = oscillation_profile(u, balls, phi, weight,
                                       ball_resolution=ball_resolution,
-                                      t_nodes=t_nodes, fd_scale=fd_scale)
+                                      t_nodes=t_nodes)
     e = spec.exponent(domain.dims)
     per = [b.volume() ** e * v for b, v in zip(balls, profile)]
     idx = int(np.argmax(per)) if per else 0

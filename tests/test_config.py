@@ -6,6 +6,7 @@ import pytest
 from orliczforms import ConfigError, load_config
 from orliczforms.config import DEFAULT_CONFIG, RunConfig
 from orliczforms.geometry import Box
+from orliczforms.harness import VERIFIERS
 
 
 def test_defaults_load_clean():
@@ -85,6 +86,29 @@ def test_weighted_growth_gate():
         load_config(overrides={"weighted": _weighted(4.0, 1.5, 0.5)})
 
 
+@pytest.mark.parametrize("name, section", [
+    # thm_bmo needs 1 < p, not only the G-class bound 1 <= p
+    ("thm_bmo", {"g_class": {"p": 1.0, "q": 1.5, "c": 1.0}}),
+    # 1/p + 1/q misses 1 by about 1e-10
+    ("conjugate_pair", {"conjugate": {"p": 2.5, "q": 1.6666666667}}),
+    # phi = t^2 is not dominated by t^s with s = 1.2
+    ("weighted_lipschitz", {"weighted": {
+        "p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
+        "young": {"name": "power", "p": 2.0}}}),
+])
+def test_load_rejects_what_the_verifier_would(name, section):
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={**section, "verifiers": [name]})
+    assert all(v.startswith(f"{name}: ") for v in exc.value.violations)
+
+
+def test_gates_apply_only_to_requested_verifiers():
+    bad = {"weighted": _weighted(2.0, 2.0, 2.0)}
+    load_config(overrides={**bad, "verifiers": ["thm_bmo_le_lip"]})
+    with pytest.raises(ConfigError):
+        load_config(overrides={**bad, "verifiers": ["weighted_lipschitz"]})
+
+
 def test_numeric_gates():
     for bad in ({"grid_resolution": 3}, {"sigma": 1.0}, {"k": 0.0},
                 {"k": 1.0}, {"ball_count": 0}, {"radius_fraction": 0.0},
@@ -101,15 +125,17 @@ def test_verifier_names_checked():
         load_config(overrides={"verifiers": ["thm_everything"]})
 
 
-def test_ball_domain_incompatible_with_operator_verifiers():
+@pytest.mark.parametrize("verifier", VERIFIERS, ids=lambda v: v.name)
+def test_ball_domain_incompatible_with_operator_verifiers(verifier):
     ball_domain = {"kind": "ball", "center": [0.5, 0.5], "radius": 0.4}
-    load_config(overrides={"domain": ball_domain,
-                           "verifiers": ["thm_bmo_le_lip"]})
+    overrides = {"domain": ball_domain, "verifiers": [verifier.name]}
+    if verifier.needs_box:
+        with pytest.raises(ConfigError):
+            load_config(overrides=overrides)
+    else:
+        load_config(overrides=overrides)
     with pytest.raises(ConfigError):
         load_config(overrides={"domain": ball_domain})  # default "all"
-    with pytest.raises(ConfigError):
-        load_config(overrides={"domain": ball_domain,
-                               "verifiers": ["oscillation_lower_bound"]})
 
 
 # ---------------------------------------------------------------- builders

@@ -256,6 +256,25 @@ def test_suite_on_ball_domain_restricted_to_profile_checks():
     assert len(reports) == 1 and reports[0].ok
 
 
+def test_suite_dispatches_through_module_attributes(monkeypatch):
+    # tracers wrap verifiers by rebinding harness.verify_*; run_suite must
+    # reach the rebound name at both scales
+    from orliczforms import harness
+    seen = []
+    original = harness.verify_thm_bmo_le_lip
+
+    def recording(ctx, phi, scale=1):
+        seen.append(scale)
+        return original(ctx, phi, scale)
+
+    monkeypatch.setattr(harness, "verify_thm_bmo_le_lip", recording)
+    cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
+                                 "ball_count": 4, "stability_check": True,
+                                 "verifiers": ["thm_bmo_le_lip"]})
+    run_suite(cfg)
+    assert seen == [1, 2]
+
+
 def test_stability_block_present_when_enabled():
     cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
                                  "ball_count": 4, "stability_check": True,
