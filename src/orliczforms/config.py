@@ -89,6 +89,11 @@ def _check_young_spec(spec, where: str, errors: list):
     elif name == "custom":
         if not isinstance(spec.get("expression"), str):
             errors.append(f"{where}: custom needs an 'expression' string in t")
+            return
+        try:  # parse it and sample the Young-function axioms now, not in run_suite
+            custom_young(spec["expression"])
+        except OrliczFormsError as exc:
+            errors.append(f"{where}: {exc}")
     else:
         errors.append(f"{where}: unknown Young function {name!r}")
 
@@ -279,7 +284,7 @@ def _validate(cfg: dict) -> list:
             try:
                 e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims))
             except (TypeError, KeyError, OrliczFormsError) as exc:
-                if clean:  # e.g. a custom Young expression that fails to build
+                if clean:  # a failure no check above explains
                     e.append(f"{row.name}: {exc}")
     if (isinstance(dom, dict) and dom.get("kind") == "ball"
             and any(row.needs_box for row in VERIFIERS if row.name in requested)):

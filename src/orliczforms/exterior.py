@@ -113,8 +113,9 @@ def _perm_sign(seq) -> int:
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, la: int, lb: int):
-    """Sparse table (ia, ib, iout, sign) for the wedge of degrees (la, lb)."""
+def _wedge_table(n: int, la: int, lb: int) -> tuple:
+    """Rows (ia, ib, iout, sign) of the wedge of degrees (la, lb), in
+    lexicographic order of (ia, ib)."""
     out_rank = _rank_table(n, la + lb)
     rows = []
     for ia, mi_a in enumerate(multi_indices(n, la)):
@@ -123,10 +124,8 @@ def _wedge_table(n: int, la: int, lb: int):
             sign = _perm_sign(cat)
             if sign == 0:
                 continue
-            rows.append((ia, ib, out_rank[tuple(sorted(cat))], sign))
-    ia, ib, io, sg = (np.array(col, dtype=np.intp) for col in zip(*rows)) if rows else (
-        np.empty(0, np.intp),) * 4
-    return ia, ib, io, np.asarray(sg, dtype=np.float64)
+            rows.append((ia, ib, out_rank[tuple(sorted(cat))], float(sign)))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -144,26 +143,29 @@ def _star_table(n: int, l: int):
 
 
 @lru_cache(maxsize=None)
-def _contraction_table(n: int, l: int):
-    """Sparse table (iout, iin, axis, sign) for the interior product on degree l."""
+def _contraction_table(n: int, l: int) -> tuple:
+    """Rows (iout, iin, axis, sign) of the interior product on degree l."""
     out_rank = _rank_table(n, l - 1)
     rows = []
     for iin, mi in enumerate(multi_indices(n, l)):
         for pos, k in enumerate(mi.indices):
             rest = mi.indices[:pos] + mi.indices[pos + 1:]
             rows.append((out_rank[rest], iin, k - 1, (-1.0) ** pos))
-    io, ii, ax, sg = zip(*rows)
-    return (np.array(io, np.intp), np.array(ii, np.intp), np.array(ax, np.intp),
-            np.array(sg, np.float64))
+    return tuple(rows)
 
 
 # --- array kernels (first axis = component rank, trailing axes broadcast) ---
+#
+# Each kernel adds its table rows into ``out`` one at a time, in table order,
+# so the summation order (and every bit of the result) is fixed by the table;
+# the tests hold both kernels bit-identical to an ``np.add.at`` scatter of the
+# same rows.  For n <= 3 a table has at most 6 rows, so the loop is short.
 
 
 def wedge_coeffs(n, la, lb, a, b):
-    ia, ib, io, sg = _wedge_table(n, la, lb)
     out = np.zeros((num_components(n, la + lb),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    np.add.at(out, io, sg.reshape(-1, *([1] * (out.ndim - 1))) * a[ia] * b[ib])
+    for ia, ib, io, sg in _wedge_table(n, la, lb):
+        out[io] += sg * a[ia] * b[ib]
     return out
 
 def star_coeffs(n, l, a):
@@ -176,9 +178,9 @@ def contract_coeffs(n, l, a, v):
     ``a`` has shape (C(n,l), ...); ``v`` has shape (n, ...) with matching
     trailing axes.  Returns shape (C(n,l-1), ...).
     """
-    io, ii, ax, sg = _contraction_table(n, l)
     out = np.zeros((num_components(n, l - 1),) + np.broadcast_shapes(a.shape[1:], v.shape[1:]))
-    np.add.at(out, io, sg.reshape(-1, *([1] * (out.ndim - 1))) * v[ax] * a[ii])
+    for io, ii, ax, sg in _contraction_table(n, l):
+        out[io] += sg * v[ax] * a[ii]
     return out
 
 

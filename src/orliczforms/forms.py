@@ -368,11 +368,9 @@ class DifferentialForm:
         n, l = self.dims, self.degree
         if l == n:
             raise DegreeError(f"cannot take d of a top-degree ({n}) form")
-        io, ii, ax, sg = _contraction_table(n, l + 1)
         terms: list[list] = [[] for _ in range(num_components(n, l + 1))]
-        for idx in range(io.shape[0]):
-            field = self._partial_field(int(io[idx]), int(ax[idx]) + 1, fd_step)
-            terms[int(ii[idx])].append((float(sg[idx]), field))
+        for io, ii, ax, sg in _contraction_table(n, l + 1):
+            terms[ii].append((sg, self._partial_field(io, ax + 1, fd_step)))
         comps = tuple(LinearCombinationField(t) if t else ConstantField(0.0) for t in terms)
         return DifferentialForm(n, l + 1, comps)
 

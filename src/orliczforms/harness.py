@@ -13,6 +13,13 @@ grid and runs every norm against the interpolant.  Under the doubled-grid
 stability rerun the y-quadrature that *defines* the discrete operator stays
 fixed while the sampling grid and all norm quadratures double; the stability
 check therefore measures convergence of the norms, not drift of the operator.
+
+The oscillation seminorms are cached on two levels.  The values |u - u_B| at
+each ball's quadrature nodes depend only on the form, the ball and the scale,
+so they are computed once per (form, scale) and shared by every Young
+function and weight; the per-ball profile ||u - u_B||_{phi,B} is then one
+Luxemburg bisection per ball, cached per (form, phi, weight, scale) and
+shared by the BMO and Lipschitz kinds.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .homotopy import FD_SCALE, apply_T, closed_part, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
 from .young import (OscillationNormSpec, YoungFunction, check_g_class,
                     check_wrh, luxemburg_norm, lp_norm, oscillation_norm,
-                    oscillation_profile)
+                    oscillation_profile, oscillation_residuals)
 
 __all__ = [
     "HarnessContext", "VerificationReport", "Verifier", "VERIFIERS", "VERIFIER_NAMES",
@@ -140,6 +147,7 @@ class HarnessContext:
         self._balls: tuple | None = None
         self._tu: dict = {}
         self._closed: dict = {}
+        self._residuals: dict = {}
         self._profiles: dict = {}
 
     # -- geometry ---------------------------------------------------------
@@ -204,18 +212,27 @@ class HarnessContext:
                     kind: str, weight: Weight | None = None, scale: int = 1):
         """(value, argmax ball) of the BMO or Lipschitz seminorm over balls().
 
-        The per-ball profile ||form - form_B||_{phi, B} is cached and shared
-        between the two kinds, so their comparison is exact to rounding.
+        Two cache levels: the node values |form - form_B| on every ball are
+        computed once per (form_key, scale), closed parts included, and
+        shared by every Young function and weight; the per-ball profile
+        ||form - form_B||_{phi, B} is cached per (form_key, phi, weight,
+        scale) and shared between the two kinds, so their comparison is
+        exact to rounding.
         """
+        balls = list(self.balls())
+        rkey = (form_key, scale)
+        if rkey not in self._residuals:
+            self._residuals[rkey] = oscillation_residuals(
+                form, balls, ball_resolution=self.ball_res(scale), t_nodes=self.t_nodes)
         wkey = None if weight is None else weight.describe()
         key = (form_key, phi.describe(), wkey, scale)
         if key not in self._profiles:
             self._profiles[key] = oscillation_profile(
-                form, list(self.balls()), phi, weight,
-                ball_resolution=self.ball_res(scale), t_nodes=self.t_nodes)
+                form, balls, phi, weight, ball_resolution=self.ball_res(scale),
+                t_nodes=self.t_nodes, residuals=self._residuals[rkey])
         res = oscillation_norm(form, self.domain, phi,
                                OscillationNormSpec(kind, k=self.k, sigma=self.sigma),
-                               balls=list(self.balls()), profile=self._profiles[key])
+                               balls=balls, profile=self._profiles[key])
         return res.value, res.argmax_ball
 
 

@@ -37,6 +37,10 @@ __all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
            "decomposition_residual", "materialize"]
 
 FD_SCALE = 1e-4  # FD step for d of a quadrature-defined form, per unit diameter
+# decomposition_residual: test lattice points per axis, and FD step for d(Tu)
+# per unit diameter per quadrature node
+RESIDUAL_TEST_RESOLUTION = 13
+RESIDUAL_FD_COEFFICIENT = 0.05
 
 
 class BumpFunction:
@@ -204,9 +208,7 @@ def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
 
 def decomposition_residual(u: DifferentialForm, region: Domain,
                            bump: BumpFunction | None = None, *,
-                           resolution: int = 41, t_nodes: int = 32,
-                           test_resolution: int = 13,
-                           fd_coefficient: float = 0.05) -> float:
+                           resolution: int = 41, t_nodes: int = 32) -> float:
     """max over a test lattice of |u - d(Tu) - T(du)|.
 
     The FD step for d(Tu) is tied to the quadrature resolution
@@ -225,9 +227,9 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
         du = u.d(fd_step=FD_SCALE * region.diameter())
     tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
     tdu = apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
-    h = fd_coefficient * region.diameter() / resolution
+    h = RESIDUAL_FD_COEFFICIENT * region.diameter() / resolution
     recon = tu.d(fd_step=h) + tdu
-    pts = _test_lattice(region, test_resolution)
+    pts = _test_lattice(region, RESIDUAL_TEST_RESOLUTION)
     return float((u - recon).modulus_values(pts).max())
 
 

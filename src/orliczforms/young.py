@@ -35,8 +35,8 @@ from .geometry import Ball, Domain, ball_family
 __all__ = [
     "YoungFunction", "power", "power_log", "custom_young", "young_violations",
     "LOG_GRID", "check_g_class", "GClassReport", "luxemburg_norm", "lp_norm",
-    "OscillationNormSpec", "OscillationResult", "oscillation_profile",
-    "oscillation_norm", "check_wrh", "WRHReport",
+    "OscillationNormSpec", "OscillationResult", "oscillation_residuals",
+    "oscillation_profile", "oscillation_norm", "check_wrh", "WRHReport",
 ]
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 1000)
@@ -129,7 +129,7 @@ def custom_young(text: str) -> YoungFunction:
     return phi
 
 
-def young_violations(phi, seed: int = 0) -> list[str]:
+def young_violations(phi) -> list[str]:
     """Sampled checks of the Young-function axioms; empty list means clean."""
     out = []
     v0 = float(phi(np.array([0.0]))[0])
@@ -140,7 +140,7 @@ def young_violations(phi, seed: int = 0) -> list[str]:
         out.append("phi not finite on the sample grid")
     elif not np.all(np.diff(vals) > 0):
         out.append("phi not strictly increasing on the sample grid")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     s = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
     t = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
     lhs = phi((s + t) / 2.0)
@@ -188,7 +188,7 @@ class GClassReport:
 
 
 def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None,
-                  grid: np.ndarray | None = None, seed: int = 0) -> GClassReport:
+                  grid: np.ndarray | None = None) -> GClassReport:
     """Sampled membership check for the G(p, q, c) growth class.
 
     Verifies, on a log grid, the two ratio sandwiches against the witnesses
@@ -217,7 +217,7 @@ def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None
     if np.any(np.diff(hv) <= 0):
         record("witness h is not increasing on the grid")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     si = grid[rng.integers(0, grid.size, 10000)]
     ti = grid[rng.integers(0, grid.size, 10000)]
     mid_g, avg_g = np.asarray(g((si + ti) / 2)), (np.asarray(g(si)) + np.asarray(g(ti))) / 2
@@ -257,6 +257,11 @@ def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None
 
 
 def _field_values(f, points):
+    if isinstance(f, np.ndarray):
+        if f.shape != (points.shape[0],):
+            raise InvalidInputError(
+                f"expected {points.shape[0]} node values, got shape {f.shape}")
+        return f
     if isinstance(f, DifferentialForm):
         return f.modulus_values(points)
     return np.asarray(f(points), dtype=np.float64).reshape(points.shape[0])
@@ -266,8 +271,10 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                    resolution: int = 41, rel_tol: float = 1e-10) -> float:
     """inf{lam > 0 : integral phi(|f|/lam) d(mu) <= 1} over the region's grid.
 
-    ``f`` may be a scalar field or a DifferentialForm (its pointwise modulus
-    is used).  ``weight``, when given, multiplies Lebesgue measure.
+    ``f`` may be a scalar field, a DifferentialForm (its pointwise modulus
+    is used) or an array of values at the nodes of
+    ``region.quadrature(resolution)``, in node order.  ``weight``, when
+    given, multiplies Lebesgue measure.
     """
     quad = region.quadrature(resolution)
     vals = np.abs(_field_values(f, quad.points))
@@ -388,17 +395,36 @@ class OscillationResult:
         return d
 
 
-def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,
-                        weight=None, *, ball_resolution: int = 15,
-                        t_nodes: int = 32) -> list[float]:
-    """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part."""
+def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
+                          ball_resolution: int = 15,
+                          t_nodes: int = 32) -> list[np.ndarray]:
+    """|u - u_B| at the nodes of ``B.quadrature(ball_resolution)``, per ball.
+
+    u_B is the per-ball closed part.  The values depend on neither the Young
+    function nor the weight, so one set serves every (phi, weight) profile.
+    """
     out = []
     for ball in balls:
         u_b = homotopy.closed_part(u, ball, resolution=ball_resolution,
                                    t_nodes=t_nodes)
-        out.append(luxemburg_norm(u - u_b, ball, phi, weight=weight,
-                                  resolution=ball_resolution))
+        out.append((u - u_b).modulus_values(ball.quadrature(ball_resolution).points))
     return out
+
+
+def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,
+                        weight=None, *, ball_resolution: int = 15,
+                        t_nodes: int = 32,
+                        residuals: list[np.ndarray] | None = None) -> list[float]:
+    """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part.
+
+    ``residuals``, when given, are the ``oscillation_residuals`` of ``u`` on
+    ``balls`` at ``ball_resolution``; only the Luxemburg bisection then runs.
+    """
+    if residuals is None:
+        residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution,
+                                          t_nodes=t_nodes)
+    return [luxemburg_norm(r, ball, phi, weight=weight, resolution=ball_resolution)
+            for ball, r in zip(balls, residuals)]
 
 
 def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,

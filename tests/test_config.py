@@ -161,6 +161,21 @@ def test_build_young_and_weights():
     assert psi(2.0) == pytest.approx(2.0 ** 1.2)
 
 
+@pytest.mark.parametrize("expression", ["t^^2", "sqrt(t)"])
+def test_custom_young_built_at_load(expression):
+    # a parse error and a non-Young profile both fail at load, for either spec
+    spec = {"name": "custom", "expression": expression}
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"young": spec})
+    assert [v.split(":")[0] for v in exc.value.violations] == ["young"]
+    weighted = {**DEFAULT_CONFIG["weighted"], "young": spec}
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"weighted": weighted, "verifiers": ["thm_bmo_le_lip"]})
+    assert [v.split(":")[0] for v in exc.value.violations] == ["weighted.young"]
+    cfg = load_config(overrides={"young": {"name": "custom", "expression": "t^2"}})
+    assert cfg.build_young()(2.0) == 4.0
+
+
 def test_run_config_attribute_delegation():
     cfg = RunConfig({"alpha": 1.0})
     assert cfg.alpha == 1.0

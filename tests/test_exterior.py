@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczforms import CovectorValue, hodge_star, modulus, wedge
-from orliczforms.exterior import MultiIndex, multi_indices, num_components
+from orliczforms.exterior import (MultiIndex, _contraction_table, _wedge_table,
+                                  contract_coeffs, multi_indices, num_components,
+                                  wedge_coeffs)
 from orliczforms.errors import InvalidInputError
 
 
@@ -154,3 +156,40 @@ def test_modulus_squared_is_star_of_u_wedge_star_u(seed):
 def test_modulus_is_euclidean_norm_of_coeffs():
     a = CovectorValue(3, 2, np.array([3.0, 0.0, 4.0]))
     assert modulus(a) == pytest.approx(5.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------- array kernels
+# Both kernels must stay bit-identical to an np.add.at scatter of the same
+# table rows: the same signed products, added into the output in table order.
+
+def _scatter(out_shape, io, products):
+    out = np.zeros(out_shape)
+    np.add.at(out, np.asarray(io, dtype=np.intp), products)
+    return out
+
+
+def test_contract_kernel_bit_identical_to_scatter():
+    rng = np.random.default_rng(5)
+    m = 17
+    for n in (1, 2, 3):
+        for l in range(1, n + 1):
+            a = rng.standard_normal((num_components(n, l), 32, m))
+            v = rng.standard_normal((n, 1, m))
+            io, ii, ax, sg = (np.array(c) for c in zip(*_contraction_table(n, l)))
+            ref = _scatter((num_components(n, l - 1), 32, m), io,
+                           sg.reshape(-1, 1, 1) * v[ax] * a[ii])
+            assert np.array_equal(contract_coeffs(n, l, a, v), ref), (n, l)
+
+
+def test_wedge_kernel_bit_identical_to_scatter():
+    rng = np.random.default_rng(6)
+    m = 17
+    for n in (1, 2, 3):
+        for la in range(n + 1):
+            for lb in range(n - la + 1):
+                a = rng.standard_normal((num_components(n, la), 32, m))
+                b = rng.standard_normal((num_components(n, lb), 1, m))
+                ia, ib, io, sg = (np.array(c) for c in zip(*_wedge_table(n, la, lb)))
+                ref = _scatter((num_components(n, la + lb), 32, m), io,
+                               sg.reshape(-1, 1, 1) * a[ia] * b[ib])
+                assert np.array_equal(wedge_coeffs(n, la, lb, a, b), ref), (n, la, lb)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orliczforms import (CorpusEntry, HarnessContext, build_corpus,
-                         constant_weight, default_domain, load_config,
+                         constant_weight, default_domain, homotopy, load_config,
                          named_form, power, power_log, reports_to_csv,
                          reports_to_json, run_suite, suite_passed,
                          verify_conjugate_pair, verify_lemma_T_bound,
@@ -203,6 +203,33 @@ def test_wrh_constant_recorded_by_lipschitz_theorem(ctx):
 def test_operator_image_is_cached(ctx, corpus):
     target = next(e for e in corpus if e.id == "poly-1form")
     assert ctx.Tu(target, 1) is ctx.Tu(target, 1)
+
+
+def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypatch):
+    # u_B depends on the form, the ball and the scale only: thm_bmo_le_lip
+    # and two weighted reports must build each per-ball closed part once
+    kw = dict(grid_resolution=21, ball_resolution=9, ball_count=4)
+    ctx = HarnessContext(DOM, corpus, **kw)
+    weights = (constant_weight(1.0), constant_weight(2.5))
+
+    def run(c, i):
+        if i == 0:
+            return verify_thm_bmo_le_lip(c, power(2.0))
+        return verify_weighted_lipschitz(c, power(1.2), 4.0, 1.5, 2.0, 1.2,
+                                         weights[i - 1])
+
+    calls = []
+    original = homotopy.closed_part
+
+    def counting(u, region, *args, **kwargs):
+        calls.append(u)
+        return original(u, region, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "closed_part", counting)
+    shared = [run(ctx, i) for i in range(3)]
+    assert len(calls) == len(ctx.form_entries()) * len(ctx.balls())
+    for i, report in enumerate(shared):
+        assert report.to_dict() == run(HarnessContext(DOM, corpus, **kw), i).to_dict()
 
 
 def test_entry_selection_by_degree(ctx):

@@ -52,6 +52,17 @@ def test_luxemburg_matches_lp_for_power_young():
         assert lux == pytest.approx(lp, rel=1e-8)
 
 
+def test_luxemburg_of_node_values_matches_the_form():
+    u = named_form("oneform:x2^3,x1*x2", 2)
+    nodes = BOX.quadrature(21).points
+    vals = u.modulus_values(nodes)
+    for phi, weight in ((power(2.0), None), (power_log(1.5), constant_weight(2.5))):
+        assert (luxemburg_norm(vals, BOX, phi, weight=weight, resolution=21)
+                == luxemburg_norm(u, BOX, phi, weight=weight, resolution=21))
+    with pytest.raises(InvalidInputError):
+        luxemburg_norm(vals[:-1], BOX, power(2.0), resolution=21)
+
+
 def test_luxemburg_of_zero_is_zero():
     z = named_form("zero", 2)
     assert luxemburg_norm(z, BOX, power(2.0)) == 0.0
