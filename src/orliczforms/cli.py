@@ -22,13 +22,13 @@ import sys
 import numpy as np
 
 from . import exterior
-from .config import RunConfig, load_config
+from .config import load_config
 from .corpus import build_corpus, default_domain, named_form
 from .errors import ConfigError, OrliczFormsError
 from .forms import DifferentialForm
-from .geometry import ball_family
+from .geometry import Ball
 from .harness import reports_to_csv, reports_to_json, run_suite, suite_passed
-from .homotopy import decomposition_residual
+from .homotopy import closed_part, decomposition_residual
 from .young import (OscillationNormSpec, lp_norm, luxemburg_norm,
                     oscillation_norm, power, power_log, custom_young)
 
@@ -118,7 +118,8 @@ def _battery(dims: int) -> list:
     domain = default_domain(dims)
     pts = domain.centroid() + 0.8 * (rng.random((200, dims)) - 0.5)
     worst_dd = 0.0
-    for entry in build_corpus(domain, dims, admit=False):
+    corpus = build_corpus(domain, dims, admit=False)
+    for entry in corpus:
         if entry.form is None or entry.degree > dims - 2:
             continue
         try:
@@ -127,6 +128,12 @@ def _battery(dims: int) -> list:
             continue
         worst_dd = max(worst_dd, float(np.max(ddu.modulus_values(pts))))
     rows.append(("dd = 0 (analytic)", worst_dd, 1e-12))
+
+    # closed-part collapse: u_B = u - T(du) is u itself when du = 0
+    u = next(e.form for e in corpus if e.id == "poly-closed-1form")
+    ball = Ball(domain.centroid(), 0.25)
+    gap = (u - closed_part(u, ball, resolution=9)).modulus_values(ball.quadrature(9).points)
+    rows.append(("closed-part collapse", float(gap.max()), 1e-12))
 
     # decomposition residual on one smooth entry
     u = DifferentialForm(dims, 1, ("x2^3",) + ("0",) * (dims - 1))

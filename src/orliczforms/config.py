@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, OrliczFormsError
 from .geometry import Ball, Box, Domain
 from .harness import VERIFIER_NAMES, VERIFIERS
-from .weights import Weight, constant_weight, custom_weight, power_weight
+from .weights import constant_weight, custom_weight, power_weight
 from .young import YoungFunction, custom_young, power, power_log
 
 __all__ = ["RunConfig", "load_config", "DEFAULT_CONFIG"]

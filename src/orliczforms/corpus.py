@@ -15,7 +15,7 @@ violations raise instead of silently weakening coverage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,37 +6,36 @@ For an l-form u on a convex region, the kernel operator is
 
 the contraction of u along the segment from y to x, and T averages K_y over
 y against a normalized smooth bump psi:  Tu = integral psi(y) (K_y u) dy.
-Then u = d(Tu) + T(du), and u_B = d(Tu) is the closed part (the mean, for
-0-forms).
+Then u = d(Tu) + T(du), and the closed part is u_B = u - T(du) = d(Tu) (the
+mean, for 0-forms), so closed forms (du = 0) give u_B = u exactly.
 
 Numerical scheme and its one essential property: the y-integral is the
 region's quadrature restricted to the bump's support, with the discrete
 weights renormalized to sum exactly to 1.  Under that normalization the
 discrete decomposition d(T^ u) + T^(du) = u holds *identically* in the
-y-weights; the observed residual comes only from the t-quadrature (32-node
-Gauss-Legendre, negligible for smooth integrands) and from the finite
-differences used to take d of the quadrature-defined Tu.  The residual
-therefore shrinks like the FD step squared, which is what the doubling check
-measures.
+y-weights; the residual that ``decomposition_residual`` observes comes only
+from the t-quadrature (32-node Gauss-Legendre, negligible for smooth
+integrands) and from the finite differences it uses to take d of the
+quadrature-defined Tu.  The residual therefore shrinks like the FD step
+squared, which is what the doubling check measures.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
 from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
-                    LinearCombinationField)
+                    LinearCombinationField, _pts)
 from .geometry import Ball, Box, Domain, ball_inside
 
 __all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
            "decomposition_residual", "materialize"]
 
-FD_SCALE = 1e-4  # FD step for d of a quadrature-defined form, per unit diameter
+FD_SCALE = 1e-4  # FD step per unit diameter for d of fields without exact partials
 # decomposition_residual: test lattice points per axis, and FD step for d(Tu)
 # per unit diameter per quadrature node
 RESIDUAL_TEST_RESOLUTION = 13
@@ -95,8 +94,8 @@ class _TuEvaluator:
     """Shared evaluation core for all coefficients of Tu.
 
     Caches the last few coefficient batches keyed by point-set content, so
-    that finite-difference stencils (which revisit identical shifted batches
-    once per component) do not recompute the y-sum.
+    that the components of Tu, which all evaluate one point batch, and the
+    FD stencils of ``decomposition_residual`` do not recompute the y-sum.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray,
@@ -135,10 +134,7 @@ class _TuComponent:
         self.evaluator, self.rank = evaluator, rank
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        return self.evaluator.coeffs(pts)[self.rank]
+        return self.evaluator.coeffs(_pts(points))[self.rank]
 
     def partial(self, k):
         return None
@@ -181,14 +177,17 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
 
 def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
                 *, resolution: int = 15, t_nodes: int = 32) -> DifferentialForm:
-    """The closed part u_B = d(Tu) on the region; the mean for 0-forms."""
+    """The closed part u_B = u - T(du) (= d(Tu)); the mean for 0-forms, u for
+    top-degree forms.  du takes exact partials where a component has them,
+    else central differences of step FD_SCALE * diameter (the spline Tu)."""
     if u.degree == 0:
         quad = region.quadrature(resolution)
-        mass = float(quad.weights.sum())
-        mean = quad.integrate(u.components[0](quad.points)) / mass
+        mean = quad.integrate(u.components[0](quad.points)) / float(quad.weights.sum())
         return DifferentialForm(u.dims, 0, (ConstantField(mean),))
-    tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
-    return tu.d(fd_step=FD_SCALE * region.diameter())
+    if u.degree == u.dims:
+        return u
+    du = u.d(fd_step=FD_SCALE * region.diameter())
+    return u - apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
 
 
 def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
@@ -221,10 +220,7 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
         raise DegreeError(f"decomposition needs degree in 1..{n - 1}, got {l}")
     if bump is None:
         bump = BumpFunction(region, resolution=resolution)
-    try:
-        du = u.d()
-    except InvalidInputError:
-        du = u.d(fd_step=FD_SCALE * region.diameter())
+    du = u.d(fd_step=FD_SCALE * region.diameter())
     tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
     tdu = apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
     h = RESIDUAL_FD_COEFFICIENT * region.diameter() / resolution

@@ -29,7 +29,7 @@ from . import homotopy
 from .errors import (DivergedIntegralError, EmptyBallFamilyError, InvalidInputError,
                      NoConvergenceError)
 from .expressions import parse
-from .forms import DifferentialForm, ExprField
+from .forms import DifferentialForm
 from .geometry import Ball, Domain, ball_family
 
 __all__ = [

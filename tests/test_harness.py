@@ -190,6 +190,20 @@ def test_oscillation_flags_degenerate_closed_entries(ctx):
     assert rep.ok and math.isfinite(rep.empirical_constant)
 
 
+def test_closed_entries_collapse_in_bmo_le_lip(ctx):
+    # u_B = u exactly for closed and top entries, so both norms are 0.0 and
+    # the empirical constant comes from a non-closed entry, not a ratio of
+    # rounding noise
+    rep = verify_thm_bmo_le_lip(ctx, power(2.0))
+    closed = {e.id for e in ctx.form_entries() if e.has("closed") or e.has("top")}
+    rows = [r for r in rep.entries if r["id"] in closed]
+    assert len(rows) == len(closed) == 3
+    for r in rows:
+        assert r["bmo"] == r["lipschitz"] == 0.0
+        assert r["flags"] == ["zero-denominator"]
+    assert rep.argmax is not None and rep.argmax not in closed
+
+
 def test_wrh_constant_recorded_by_lipschitz_theorem(ctx):
     rep = verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
     recorded = [e for e in rep.entries if "wrh_constant" in e]

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from orliczforms import (Box, apply_Ky, apply_T, closed_part,
-                         decomposition_residual, named_form)
+from orliczforms import (Ball, Box, apply_Ky, apply_T, build_corpus,
+                         closed_part, decomposition_residual, named_form)
 from orliczforms.errors import DegreeError
-from orliczforms.homotopy import BumpFunction
+from orliczforms.homotopy import FD_SCALE, BumpFunction
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -69,14 +69,34 @@ def test_decomposition_residual_decreases_with_resolution():
     assert fine < coarse
 
 
-def test_closed_form_reproduced_by_closed_part():
-    # du = 0 means u = d(Tu): the closed part is u itself up to quadrature noise
-    u = named_form("corpus:poly-closed-1form", 2)
-    cp = closed_part(u, BOX, resolution=21)
-    pts = np.array([[0.35, 0.45], [0.55, 0.65], [0.25, 0.75]])
-    for p in pts:
-        np.testing.assert_allclose(cp.value_at(p).coeffs, u.value_at(p).coeffs,
-                                   atol=1e-3)
+CLOSED_ENTRIES = [(n, e.id) for n in (2, 3)
+                  for e in build_corpus(dims=n, admit=False)
+                  if e.form is not None and (e.has("closed") or e.has("top"))]
+
+
+@pytest.mark.parametrize("dims,eid", CLOSED_ENTRIES,
+                         ids=[f"{n}-{eid}" for n, eid in CLOSED_ENTRIES])
+def test_closed_form_reproduced_by_closed_part(dims, eid):
+    # du = 0, so u_B = u - T(du) is u itself: exactly, not up to FD noise
+    u = named_form(f"corpus:{eid}", dims)
+    ball = Ball(np.full(dims, 0.45), 0.3)
+    gap = (u - closed_part(u, ball, resolution=9)).modulus_values(
+        ball.quadrature(9).points)
+    assert np.all(gap == 0.0)
+
+
+@pytest.mark.parametrize("dims,eid", [(2, "poly-1form"), (2, "radial-1form"),
+                                      (3, "poly-2form")])
+def test_closed_part_matches_d_of_T(dims, eid):
+    # the decomposition equates u - T(du) with d(Tu); check it against a
+    # finite-difference d of the quadrature-defined Tu
+    u = named_form(f"corpus:{eid}", dims)
+    ball = Ball(np.full(dims, 0.45), 0.3)
+    ref = apply_T(u, ball, resolution=11).d(fd_step=FD_SCALE * ball.diameter())
+    pts = Ball(ball.center, 0.5 * ball.radius).quadrature(7).points
+    got = closed_part(u, ball, resolution=11).evaluate(pts)
+    want = ref.evaluate(pts)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_closed_part_of_scalar_is_the_mean():
