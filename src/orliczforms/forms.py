@@ -18,6 +18,7 @@ one index ``k`` from ``K``, which is exactly the transpose of contraction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
@@ -262,23 +263,32 @@ class GridField:
     """Cubic interpolant of samples on a uniform tensor grid over a box.
 
     Used to materialize expensive fields once and reuse them; queries slightly
-    outside the grid extrapolate so finite-difference stencils at the boundary
-    stay usable.  No exact partials.
+    outside the grid extrapolate rather than fail.  Partials are exact
+    derivatives of the interpolant: ``partial(k)`` is a GridField on the
+    same spline with the derivative orders ``nu`` raised by one along axis
+    k, so chains of ``partial`` calls never fall back to finite differences.
     """
 
     def __init__(self, axes, values):
         from scipy.interpolate import RegularGridInterpolator
         self.axes = [np.asarray(a, dtype=np.float64) for a in axes]
         self.dims = len(self.axes)
+        self.nu = (0,) * self.dims
         self._interp = RegularGridInterpolator(
             self.axes, np.asarray(values, dtype=np.float64),
             method="cubic", bounds_error=False, fill_value=None)
 
     def __call__(self, points):
-        return self._interp(_pts(points))
+        return self._interp(_pts(points), nu=self.nu)
 
     def partial(self, k):
-        return None
+        if not 1 <= k <= self.dims:
+            raise InvalidInputError(f"axis {k} outside 1..{self.dims}")
+        nu = list(self.nu)
+        nu[k - 1] += 1
+        out = copy.copy(self)
+        out.nu = tuple(nu)
+        return out
 
 
 def as_field(obj, dims: int) -> ScalarField:

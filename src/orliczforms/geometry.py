@@ -14,6 +14,11 @@ The lattice rule on balls converges like O(h) near the boundary; resolution
 201 puts the measure of the unit disk within 1e-3 of pi.  Exact closed forms
 (`volume`, `diameter`, `inradius`) are used wherever a formula is available
 so prefactors never inherit quadrature error.
+
+A region builds its rule once per resolution and hands the same
+``Quadrature`` to every caller (the bump mass, the y-rule of T, the
+oscillation nodes and every norm on that region), so its ``points`` and
+``weights`` are read-only.
 """
 
 from __future__ import annotations
@@ -69,6 +74,18 @@ class Domain:
         raise NotImplementedError
 
     def quadrature(self, resolution: int) -> Quadrature:
+        """The rule at ``resolution``, built once per region and resolution
+        and shared read-only."""
+        cache = self.__dict__.setdefault("_quadratures", {})
+        quad = cache.get(resolution)
+        if quad is None:
+            quad = self._build_quadrature(resolution)
+            quad.points.setflags(write=False)
+            quad.weights.setflags(write=False)
+            cache[resolution] = quad
+        return quad
+
+    def _build_quadrature(self, resolution: int) -> Quadrature:
         raise NotImplementedError
 
 
@@ -113,7 +130,7 @@ class Box(Domain):
     def centroid(self):
         return (self.lo + self.hi) / 2.0
 
-    def quadrature(self, resolution: int) -> Quadrature:
+    def _build_quadrature(self, resolution: int) -> Quadrature:
         """Tensor-product Gauss-Legendre with ``resolution`` nodes per axis."""
         if resolution < 1:
             raise InvalidInputError(f"resolution must be >= 1, got {resolution}")
@@ -169,7 +186,7 @@ class Ball(Domain):
     def centroid(self):
         return self.center.copy()
 
-    def quadrature(self, resolution: int) -> Quadrature:
+    def _build_quadrature(self, resolution: int) -> Quadrature:
         """Uniform node lattice over the bounding box, clipped to the ball."""
         if resolution < 2:
             raise InvalidInputError(f"resolution must be >= 2, got {resolution}")

@@ -22,6 +22,7 @@ squared, which is what the doubling check measures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -35,7 +36,10 @@ from .geometry import Ball, Box, Domain, ball_inside
 __all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
            "decomposition_residual", "materialize"]
 
-FD_SCALE = 1e-4  # FD step per unit diameter for d of fields without exact partials
+# FD step per unit diameter for d of fields without exact partials (the
+# quadrature-defined Tu of apply_T, bare callables); the spline Tu of
+# materialize has exact partials and takes none
+FD_SCALE = 1e-4
 # decomposition_residual: test lattice points per axis, and FD step for d(Tu)
 # per unit diameter per quadrature node
 RESIDUAL_TEST_RESOLUTION = 13
@@ -82,12 +86,16 @@ class BumpFunction:
         return LinearCombinationField([(self.scale, self.profile.partial(k))])
 
 
+@functools.lru_cache(maxsize=None)
 def _t_rule(l: int, t_nodes: int):
-    """Gauss-Legendre nodes on [0,1] with the t^(l-1) factor folded in."""
+    """Gauss-Legendre nodes on [0,1] with the t^(l-1) factor folded in; built
+    once per (l, t_nodes) and shared read-only."""
     tj, tw = np.polynomial.legendre.leggauss(t_nodes)
     tj = 0.5 * (tj + 1.0)
-    tw = 0.5 * tw
-    return tj, tw * tj ** (l - 1)
+    tw = 0.5 * tw * tj ** (l - 1)
+    tj.setflags(write=False)
+    tw.setflags(write=False)
+    return tj, tw
 
 
 class _TuEvaluator:
@@ -178,8 +186,10 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
 def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
                 *, resolution: int = 15, t_nodes: int = 32) -> DifferentialForm:
     """The closed part u_B = u - T(du) (= d(Tu)); the mean for 0-forms, u for
-    top-degree forms.  du takes exact partials where a component has them,
-    else central differences of step FD_SCALE * diameter (the spline Tu)."""
+    top-degree forms.  du takes exact partials where a component has them
+    (every corpus form and the spline Tu of ``materialize``), else central
+    differences of step FD_SCALE * diameter (the quadrature-defined Tu of
+    ``apply_T``, bare callables)."""
     if u.degree == 0:
         quad = region.quadrature(resolution)
         mean = quad.integrate(u.components[0](quad.points)) / float(quad.weights.sum())
@@ -233,8 +243,9 @@ def materialize(u: DifferentialForm, box: Box, resolution: int) -> DifferentialF
     """Sample a form on a uniform grid over a box and wrap cubic interpolants.
 
     Pays the evaluation cost once; downstream norms and per-ball closed parts
-    then query the interpolants.  Intended for quadrature-defined forms such
-    as Tu whose direct evaluation is expensive.
+    then query the interpolants, and ``d`` takes their exact spline partials.
+    Intended for quadrature-defined forms such as Tu whose direct evaluation
+    is expensive.
     """
     if resolution < 4:
         raise InvalidInputError(f"materialization needs resolution >= 4, got {resolution}")

@@ -169,6 +169,49 @@ def test_materialize_error_shrinks_with_resolution():
     assert errs[1] < 1e-5
 
 
+# ---------------------------------------------------------------- spline partials
+
+def _cubic_grid_field(res):
+    axes = [np.linspace(0.0, 1.0, res)] * 2
+    x1, x2 = np.meshgrid(*axes, indexing="ij")
+    return GridField(axes, x1 ** 3 - 2.0 * x1 ** 2 * x2 + x2 ** 3 + x1 * x2)
+
+
+def test_grid_field_partials_reproduce_cubic_derivatives():
+    # a not-a-knot cubic spline of a cubic is the cubic itself; at 5 nodes
+    # per axis scipy's iterative coefficient solve is exact, so the check
+    # isolates the derivative
+    f = _cubic_grid_field(5)
+    pts = np.random.default_rng(0).random((40, 2))
+    x1, x2 = pts[:, 0], pts[:, 1]
+    for got, want in ((f.partial(1), 3.0 * x1 ** 2 - 4.0 * x1 * x2 + x2),
+                      (f.partial(2), -2.0 * x1 ** 2 + 3.0 * x2 ** 2 + x1),
+                      (f.partial(1).partial(2), 1.0 - 4.0 * x1)):
+        np.testing.assert_allclose(got(pts), want, rtol=0.0, atol=1e-10)
+
+
+def test_grid_field_partial_matches_central_differences():
+    box = Box([0, 0], [1, 1])
+    f = materialize(named_form("poly:sin(pi*x1)*cos(pi*x2)", 2), box, 21).components[0]
+    pts = interior_points(box, 9)
+    for k in (1, 2):
+        h = np.zeros(2)
+        h[k - 1] = 1e-4
+        fd = (f(pts + h) - f(pts - h)) / 2e-4
+        np.testing.assert_allclose(f.partial(k)(pts), fd, rtol=0.0, atol=1e-6)
+
+
+def test_grid_field_partial_is_a_grid_field_on_the_same_spline():
+    f = _cubic_grid_field(9)
+    g = f.partial(1).partial(2)
+    assert isinstance(g, GridField) and g._interp is f._interp
+    assert (f.nu, f.partial(1).nu, g.nu) == ((0, 0), (1, 0), (1, 1))
+    pts = interior_points(Box([0, 0], [1, 1]), 5)
+    assert np.array_equal(g(pts), f._interp(pts, nu=(1, 1)))
+    with pytest.raises(InvalidInputError):
+        f.partial(3)
+
+
 # ---------------------------------------------------------------- partials audit
 
 def test_check_analytic_partials_accepts_consistent_fields():

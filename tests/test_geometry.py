@@ -51,6 +51,23 @@ def test_ball_quadrature_mass_converges_to_volume():
     assert fine < 1e-3 * ball.volume()
 
 
+@pytest.mark.parametrize("make", [lambda: Box([0.0, 0.0], [1.0, 1.0]),
+                                  lambda: Box([0.0, -1.0, 0.5], [1.0, 1.0, 2.0]),
+                                  lambda: Ball([0.5, 0.5], 0.3)],
+                         ids=["box", "box3d", "ball"])
+def test_quadrature_built_once_and_shared_read_only(make):
+    region = make()
+    quad = region.quadrature(9)
+    region.quadrature(13)
+    assert region.quadrature(9) is quad
+    for arr in (quad.points, quad.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    fresh = make().quadrature(9)
+    assert np.array_equal(quad.points, fresh.points)
+    assert np.array_equal(quad.weights, fresh.weights)
+
+
 def test_ball_inside_respects_expansion():
     box = Box([0.0, 0.0], [1.0, 1.0])
     assert ball_inside(box, Ball([0.5, 0.5], 0.4))

@@ -297,6 +297,19 @@ def test_suite_on_ball_domain_restricted_to_profile_checks():
     assert len(reports) == 1 and reports[0].ok
 
 
+def test_suite_on_ball_domain_runs_global_closed_part_verifiers():
+    # u_Omega = u - T(du) needs no spline Tu, so these run on a ball domain
+    names = ["lemma_closed_part_bound", "sobolev_poincare", "oscillation_lower_bound"]
+    cfg = load_config(overrides={
+        "domain": {"kind": "ball", "center": [0.5, 0.5], "radius": 0.45},
+        "verifiers": names, "grid_resolution": 11, "ball_resolution": 7,
+        "ball_count": 6, "stability_check": False})
+    reports = run_suite(cfg)
+    assert [r.inequality for r in reports] == names
+    for r in reports:
+        assert r.ok and math.isfinite(r.empirical_constant)
+
+
 def test_suite_dispatches_through_module_attributes(monkeypatch):
     # tracers wrap verifiers by rebinding harness.verify_*; run_suite must
     # reach the rebound name at both scales

@@ -5,7 +5,7 @@ import pytest
 from orliczforms import (Ball, Box, apply_Ky, apply_T, build_corpus,
                          closed_part, decomposition_residual, named_form)
 from orliczforms.errors import DegreeError
-from orliczforms.homotopy import FD_SCALE, BumpFunction
+from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -25,6 +25,14 @@ def test_kernel_quadrature_in_t_is_exact_for_polynomials():
     got = apply_Ky(u, y, np.array([[0.6, 0.7]]))
     # integrand (0.3 + 0.4 t) * 0.4 integrates to 0.2
     assert got.coeffs[0] == pytest.approx(0.2, rel=1e-12)
+
+
+def test_t_rule_built_once_and_read_only():
+    tj, tw = _t_rule(2, 32)
+    assert _t_rule(2, 32)[0] is tj
+    for arr in (tj, tw):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_bump_is_normalized_and_supported_inside():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Box, check_g_class, check_phi_dominated,
-                         constant_weight, custom_young, lp_norm,
-                         luxemburg_norm, named_form, power, power_log,
-                         young_violations)
+from orliczforms import (Ball, Box, ball_family, check_g_class,
+                         check_phi_dominated, constant_weight, custom_young,
+                         lp_norm, luxemburg_norm, named_form,
+                         oscillation_profile, oscillation_residuals, power,
+                         power_log, young_violations)
 from orliczforms.errors import InvalidInputError, NoConvergenceError
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -61,6 +62,25 @@ def test_luxemburg_of_node_values_matches_the_form():
                 == luxemburg_norm(u, BOX, phi, weight=weight, resolution=21))
     with pytest.raises(InvalidInputError):
         luxemburg_norm(vals[:-1], BOX, power(2.0), resolution=21)
+
+
+def test_ball_lattice_built_once_per_ball_and_resolution(monkeypatch):
+    # the bump mass, the y-rule of T, the residual nodes and the Luxemburg
+    # norms on one ball all share that ball's rule
+    builds = []
+    build = Ball._build_quadrature
+
+    def counting(self, resolution):
+        builds.append((id(self), resolution))
+        return build(self, resolution)
+
+    monkeypatch.setattr(Ball, "_build_quadrature", counting)
+    u = named_form("oneform:x2^3,x1*x2", 2)
+    balls = ball_family(BOX, 4, expansion=1.1)
+    residuals = oscillation_residuals(u, balls, ball_resolution=9)
+    for phi in (power(2.0), power_log(1.5)):
+        oscillation_profile(u, balls, phi, ball_resolution=9, residuals=residuals)
+    assert sorted(builds) == sorted((id(b), 9) for b in balls)
 
 
 def test_luxemburg_of_zero_is_zero():
