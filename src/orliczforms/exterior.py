@@ -160,6 +160,9 @@ def _contraction_table(n: int, l: int) -> tuple:
 # so the summation order (and every bit of the result) is fixed by the table;
 # the tests hold both kernels bit-identical to an ``np.add.at`` scatter of the
 # same rows.  For n <= 3 a table has at most 6 rows, so the loop is short.
+# The contraction forms each product v * a in one reused buffer and adds or
+# subtracts it by the row's sign: (-v) * a == -(v * a) and b + (-c) == b - c
+# in floating point, so this is the signed scatter bit for bit.
 
 
 def wedge_coeffs(n, la, lb, a, b):
@@ -178,9 +181,15 @@ def contract_coeffs(n, l, a, v):
     ``a`` has shape (C(n,l), ...); ``v`` has shape (n, ...) with matching
     trailing axes.  Returns shape (C(n,l-1), ...).
     """
-    out = np.zeros((num_components(n, l - 1),) + np.broadcast_shapes(a.shape[1:], v.shape[1:]))
+    shape = np.broadcast_shapes(a.shape[1:], v.shape[1:])
+    out = np.zeros((num_components(n, l - 1),) + shape)
+    prod = np.empty(shape)
     for io, ii, ax, sg in _contraction_table(n, l):
-        out[io] += sg * v[ax] * a[ii]
+        np.multiply(v[ax], a[ii], out=prod)
+        if sg > 0:
+            out[io] += prod
+        else:
+            out[io] -= prod
     return out
 
 

@@ -7,7 +7,11 @@ A *scalar field* is anything that maps a batch of points ``(m, n)`` to values
     field.partial(k) -> field or None     # k is 1-based
 
 ``partial`` returning ``None`` means no closed form is available; consumers
-fall back to central finite differences with an explicit step.  A
+fall back to central finite differences with an explicit step.  The points
+may be any (m, n) float array, including a column-major view of a buffer
+the caller overwrites after the call (the segment points of ``homotopy``'s
+T kernel); a field must return a fresh (m,) array and keep no reference to
+the points.  A
 *differential form* of degree l is a tuple of scalar fields indexed by the
 lexicographic rank of the ordered multi-indices (see ``exterior``).
 
@@ -81,7 +85,11 @@ class ExprField:
         pts = _pts(points)
         env = {f"x{i + 1}": pts[:, i] for i in range(self.dims)}
         out = ex.evaluate(self.node, env)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), (pts.shape[0],)).copy()
+        m = pts.shape[0]
+        if isinstance(out, np.ndarray) and out.base is None and out.shape == (m,):
+            return out  # a fresh result of the expression's last operation
+        # a constant, or a view of an input column
+        return np.broadcast_to(np.asarray(out, dtype=np.float64), (m,)).copy()
 
     def partial(self, k):
         if not 1 <= k <= self.dims:
@@ -136,7 +144,13 @@ class LinearCombinationField:
         pts = _pts(points)
         out = np.zeros(pts.shape[0])
         for c, f in self.terms:
-            out += c * f(pts)
+            # x * 1.0 == x and b + (-x) == b - x: unit terms skip the product
+            if c == 1.0:
+                out += f(pts)
+            elif c == -1.0:
+                out -= f(pts)
+            else:
+                out += c * f(pts)
         return out
 
     def partial(self, k):

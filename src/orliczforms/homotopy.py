@@ -104,6 +104,16 @@ class _TuEvaluator:
     Caches the last few coefficient batches keyed by point-set content, so
     that the components of Tu, which all evaluate one point batch, and the
     FD stencils of ``decomposition_residual`` do not recompute the y-sum.
+
+    Layout of the y-loop: the segment points y + t_j (x - y) are held as
+    coordinate planes of shape (n, t, m).  ``t_j x`` is formed once per
+    batch and ``(1 - t_j) y`` once per evaluator; each y-node then costs one
+    add into a buffer reused across y-nodes, and the fields see the
+    column-major (t m, n) view of that buffer, points in t-major order.
+    Each coordinate is the sum of the same two rounded products t_j x and
+    (1 - t_j) y whatever the layout, and the t-sum follows the contraction,
+    so Tu does not depend on the layout to the last bit; the tests hold it
+    to a reference loop over fresh (t, m, n) segment arrays.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray,
@@ -112,6 +122,8 @@ class _TuEvaluator:
         self.ys = ys
         self.ws = ws
         self.tj, self.tw = _t_rule(u.degree, t_nodes)
+        # (1 - t_j) y for every y-node, shape (ys, n, t)
+        self._ty = (1.0 - self.tj) * ys[:, :, None]
         self._cache: dict[tuple, np.ndarray] = {}
 
     def coeffs(self, pts: np.ndarray) -> np.ndarray:
@@ -121,14 +133,16 @@ class _TuEvaluator:
         if hit is not None:
             return hit
         n, l = self.u.dims, self.u.degree
-        m = pts.shape[0]
+        m, t = pts.shape[0], self.tj.size
+        cols = np.ascontiguousarray(pts.T)  # (n, m): x - y reads contiguous rows
+        tx = self.tj[:, None] * cols[:, None, :]  # (n, t, m)
+        buf = np.empty_like(tx)
+        seg = buf.reshape(n, -1).T  # (t m, n) view, t-major
         out = np.zeros((num_components(n, l - 1), m))
-        for y, w in zip(self.ys, self.ws):
-            seg = (self.tj[:, None, None] * pts[None, :, :]
-                   + (1.0 - self.tj)[:, None, None] * y[None, None, :])
-            vals = self.u.evaluate(seg.reshape(-1, n))
-            a = vals.reshape(vals.shape[0], self.tj.size, m)
-            v = (pts - y).T[:, None, :]
+        for y, ty, w in zip(self.ys, self._ty, self.ws):
+            np.add(tx, ty[:, :, None], out=buf)
+            a = self.u.evaluate(seg).reshape(-1, t, m)
+            v = (cols - y[:, None])[:, None, :]
             c = contract_coeffs(n, l, a, v)
             out += w * np.einsum("t,ctm->cm", self.tw, c)
         if len(self._cache) >= 16:

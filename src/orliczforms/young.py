@@ -290,54 +290,58 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
         return 0.0
 
     def integral(lam: float) -> float:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = phi(vals / lam) * w
-        if np.isnan(y).any():
+        y = phi(vals / lam) * w
+        total = y.sum()
+        # a NaN term makes the sum NaN; only then look for one
+        if math.isnan(total) and np.isnan(y).any():
             raise DivergedIntegralError(f"integrand not a number at lambda={lam!r}")
-        return float(np.sum(y))
+        return float(total)
 
-    lam = vmax
-    val = integral(lam)
-    if val > 1.0:
-        lo, val_lo = lam, val
-        hi = lam
-        while True:
-            hi *= 4.0
-            if hi > 1e12 * vmax:
-                raise NoConvergenceError(
-                    f"phi integral stays above 1 up to lambda = 1e12 * max|f| = {hi!r}")
-            val_hi = integral(hi)
-            if val_hi <= 1.0:
-                break
-            lo, val_lo = hi, val_hi
-    else:
-        hi, val_hi = lam, val
-        lo = lam
-        while True:
-            lo /= 4.0
-            val_lo = integral(lo)
-            if val_lo > 1.0:
-                break
-            hi, val_hi = lo, val_lo
-            if lo < vmax * 1e-18:
-                # measure of the support is numerically zero
-                return 0.0
-
-    # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda
-    for _ in range(300):
-        if hi / lo - 1.0 <= rel_tol:
-            break
-        if val_lo < val_hi - 1e-12:
-            raise InvalidInputError(
-                "Luxemburg integral is not monotone on this grid; "
-                "phi is not a valid Young function here")
-        mid = math.sqrt(lo * hi)
-        val_mid = integral(mid)
-        if val_mid <= 1.0:
-            hi, val_hi = mid, val_mid
+    # phi may overflow or divide by zero at extreme lambda; the field's own
+    # evaluation above stays outside this errstate
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam = vmax
+        val = integral(lam)
+        if val > 1.0:
+            lo, val_lo = lam, val
+            hi = lam
+            while True:
+                hi *= 4.0
+                if hi > 1e12 * vmax:
+                    raise NoConvergenceError(
+                        f"phi integral stays above 1 up to lambda = 1e12 * max|f| = {hi!r}")
+                val_hi = integral(hi)
+                if val_hi <= 1.0:
+                    break
+                lo, val_lo = hi, val_hi
         else:
-            lo, val_lo = mid, val_mid
-    return math.sqrt(lo * hi)
+            hi, val_hi = lam, val
+            lo = lam
+            while True:
+                lo /= 4.0
+                val_lo = integral(lo)
+                if val_lo > 1.0:
+                    break
+                hi, val_hi = lo, val_lo
+                if lo < vmax * 1e-18:
+                    # measure of the support is numerically zero
+                    return 0.0
+
+        # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda
+        for _ in range(300):
+            if hi / lo - 1.0 <= rel_tol:
+                break
+            if val_lo < val_hi - 1e-12:
+                raise InvalidInputError(
+                    "Luxemburg integral is not monotone on this grid; "
+                    "phi is not a valid Young function here")
+            mid = math.sqrt(lo * hi)
+            val_mid = integral(mid)
+            if val_mid <= 1.0:
+                hi, val_hi = mid, val_mid
+            else:
+                lo, val_lo = mid, val_mid
+        return math.sqrt(lo * hi)
 
 
 def lp_norm(f, region, p: float, weight=None, resolution: int = 41) -> float:

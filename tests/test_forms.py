@@ -6,7 +6,9 @@ from orliczforms import (Box, DifferentialForm, check_analytic_partials,
                          codifferential, evaluate, materialize, named_form)
 from orliczforms.errors import (DegreeError, InvalidInputError,
                                 OutOfDomainError)
-from orliczforms.forms import BumpField, ConstantField, ExprField, GridField
+from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
+                               FDPartialField, GridField, LinearCombinationField,
+                               RadialPowerField)
 
 
 def oneform(*components, dims=2):
@@ -230,3 +232,65 @@ def test_check_analytic_partials_flags_wrong_partials():
     u = DifferentialForm.from_components(2, 0, {(): bad})
     with pytest.raises(InvalidInputError):
         check_analytic_partials(u, box)
+
+
+# ---------------------------------------------------------------- point layout
+# The T kernel hands fields a column-major view of a buffer it overwrites;
+# values must not depend on the memory order of the points.
+
+def _field_kinds(n):
+    box = Box(np.zeros(n), np.ones(n))
+    expr = ExprField("x1^2*x2 + sin(pi*x1) - x2", n)
+    bump = BumpField(np.full(n, 0.5), 0.4)
+    radial = RadialPowerField(np.full(n, 0.5), 1.5)
+    grid = materialize(named_form("poly:sin(pi*x1)*cos(pi*x2)", n), box, 6).components[0]
+    return {
+        "constant": ConstantField(2.5),
+        "expr": expr,
+        "callable": CallableField(lambda p: p[:, 0] * p[:, 1] + p[:, -1] ** 2, n),
+        "bump": bump, "bump-grad": bump.partial(1),
+        "bump-hess": bump.partial(1).partial(2),
+        "radial": radial, "radial-grad": radial.partial(2),
+        "grid": grid, "grid-partial": grid.partial(1),
+        "grid-mixed": grid.partial(1).partial(2),
+        "linear-combination": LinearCombinationField(
+            [(1.0, expr), (-1.0, bump), (0.5, radial)]),
+        "fd-partial": FDPartialField(expr, 1, 1e-3),
+    }
+
+
+FIELD_CASES = [(n, kind) for n in (2, 3) for kind in _field_kinds(n)]
+
+
+@pytest.mark.parametrize("dims,kind", FIELD_CASES,
+                         ids=[f"{n}-{k}" for n, k in FIELD_CASES])
+def test_fields_accept_column_major_points(dims, kind):
+    f = _field_kinds(dims)[kind]
+    pts = np.random.default_rng(dims).random((40, dims))
+    pts[0] = 0.5  # the radial singular point and the bump center
+    cols = np.asfortranarray(pts)
+    assert cols.flags.f_contiguous and not cols.flags.c_contiguous
+    assert np.array_equal(f(pts), f(cols))
+
+
+def test_expr_field_returns_fresh_writable_arrays():
+    pts = np.asfortranarray(np.random.default_rng(0).random((9, 2)))
+    for source in ("x1", "2", "x1*x2 + 1"):
+        out = ExprField(source, 2)(pts)
+        assert out.shape == (9,) and out.flags.writeable
+        assert not np.shares_memory(out, pts)
+
+
+def test_linear_combination_bit_equal_to_scaled_sum():
+    cols = [np.array([1.5, -0.0, np.inf, 0.0, -2.0, 3.0]),
+            np.array([-0.0, -0.0, 3.0, np.inf, 1e-300, -np.inf]),
+            np.array([0.0, -0.0, -1.0, 7.0, np.inf, 0.25])]
+    fields = [CallableField(lambda p, c=c: c.copy(), 2) for c in cols]
+    pts = np.zeros((6, 2))
+    for coeffs in ((1.0, -1.0, 0.5), (-1.0, 0.5, 1.0), (0.5, 1.0, -1.0),
+                   (-1.0, -1.0, -1.0)):
+        want = np.zeros(6)
+        for c, f in zip(coeffs, fields):
+            want += c * f(pts)
+        got = LinearCombinationField(list(zip(coeffs, fields)))(pts)
+        assert got.tobytes() == want.tobytes(), coeffs

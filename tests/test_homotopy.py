@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from orliczforms import (Ball, Box, apply_Ky, apply_T, build_corpus,
-                         closed_part, decomposition_residual, named_form)
+                         closed_part, decomposition_residual, materialize,
+                         named_form)
 from orliczforms.errors import DegreeError
+from orliczforms.exterior import _contraction_table, num_components
 from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -33,6 +35,61 @@ def test_t_rule_built_once_and_read_only():
     for arr in (tj, tw):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# Reference y-loop of T: a fresh (t, m, n) segment array per y-node,
+# C-ordered points, and the contraction as signed products added in table
+# order.  The kernel's plane layout must match it bit for bit.
+def _reference_T_coeffs(ev, pts):
+    n, l = ev.u.dims, ev.u.degree
+    m = pts.shape[0]
+    out = np.zeros((num_components(n, l - 1), m))
+    for y, w in zip(ev.ys, ev.ws):
+        seg = (ev.tj[:, None, None] * pts[None, :, :]
+               + (1.0 - ev.tj)[:, None, None] * y[None, None, :])
+        vals = ev.u.evaluate(seg.reshape(-1, n))
+        a = vals.reshape(vals.shape[0], ev.tj.size, m)
+        v = (pts - y).T[:, None, :]
+        c = np.zeros((num_components(n, l - 1), ev.tj.size, m))
+        for io, ii, ax, sg in _contraction_table(n, l):
+            c[io] += sg * v[ax] * a[ii]
+        out += w * np.einsum("t,ctm->cm", ev.tw, c)
+    return out
+
+
+def _kernel_regions(n):
+    return {"box": Box(np.zeros(n), np.ones(n)),
+            "ball": Ball(np.full(n, 0.45), 0.35)}
+
+
+def _kernel_forms(n):
+    """Every corpus form of degree 1..n, d of a materialized Tu (spline
+    partials) and a closed part u - T(du)."""
+    forms = {e.id: e.form for e in build_corpus(dims=n, admit=False)
+             if e.form is not None and e.form.degree >= 1}
+    box = _kernel_regions(n)["box"]
+    tu = apply_T(forms["poly-1form"], box, resolution=9)
+    forms["d-materialized-Tu"] = materialize(tu, box, 6).d()
+    forms["closed-part"] = closed_part(forms["poly-1form"],
+                                       _kernel_regions(n)["ball"], resolution=9)
+    return forms
+
+
+KERNEL_CASES = [(n, kind, fid) for n in (2, 3) for kind in ("box", "ball")
+                for fid in _kernel_forms(n)]
+
+
+@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES,
+                         ids=[f"{n}-{k}-{f}" for n, k, f in KERNEL_CASES])
+def test_T_kernel_bit_identical_to_reference_loop(dims, kind, fid):
+    u = _kernel_forms(dims)[fid]
+    region = _kernel_regions(dims)[kind]
+    ev = apply_T(u, region, resolution=15).components[0].evaluator
+    assert ev.ys.shape[0] > 1  # the segment buffer is reused across y-nodes
+    c = region.centroid()
+    pts = c + 0.3 * region.inradius() * np.random.default_rng(dims).uniform(
+        -1.0, 1.0, (7, dims))
+    assert np.array_equal(ev.coeffs(pts), _reference_T_coeffs(ev, pts))
 
 
 def test_bump_is_normalized_and_supported_inside():

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, ball_family, check_g_class,
+from orliczforms import (Ball, Box, YoungFunction, ball_family, check_g_class,
                          check_phi_dominated, constant_weight, custom_young,
                          lp_norm, luxemburg_norm, named_form,
                          oscillation_profile, oscillation_residuals, power,
                          power_log, young_violations)
-from orliczforms.errors import InvalidInputError, NoConvergenceError
+from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
+                                NoConvergenceError)
+from orliczforms.forms import CallableField
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -81,6 +83,36 @@ def test_ball_lattice_built_once_per_ball_and_resolution(monkeypatch):
     for phi in (power(2.0), power_log(1.5)):
         oscillation_profile(u, balls, phi, ball_resolution=9, residuals=residuals)
     assert sorted(builds) == sorted((id(b), 9) for b in balls)
+
+
+# One errstate covers the whole bisection: phi's overflow at extreme lambda
+# stays silent, a NaN integrand still raises, the caller's error state comes
+# back, and the field's own evaluation before the bisection still warns.
+NAN_ABOVE_ONE = YoungFunction(lambda t: np.where(t > 1.0, np.nan, t * t), "nan-above-one")
+
+
+def test_luxemburg_nan_integrand_raises():
+    with pytest.raises(DivergedIntegralError):
+        luxemburg_norm(named_form("poly:x1", 2), BOX, NAN_ABOVE_ONE, resolution=11)
+
+
+def test_luxemburg_restores_the_error_state():
+    f = named_form("poly:x1", 2)
+    with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
+        before = np.geterr()
+        assert luxemburg_norm(f, BOX, power(2.0), resolution=11) > 0.0
+        assert np.geterr() == before
+        with pytest.raises(DivergedIntegralError):
+            luxemburg_norm(f, BOX, NAN_ABOVE_ONE, resolution=11)
+        assert np.geterr() == before
+
+
+def test_luxemburg_keeps_field_overflow_warnings():
+    # exp overflows for x1 > ~0.89; the field's value there is 0
+    f = CallableField(lambda p: 1.0 / (1.0 + np.exp(800.0 * p[:, 0])), 2)
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+        value = luxemburg_norm(f, BOX, power(2.0), resolution=11)
+    assert np.isfinite(value) and value > 0.0
 
 
 def test_luxemburg_of_zero_is_zero():
