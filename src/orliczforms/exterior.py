@@ -159,7 +159,9 @@ def _contraction_table(n: int, l: int) -> tuple:
 # Each kernel adds its table rows into ``out`` one at a time, in table order,
 # so the summation order (and every bit of the result) is fixed by the table;
 # the tests hold both kernels bit-identical to an ``np.add.at`` scatter of the
-# same rows.  For n <= 3 a table has at most 6 rows, so the loop is short.
+# same rows.  For n <= 3 a table has at most 6 rows, so the loop is short;
+# the T kernel sums over t first, so its contractions see (C, m) rows, one
+# call per y-node.
 # The contraction forms each product v * a in one reused buffer and adds or
 # subtracts it by the row's sign: (-v) * a == -(v * a) and b + (-c) == b - c
 # in floating point, so this is the signed scatter bit for bit.

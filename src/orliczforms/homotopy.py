@@ -18,6 +18,12 @@ from the t-quadrature (32-node Gauss-Legendre, negligible for smooth
 integrands) and from the finite differences it uses to take d of the
 quadrature-defined Tu.  The residual therefore shrinks like the FD step
 squared, which is what the doubling check measures.
+
+The t-sum precedes the contraction: x - y does not depend on t and iota is
+linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt,
+and each y-node contracts one (C(n,l), m) block of t-summed coefficients.
+This is exact in arithmetic; in floating point it fixes the rounding, and
+the tests pin this order bit for bit.
 """
 
 from __future__ import annotations
@@ -111,9 +117,12 @@ class _TuEvaluator:
     add into a buffer reused across y-nodes, and the fields see the
     column-major (t m, n) view of that buffer, points in t-major order.
     Each coordinate is the sum of the same two rounded products t_j x and
-    (1 - t_j) y whatever the layout, and the t-sum follows the contraction,
-    so Tu does not depend on the layout to the last bit; the tests hold it
-    to a reference loop over fresh (t, m, n) segment arrays.
+    (1 - t_j) y whatever the layout, so Tu does not depend on the layout to
+    the last bit.  The field values are then summed over t (einsum, no BLAS,
+    so the result does not depend on the BLAS thread count) and contracted
+    with x - y once per y-node.  The tests hold the kernel bit-equal to a
+    reference loop over fresh (t, m, n) segment arrays in this order, and
+    close to the contract-then-sum order.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray,
@@ -142,9 +151,9 @@ class _TuEvaluator:
         for y, ty, w in zip(self.ys, self._ty, self.ws):
             np.add(tx, ty[:, :, None], out=buf)
             a = self.u.evaluate(seg).reshape(-1, t, m)
-            v = (cols - y[:, None])[:, None, :]
-            c = contract_coeffs(n, l, a, v)
-            out += w * np.einsum("t,ctm->cm", self.tw, c)
+            c = contract_coeffs(n, l, np.einsum("t,ctm->cm", self.tw, a),
+                                cols - y[:, None])
+            out += w * c
         if len(self._cache) >= 16:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = out
@@ -156,7 +165,7 @@ class _TuComponent:
         self.evaluator, self.rank = evaluator, rank
 
     def __call__(self, points):
-        return self.evaluator.coeffs(_pts(points))[self.rank]
+        return self.evaluator.coeffs(_pts(points))[self.rank].copy()
 
     def partial(self, k):
         return None

@@ -1,10 +1,15 @@
 """Verifier semantics on small contexts: ratios, gates, flags, reports."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orliczforms
 from orliczforms import (CorpusEntry, HarnessContext, build_corpus,
                          constant_weight, default_domain, homotopy, load_config,
                          named_form, power, power_log, reports_to_csv,
@@ -348,6 +353,36 @@ def test_json_rendering_is_deterministic(light_reports):
     assert a.endswith("\n")
     payload = json.loads(a)
     assert len(payload["reports"]) == len(light_reports)
+
+
+_ACCEPTANCE_REPORT = """
+from orliczforms import load_config, reports_to_json, run_suite
+cfg = load_config(overrides={"grid_resolution": 27, "ball_resolution": 9,
+                             "ball_count": 12, "stability_check": True})
+print(reports_to_json(run_suite(cfg), cfg), end="")
+"""
+
+
+def test_report_bytes_independent_of_blas_threads():
+    # criterion 9 across BLAS thread counts: the acceptance-config report in
+    # two processes, one with 1 BLAS/OpenMP thread and one with 2
+    src = str(Path(orliczforms.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _ACCEPTANCE_REPORT],
+        env=dict(os.environ, OMP_NUM_THREADS=threads,
+                 OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE) for threads in "12"]
+    try:
+        results = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    for proc, (_, err) in zip(procs, results):
+        assert proc.returncode == 0, err.decode()
+    outs = [out for out, _ in results]
+    assert len(outs[0]) > 1000
+    assert outs[0] == outs[1]
 
 
 def test_csv_rendering_shape(light_reports):

@@ -37,22 +37,43 @@ def test_t_rule_built_once_and_read_only():
             arr[0] = 0.0
 
 
-# Reference y-loop of T: a fresh (t, m, n) segment array per y-node,
-# C-ordered points, and the contraction as signed products added in table
-# order.  The kernel's plane layout must match it bit for bit.
+def _segment_values(ev, pts, y):
+    """u at a fresh C-ordered (t, m, n) segment array from y to pts,
+    shape (C, t, m)."""
+    n, m = ev.u.dims, pts.shape[0]
+    seg = (ev.tj[:, None, None] * pts[None, :, :]
+           + (1.0 - ev.tj)[:, None, None] * y[None, None, :])
+    vals = ev.u.evaluate(seg.reshape(-1, n))
+    return vals.reshape(vals.shape[0], ev.tj.size, m)
+
+
+def _signed_rows(n, l, a, v):
+    """The contraction as signed products added in table order."""
+    c = np.zeros((num_components(n, l - 1),) + a.shape[1:])
+    for io, ii, ax, sg in _contraction_table(n, l):
+        c[io] += sg * v[ax] * a[ii]
+    return c
+
+
+# Reference y-loop of T in the kernel's order: fresh segment arrays, the
+# t-sum of the field values, then the contraction with x - y.  The kernel's
+# plane layout must match it bit for bit.
 def _reference_T_coeffs(ev, pts):
     n, l = ev.u.dims, ev.u.degree
-    m = pts.shape[0]
-    out = np.zeros((num_components(n, l - 1), m))
+    out = np.zeros((num_components(n, l - 1), pts.shape[0]))
     for y, w in zip(ev.ys, ev.ws):
-        seg = (ev.tj[:, None, None] * pts[None, :, :]
-               + (1.0 - ev.tj)[:, None, None] * y[None, None, :])
-        vals = ev.u.evaluate(seg.reshape(-1, n))
-        a = vals.reshape(vals.shape[0], ev.tj.size, m)
-        v = (pts - y).T[:, None, :]
-        c = np.zeros((num_components(n, l - 1), ev.tj.size, m))
-        for io, ii, ax, sg in _contraction_table(n, l):
-            c[io] += sg * v[ax] * a[ii]
+        a = np.einsum("t,ctm->cm", ev.tw, _segment_values(ev, pts, y))
+        out += w * _signed_rows(n, l, a, (pts - y).T)
+    return out
+
+
+# The same y-loop in the kernel's former order: contract every t-sample,
+# then sum over t.  Equal in exact arithmetic, so only rounding separates it.
+def _contract_then_sum_T_coeffs(ev, pts):
+    n, l = ev.u.dims, ev.u.degree
+    out = np.zeros((num_components(n, l - 1), pts.shape[0]))
+    for y, w in zip(ev.ys, ev.ws):
+        c = _signed_rows(n, l, _segment_values(ev, pts, y), (pts - y).T[:, None, :])
         out += w * np.einsum("t,ctm->cm", ev.tw, c)
     return out
 
@@ -79,9 +100,10 @@ KERNEL_CASES = [(n, kind, fid) for n in (2, 3) for kind in ("box", "ball")
                 for fid in _kernel_forms(n)]
 
 
-@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES,
-                         ids=[f"{n}-{k}-{f}" for n, k, f in KERNEL_CASES])
-def test_T_kernel_bit_identical_to_reference_loop(dims, kind, fid):
+KERNEL_IDS = [f"{n}-{k}-{f}" for n, k, f in KERNEL_CASES]
+
+
+def _kernel_case(dims, kind, fid):
     u = _kernel_forms(dims)[fid]
     region = _kernel_regions(dims)[kind]
     ev = apply_T(u, region, resolution=15).components[0].evaluator
@@ -89,7 +111,32 @@ def test_T_kernel_bit_identical_to_reference_loop(dims, kind, fid):
     c = region.centroid()
     pts = c + 0.3 * region.inradius() * np.random.default_rng(dims).uniform(
         -1.0, 1.0, (7, dims))
+    return ev, pts
+
+
+@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES, ids=KERNEL_IDS)
+def test_T_kernel_bit_identical_to_reference_loop(dims, kind, fid):
+    ev, pts = _kernel_case(dims, kind, fid)
     assert np.array_equal(ev.coeffs(pts), _reference_T_coeffs(ev, pts))
+
+
+@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES, ids=KERNEL_IDS)
+def test_T_kernel_close_to_contract_then_sum(dims, kind, fid):
+    ev, pts = _kernel_case(dims, kind, fid)
+    old = _contract_then_sum_T_coeffs(ev, pts)
+    bound = 1e-13 * max(1.0, float(np.abs(old).max()))
+    assert float(np.abs(ev.coeffs(pts) - old).max()) <= bound
+
+
+def test_Tu_components_return_fresh_arrays():
+    tu = apply_T(named_form("corpus:poly-1form", 2), BOX, resolution=11)
+    pts = np.array([[0.3, 0.4], [0.7, 0.6], [0.5, 0.9]])
+    first = tu.components[0](pts)
+    want = first.copy()
+    first += 100.0
+    again = tu.components[0](pts)
+    np.testing.assert_array_equal(again, want)
+    assert not np.shares_memory(again, tu.components[0](pts))
 
 
 def test_bump_is_normalized_and_supported_inside():
