@@ -7,13 +7,18 @@ A *scalar field* is anything that maps a batch of points ``(m, n)`` to values
     field.partial(k) -> field or None     # k is 1-based
 
 ``partial`` returning ``None`` means no closed form is available; consumers
-fall back to central finite differences with an explicit step.  The points
-may be any (m, n) float array, including a column-major view of a buffer
-the caller overwrites after the call (the segment points of ``homotopy``'s
-T kernel); a field must return a fresh (m,) array and keep no reference to
-the points.  A
-*differential form* of degree l is a tuple of scalar fields indexed by the
-lexicographic rank of the ordered multi-indices (see ``exterior``).
+fall back to central finite differences with an explicit step.  A field
+must return a fresh (m,) array and keep no reference to the points.  The
+points may be any (m, n) float array, or a ``SegmentPoints``: the segment
+points of ``homotopy``'s T kernel, held as compressed coordinate planes in
+buffers the caller overwrites after the call.  A field that needs the raw
+(m, n) coordinates calls ``_pts(points)``, which expands a
+``SegmentPoints`` into its column-major segment array (``np.asarray`` does
+the same for fields outside this module).  ``ExprField``,
+``LinearCombinationField`` and ``ConstantField`` read the planes without
+expanding them.  A *differential form* of degree l is a tuple of scalar
+fields indexed by the lexicographic rank of the ordered multi-indices (see
+``exterior``).
 
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
@@ -36,7 +41,7 @@ from .exterior import (CovectorValue, MultiIndex, _contraction_table, _star_tabl
 __all__ = [
     "ScalarField", "ConstantField", "ExprField", "CallableField", "BumpField",
     "RadialPowerField", "GridField", "DifferentialForm", "as_field",
-    "codifferential", "evaluate", "check_analytic_partials",
+    "codifferential", "evaluate", "check_analytic_partials", "SegmentPoints",
 ]
 
 
@@ -47,11 +52,125 @@ class ScalarField(Protocol):
     def partial(self, k: int) -> Optional["ScalarField"]: ...
 
 
+class SegmentPoints:
+    """The segment points y + t_j (x_k - y) of one y-node of the T kernel.
+
+    Coordinate i of a segment point depends only on (t_j, x_ki), and the
+    lattice batches that T is evaluated on repeat each coordinate value many
+    times.  So coordinate i is held as a plane ``planes[i]`` of shape
+    (t, u_i) over its u_i distinct values, with ``inverses[i]`` of shape (m,)
+    mapping each point x_k to its column.  A coordinate with no repeated
+    value has no map (None): its plane is the full (t, m) row ``full[i]``.
+
+    ``shape`` is (t m, n), the shape of the point array this stands for.
+    ``_pts`` expands it into that array, the column-major view of ``full``
+    (n, t, m) with points in t-major order, built on the first request.
+    """
+
+    def __init__(self, planes, inverses, full):
+        self.planes, self.inverses, self._full = planes, inverses, full
+        n, t, m = full.shape
+        self.shape = (t * m, n)
+        self._built = False
+
+    def array(self) -> np.ndarray:
+        if not self._built:
+            for plane, inv, row in zip(self.planes, self.inverses, self._full):
+                if inv is not None:
+                    plane.take(inv, axis=1, out=row, mode="clip")
+            self._built = True
+        return self._full.reshape(self.shape[1], -1).T
+
+    def __array__(self, dtype=None, copy=None):
+        pts = self.array()
+        if dtype is not None:
+            pts = pts.astype(dtype, copy=False)
+        return pts.copy() if copy else pts
+
+
+class _Planes:
+    """Value of a single-coordinate subexpression of an ``ExprField`` on
+    ``SegmentPoints``: ``data`` of shape (t, u) over the distinct values of
+    the coordinate, expanded to the (t, m) batch by the index map
+    ``inverse``.
+
+    Ufuncs and the arithmetic operators apply to ``data`` while the other
+    operand is a scalar or shares the map.  Otherwise the operands are
+    expanded and the result is a plain (t, m) array, which numpy combines
+    from then on.  Each element goes through the same ufunc as on the
+    expanded array, so the values are bit-equal to evaluating on the
+    segment array.
+    """
+
+    __slots__ = ("data", "inverse")
+
+    def __init__(self, data, inverse):
+        self.data, self.inverse = data, inverse
+
+    def full(self) -> np.ndarray:
+        """The value on the (t, m) batch, a fresh C-contiguous array."""
+        return self.data.take(self.inverse, axis=1, mode="clip")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if len(inputs) == 1:
+            return _Planes(ufunc(self.data), self.inverse)
+        return _binary(ufunc, *inputs)
+
+    def __add__(self, other):
+        return _binary(np.add, self, other)
+
+    def __radd__(self, other):
+        return _binary(np.add, other, self)
+
+    def __sub__(self, other):
+        return _binary(np.subtract, self, other)
+
+    def __rsub__(self, other):
+        return _binary(np.subtract, other, self)
+
+    def __mul__(self, other):
+        return _binary(np.multiply, self, other)
+
+    def __rmul__(self, other):
+        return _binary(np.multiply, other, self)
+
+    def __truediv__(self, other):
+        return _binary(np.true_divide, self, other)
+
+    def __rtruediv__(self, other):
+        return _binary(np.true_divide, other, self)
+
+
+def _binary(ufunc, a, b):
+    """ufunc(a, b) where one operand is ``_Planes`` and the other a scalar,
+    ``_Planes`` or a (t, m) array."""
+    if isinstance(a, _Planes):
+        if isinstance(b, _Planes) and b.inverse is a.inverse:
+            return _Planes(ufunc(a.data, b.data), a.inverse)
+        if not isinstance(b, (_Planes, np.ndarray)):
+            return _Planes(ufunc(a.data, b), a.inverse)
+        a = a.full()
+    elif not isinstance(a, np.ndarray):
+        return _Planes(ufunc(a, b.data), b.inverse)
+    if isinstance(b, _Planes):
+        b = b.full()
+    return ufunc(a, b)
+
+
 def _pts(points) -> np.ndarray:
+    if isinstance(points, SegmentPoints):
+        return points.array()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     return pts
+
+
+def _batch(points):
+    """``points`` for a field that reads ``SegmentPoints`` unexpanded."""
+    return points if isinstance(points, SegmentPoints) else _pts(points)
 
 
 @dataclass(frozen=True)
@@ -59,7 +178,7 @@ class ConstantField:
     value: float
 
     def __call__(self, points):
-        return np.full(_pts(points).shape[0], float(self.value))
+        return np.full(_batch(points).shape[0], float(self.value))
 
     def partial(self, k):
         return ConstantField(0.0)
@@ -82,14 +201,20 @@ class ExprField:
                 f"unknown variables {sorted(extra)}; expected subset of x1..x{dims}")
 
     def __call__(self, points):
-        pts = _pts(points)
-        env = {f"x{i + 1}": pts[:, i] for i in range(self.dims)}
+        pts = _batch(points)
+        if isinstance(pts, SegmentPoints):
+            env = {f"x{i + 1}": plane if inv is None else _Planes(plane, inv)
+                   for i, (plane, inv) in enumerate(zip(pts.planes, pts.inverses))}
+        else:
+            env = {f"x{i + 1}": pts[:, i] for i in range(self.dims)}
         out = ex.evaluate(self.node, env)
+        if isinstance(out, _Planes):
+            out = out.full()
         m = pts.shape[0]
-        if isinstance(out, np.ndarray) and out.base is None and out.shape == (m,):
-            return out  # a fresh result of the expression's last operation
-        # a constant, or a view of an input column
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), (m,)).copy()
+        if isinstance(out, np.ndarray) and out.base is None and out.size == m:
+            return out.reshape(m)  # a fresh result of the expression's last operation
+        # a constant, or a view of an input column or plane
+        return np.broadcast_to(np.asarray(out, dtype=np.float64).reshape(-1), (m,)).copy()
 
     def partial(self, k):
         if not 1 <= k <= self.dims:
@@ -141,7 +266,7 @@ class LinearCombinationField:
         self.terms = [(float(c), f) for c, f in terms]
 
     def __call__(self, points):
-        pts = _pts(points)
+        pts = _batch(points)
         out = np.zeros(pts.shape[0])
         for c, f in self.terms:
             # x * 1.0 == x and b + (-x) == b - x: unit terms skip the product
@@ -359,7 +484,7 @@ class DifferentialForm:
 
     def evaluate(self, points) -> np.ndarray:
         """Coefficient array of shape (num_components, m) at the given points."""
-        pts = _pts(points)
+        pts = _batch(points)
         return np.stack([f(pts) for f in self.components], axis=0)
 
     def value_at(self, point) -> CovectorValue:

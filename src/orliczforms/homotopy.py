@@ -24,6 +24,17 @@ linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt,
 and each y-node contracts one (C(n,l), m) block of t-summed coefficients.
 This is exact in arithmetic; in floating point it fixes the rounding, and
 the tests pin this order bit for bit.
+
+The segment points are held as compressed coordinate planes: coordinate i of
+y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m points
+has far fewer than m distinct values per coordinate, so each y-node builds
+one (t, u_i) plane over the u_i distinct values of coordinate i.  Expression
+fields evaluate every single-coordinate subexpression on these planes (sin
+of one coordinate is computed once per distinct value, not once per point)
+and expand to the full batch only where coordinates meet; other fields see
+the full segment array, expanded lazily into one reused buffer.  The planes
+are sums of the same rounded products as the full array, so the results are
+bit-equal (see ``_TuEvaluator``).
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import numpy as np
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
 from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
-                    LinearCombinationField, _pts)
+                    LinearCombinationField, SegmentPoints, _pts)
 from .geometry import Ball, Box, Domain, ball_inside
 
 __all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
@@ -111,18 +122,32 @@ class _TuEvaluator:
     that the components of Tu, which all evaluate one point batch, and the
     FD stencils of ``decomposition_residual`` do not recompute the y-sum.
 
-    Layout of the y-loop: the segment points y + t_j (x - y) are held as
-    coordinate planes of shape (n, t, m).  ``t_j x`` is formed once per
-    batch and ``(1 - t_j) y`` once per evaluator; each y-node then costs one
-    add into a buffer reused across y-nodes, and the fields see the
-    column-major (t m, n) view of that buffer, points in t-major order.
-    Each coordinate is the sum of the same two rounded products t_j x and
-    (1 - t_j) y whatever the layout, so Tu does not depend on the layout to
-    the last bit.  The field values are then summed over t (einsum, no BLAS,
-    so the result does not depend on the BLAS thread count) and contracted
-    with x - y once per y-node.  The tests hold the kernel bit-equal to a
-    reference loop over fresh (t, m, n) segment arrays in this order, and
-    close to the contract-then-sum order.
+    Layout of the y-loop: coordinate i of the segment point y + t_j (x - y)
+    is t_j x_i + (1 - t_j) y_i, which depends only on (t_j, x_i), and the
+    lattice batches that T is evaluated on repeat each x_i many times.  So
+    each batch finds the distinct values u_i of every coordinate (compared
+    by their bits) and forms t_j u_i once; ``(1 - t_j) y`` is formed once
+    per evaluator.  Each y-node then costs one add per coordinate into a
+    compressed plane of shape (t, u_i), reused across y-nodes, and the
+    fields receive a ``forms.SegmentPoints`` over these planes.  An
+    ``ExprField`` evaluates every single-coordinate subexpression on the
+    distinct values and expands to the (t, m) batch only where coordinates
+    meet; other fields expand the planes, on first request per y-node, into
+    one (n, t, m) buffer whose column-major (t m, n) view is the segment
+    array, points in t-major order.  A coordinate with no repeated value
+    keeps its full plane in that buffer.  Each coordinate is the sum of the
+    same two rounded products t_j x and (1 - t_j) y whatever the layout,
+    and each field value goes through the same operations, so Tu does not
+    depend on the layout to the last bit.
+
+    The field values are then summed over t (einsum, no BLAS, so the result
+    does not depend on the BLAS thread count) and contracted with x - y
+    once per y-node.  The einsum reads a C-contiguous (C, t, m) block
+    (``DifferentialForm.evaluate`` stacks fresh (t m,) rows); on a block in
+    another memory order it sums in another order and the bits move.  The
+    tests hold the kernel bit-equal to a reference loop over fresh
+    (t, m, n) segment arrays in this order, and close to the
+    contract-then-sum order.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray,
@@ -137,20 +162,36 @@ class _TuEvaluator:
 
     def coeffs(self, pts: np.ndarray) -> np.ndarray:
         pts = np.ascontiguousarray(pts, dtype=np.float64)
+        n, l = self.u.dims, self.u.degree
+        if pts.ndim != 2 or pts.shape[1] != n:
+            raise InvalidInputError(
+                f"T of a form on R^{n} takes points of shape (m, {n}), "
+                f"got shape {pts.shape}")
         key = (pts.shape[0], hashlib.sha1(pts.tobytes()).hexdigest())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        n, l = self.u.dims, self.u.degree
         m, t = pts.shape[0], self.tj.size
         cols = np.ascontiguousarray(pts.T)  # (n, m): x - y reads contiguous rows
-        tx = self.tj[:, None] * cols[:, None, :]  # (n, t, m)
-        buf = np.empty_like(tx)
-        seg = buf.reshape(n, -1).T  # (t m, n) view, t-major
+        full = np.empty((n, t, m))
+        tux, planes, inverses = [], [], []
+        for col, row in zip(cols, full):
+            # distinct values by their bits, so that -0.0 and 0.0 stay apart
+            bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+            if bits.size < m:
+                tux.append(self.tj[:, None] * bits.view(np.float64))
+                planes.append(np.empty_like(tux[-1]))
+                inverses.append(inv)
+            else:
+                tux.append(self.tj[:, None] * col)
+                planes.append(row)
+                inverses.append(None)
         out = np.zeros((num_components(n, l - 1), m))
+        shape = (num_components(n, l), t, m)
         for y, ty, w in zip(self.ys, self._ty, self.ws):
-            np.add(tx, ty[:, :, None], out=buf)
-            a = self.u.evaluate(seg).reshape(-1, t, m)
+            for tx, typ, plane in zip(tux, ty, planes):
+                np.add(tx, typ[:, None], out=plane)
+            a = self.u.evaluate(SegmentPoints(planes, inverses, full)).reshape(shape)
             c = contract_coeffs(n, l, np.einsum("t,ctm->cm", self.tw, a),
                                 cols - y[:, None])
             out += w * c
@@ -175,10 +216,19 @@ def apply_Ky(u: DifferentialForm, y, x, t_nodes: int = 32):
     """The kernel contraction (K_y u)(x) as a pointwise covector value."""
     if u.degree < 1:
         raise DegreeError("the kernel operator needs degree >= 1")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    ev = _TuEvaluator(u, y.reshape(1, -1), np.array([1.0]), t_nodes)
+    y, x = _one_point(u.dims, "y", y), _one_point(u.dims, "x", x)
+    ev = _TuEvaluator(u, y, np.array([1.0]), t_nodes)
     return CovectorValue(u.dims, u.degree - 1, ev.coeffs(x)[:, 0])
+
+
+def _one_point(n: int, name: str, p) -> np.ndarray:
+    """A single point of R^n, given as shape (n,) or (1, n), as (1, n)."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape not in ((n,), (1, n)):
+        raise InvalidInputError(
+            f"{name} must be one point of R^{n}, shape ({n},) or (1, {n}); "
+            f"got shape {p.shape}")
+    return p.reshape(1, n)
 
 
 def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from orliczforms import (Box, DifferentialForm, check_analytic_partials,
-                         codifferential, evaluate, materialize, named_form)
+from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
+                         check_analytic_partials, codifferential, evaluate,
+                         materialize, named_form)
 from orliczforms.errors import (DegreeError, InvalidInputError,
                                 OutOfDomainError)
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
-                               RadialPowerField)
+                               RadialPowerField, SegmentPoints, _pts)
 
 
 def oneform(*components, dims=2):
@@ -294,3 +295,119 @@ def test_linear_combination_bit_equal_to_scaled_sum():
             want += c * f(pts)
         got = LinearCombinationField(list(zip(coeffs, fields)))(pts)
         assert got.tobytes() == want.tobytes(), coeffs
+
+
+# ---------------------------------------------------------------- segment planes
+# Inside the T kernel, fields receive SegmentPoints: each coordinate held as a
+# plane over its distinct values.  ExprField reads the planes unexpanded and
+# must give the bits it gives on the expanded segment array.
+
+PLANE_SOURCES = ["x1", "x2", "0", "pi", "sin(pi*x1)", "cos(pi*x2)", "sqrt(x1)",
+                 "x1*x2", "3*x1^2*x2 - x2", "sin(pi*x1)*cos(pi*x2) + x1",
+                 "x1^1.5", "x2^2.5 / (1 + x1)", "x1 / x2",
+                 "exp(sin(pi*x1) * cos(x2))", "log(1 + sqrt(abs(x1 - 0.5) * x2))"]
+
+
+def _plane_fields(n):
+    """The expression shapes above, then the first and second partials of
+    every component of every corpus form."""
+    fields = [(src, ExprField(src, n)) for src in PLANE_SOURCES]
+    for e in build_corpus(dims=n, admit=False):
+        forms = [e.form] if e.form is not None else list(e.pair)
+        for u in forms:
+            for r, f in enumerate(u.components):
+                for k in range(1, n + 1):
+                    g = f.partial(k)
+                    if g is None:
+                        continue
+                    fields.append((f"{e.id}[{r}].d{k}", g))
+                    for j in range(1, n + 1):
+                        h = g.partial(j)
+                        if h is not None:
+                            fields.append((f"{e.id}[{r}].d{k}d{j}", h))
+    return fields
+
+
+class _PlaneProbe:
+    """A field that, at each y-node of the T kernel, evaluates ``fields`` on
+    the SegmentPoints it is handed and on their expanded segment array."""
+
+    def __init__(self, fields):
+        self.fields, self.calls, self.problems = fields, 0, []
+
+    def __call__(self, points):
+        assert isinstance(points, SegmentPoints)
+        assert any(inv is not None for inv in points.inverses)
+        self.calls += 1
+        m = points.shape[0]
+        for name, f in self.fields:
+            got = f(points)
+            seg = _pts(points)
+            want = f(seg)
+            if not (got.shape == (m,) and got.flags.c_contiguous
+                    and got.flags.writeable):
+                self.problems.append(f"{name}: shape {got.shape}, flags {got.flags}")
+            elif any(np.shares_memory(got, a) for a in list(points.planes) + [seg]):
+                self.problems.append(f"{name}: result shares memory with the points")
+            elif got.tobytes() != want.tobytes():
+                self.problems.append(f"{name}: values differ from the segment array")
+        return np.zeros(m)
+
+    def partial(self, k):
+        return None
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
+    box = Box(np.zeros(dims), np.ones(dims))
+    fields = _plane_fields(dims)
+    assert sum(isinstance(f, ExprField) for _, f in fields) > len(PLANE_SOURCES)
+    probe = _PlaneProbe(fields)
+    u = DifferentialForm.from_components(dims, 1, {(1,): probe})
+    tu = apply_T(u, box, resolution=15)
+    lattice = box.quadrature(4).points  # every coordinate repeats
+    only_x1 = np.random.default_rng(dims).uniform(0.1, 0.9, (9, dims))
+    only_x1[:, 0] = only_x1[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]  # the others keep full planes
+    for pts in (lattice, only_x1):
+        tu.components[0](pts)
+    assert probe.calls == 2 * tu.components[0].evaluator.ys.shape[0] > 2
+    assert probe.problems == []
+
+
+def test_callable_in_linear_combination_receives_the_segment_array():
+    seen = []
+
+    def record(p):
+        seen.append((p.copy(), p.shape, p.flags.f_contiguous))
+        return p[:, 0] * p[:, 1]
+
+    field = LinearCombinationField([(1.0, ExprField("sin(pi*x1)", 2)),
+                                    (-2.0, CallableField(record, 2))])
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    ev = apply_T(oneform(field, "x2"), box, resolution=15).components[0].evaluator
+    pts = box.quadrature(5).points
+    ev.coeffs(pts)
+    assert len(seen) == ev.ys.shape[0] > 1
+    for (got, shape, column_major), y in zip(seen, ev.ys):
+        # the segment points y + t_j (x - y), t-major, as t_j x + (1 - t_j) y
+        want = (ev.tj[:, None, None] * pts[None, :, :]
+                + (1.0 - ev.tj)[:, None, None] * y).reshape(-1, 2)
+        assert shape == want.shape and column_major
+        assert got.tobytes() == want.tobytes()
+
+
+def test_segment_points_convert_with_asarray():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    seen = []
+
+    class Foreign:  # a field from outside the module reads raw coordinates
+        def __call__(self, points):
+            seen.append(np.array_equal(np.asarray(points), _pts(points)))
+            return np.zeros(np.asarray(points).shape[0])
+
+        def partial(self, k):
+            return None
+
+    tu = apply_T(oneform(Foreign(), 0.0), box, resolution=15)
+    tu.components[0](box.quadrature(5).points)
+    assert seen and all(seen)

@@ -1,11 +1,15 @@
 """Averaged cone-contraction operator and the decomposition identity."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, apply_Ky, apply_T, build_corpus,
-                         closed_part, decomposition_residual, materialize,
-                         named_form)
-from orliczforms.errors import DegreeError
+from orliczforms import (Ball, Box, DifferentialForm, apply_Ky, apply_T,
+                         build_corpus, closed_part, decomposition_residual,
+                         materialize, named_form)
+from orliczforms.errors import DegreeError, InvalidInputError
 from orliczforms.exterior import _contraction_table, num_components
 from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule
 
@@ -83,6 +87,7 @@ def _kernel_regions(n):
             "ball": Ball(np.full(n, 0.45), 0.35)}
 
 
+@functools.lru_cache(maxsize=None)
 def _kernel_forms(n):
     """Every corpus form of degree 1..n, d of a materialized Tu (spline
     partials) and a closed part u - T(du)."""
@@ -103,15 +108,18 @@ KERNEL_CASES = [(n, kind, fid) for n in (2, 3) for kind in ("box", "ball")
 KERNEL_IDS = [f"{n}-{k}-{f}" for n, k, f in KERNEL_CASES]
 
 
+def _random_points(region):
+    c, n = region.centroid(), region.dims
+    return c + 0.3 * region.inradius() * np.random.default_rng(n).uniform(
+        -1.0, 1.0, (7, n))
+
+
 def _kernel_case(dims, kind, fid):
     u = _kernel_forms(dims)[fid]
     region = _kernel_regions(dims)[kind]
     ev = apply_T(u, region, resolution=15).components[0].evaluator
     assert ev.ys.shape[0] > 1  # the segment buffer is reused across y-nodes
-    c = region.centroid()
-    pts = c + 0.3 * region.inradius() * np.random.default_rng(dims).uniform(
-        -1.0, 1.0, (7, dims))
-    return ev, pts
+    return ev, _random_points(region)
 
 
 @pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES, ids=KERNEL_IDS)
@@ -126,6 +134,103 @@ def test_T_kernel_close_to_contract_then_sum(dims, kind, fid):
     old = _contract_then_sum_T_coeffs(ev, pts)
     bound = 1e-13 * max(1.0, float(np.abs(old).max()))
     assert float(np.abs(ev.coeffs(pts) - old).max()) <= bound
+
+
+# Lattice batches repeat coordinate values, so the kernel evaluates on
+# compressed coordinate planes; random points (above) never repeat one.
+def _linspace_grid(region, res):
+    """The uniform grid of ``materialize`` over the region's bounding box."""
+    lo, hi = region.bounding_box()
+    axes = [np.linspace(lo[i], hi[i], res) for i in range(region.dims)]
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
+def _one_coordinate_repeats(region):
+    pts = _random_points(region)
+    pts[:, 0] = pts[[0, 0, 0, 1, 1, 2, 2], 0]
+    return pts
+
+
+LATTICE_BATCHES = {
+    "quadrature": lambda region: region.quadrature(5).points,
+    "linspace": lambda region: _linspace_grid(region, 4),
+    "one-coordinate-repeats": _one_coordinate_repeats,
+    "single-point": lambda region: region.centroid().reshape(1, -1) + 0.01,
+}
+
+
+@pytest.mark.parametrize("batch", sorted(LATTICE_BATCHES))
+@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES, ids=KERNEL_IDS)
+def test_T_kernel_bit_identical_on_lattice_batches(dims, kind, fid, batch):
+    ev, _ = _kernel_case(dims, kind, fid)
+    pts = LATTICE_BATCHES[batch](_kernel_regions(dims)[kind])
+    distinct = [np.unique(col).size for col in pts.T]
+    if batch == "one-coordinate-repeats":
+        assert distinct[0] < pts.shape[0] == min(distinct[1:])
+    elif batch != "single-point":
+        assert max(distinct) < pts.shape[0]
+    assert np.array_equal(ev.coeffs(pts), _reference_T_coeffs(ev, pts))
+
+
+def _componentwise_partial(u, k):
+    return DifferentialForm(u.dims, u.degree,
+                            tuple(f.partial(k) for f in u.components))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_T_kernel_bit_identical_on_random_lattice_subsets(data):
+    dims = data.draw(st.sampled_from((2, 3)), label="dims")
+    kind = data.draw(st.sampled_from(("box", "ball")), label="kind")
+    corpus = {e.id: e.form for e in build_corpus(dims=dims, admit=False)
+              if e.form is not None and e.form.degree >= 1}
+    u = corpus[data.draw(st.sampled_from(sorted(corpus)), label="form")]
+    axis = data.draw(st.sampled_from((None,) + tuple(range(1, dims + 1))),
+                     label="partial")
+    if axis is not None:
+        u = _componentwise_partial(u, axis)
+    region = _kernel_regions(dims)[kind]
+    ev = apply_T(u, region, resolution=15).components[0].evaluator
+    lattice = _linspace_grid(region, 4)
+    keep = data.draw(st.sets(st.integers(0, lattice.shape[0] - 1), min_size=1),
+                     label="subset")
+    pts = lattice[sorted(keep)]
+    assert np.array_equal(ev.coeffs(pts), _reference_T_coeffs(ev, pts))
+
+
+# (call, expected shape, actual shape) as the error message names them
+MISSHAPED = {
+    "two-x-points": (lambda u, tu: apply_Ky(u, [0.2, 0.3], [[0.6, 0.7], [0.5, 0.5]]),
+                     "(1, 2)", "(2, 2)"),
+    "y-of-three-coordinates": (lambda u, tu: apply_Ky(u, [0.2, 0.3, 0.4], [0.6, 0.7]),
+                               "(1, 2)", "(3,)"),
+    "Tu-on-three-coordinates": (lambda u, tu: tu.components[0](np.array([[0.3, 0.4, 0.5]])),
+                                "(m, 2)", "(1, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPED))
+def test_kernel_rejects_misshaped_points(case):
+    call, expected, actual = MISSHAPED[case]
+    u = named_form("corpus:poly-1form", 2)
+    tu = apply_T(u, BOX, resolution=11)
+    with pytest.raises(InvalidInputError) as info:
+        call(u, tu)
+    assert expected in str(info.value) and f"got shape {actual}" in str(info.value)
+    assert isinstance(info.value, ValueError)
+
+
+def test_Tu_of_an_empty_batch_is_empty():
+    tu = apply_T(named_form("corpus:trig-1form", 2), BOX, resolution=11)
+    assert tu.components[0](np.zeros((0, 2))).shape == (0,)
+
+
+def test_kernel_takes_a_point_as_a_vector_or_a_row():
+    u = named_form("corpus:mixed-1form", 2)
+    a = apply_Ky(u, np.array([0.2, 0.3]), np.array([0.6, 0.7])).coeffs
+    b = apply_Ky(u, np.array([[0.2, 0.3]]), np.array([[0.6, 0.7]])).coeffs
+    assert np.array_equal(a, b)
 
 
 def test_Tu_components_return_fresh_arrays():
