@@ -7,18 +7,19 @@ A *scalar field* is anything that maps a batch of points ``(m, n)`` to values
     field.partial(k) -> field or None     # k is 1-based
 
 ``partial`` returning ``None`` means no closed form is available; consumers
-fall back to central finite differences with an explicit step.  A field
-must return a fresh (m,) array and keep no reference to the points.  The
-points may be any (m, n) float array, or a ``SegmentPoints``: the segment
-points of ``homotopy``'s T kernel, held as compressed coordinate planes in
-buffers the caller overwrites after the call.  A field that needs the raw
-(m, n) coordinates calls ``_pts(points)``, which expands a
-``SegmentPoints`` into its column-major segment array (``np.asarray`` does
-the same for fields outside this module).  ``ExprField``,
-``LinearCombinationField`` and ``ConstantField`` read the planes without
-expanding them.  A *differential form* of degree l is a tuple of scalar
-fields indexed by the lexicographic rank of the ordered multi-indices (see
-``exterior``).
+fall back to central finite differences with an explicit step.  The points
+may be any (m, n) float array, including a column-major view of a buffer
+the caller overwrites after the call (the segment points of ``homotopy``'s
+T kernel); a field must return a fresh (m,) array and keep no reference to
+the points.  Inside the T kernel, ``ExprField``, ``LinearCombinationField``
+and ``ConstantField`` of this module are instead handed a
+``SegmentPoints``, which holds the segment points as compressed coordinate
+planes, and read the planes without expanding them; a field that needs the
+raw coordinates calls ``_pts(points)``, which expands a ``SegmentPoints``
+into its column-major segment array.  Every other field, and any field from
+outside this module, receives that array.  A *differential form* of degree
+l is a tuple of scalar fields indexed by the lexicographic rank of the
+ordered multi-indices (see ``exterior``).
 
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
@@ -41,7 +42,7 @@ from .exterior import (CovectorValue, MultiIndex, _contraction_table, _star_tabl
 __all__ = [
     "ScalarField", "ConstantField", "ExprField", "CallableField", "BumpField",
     "RadialPowerField", "GridField", "DifferentialForm", "as_field",
-    "codifferential", "evaluate", "check_analytic_partials", "SegmentPoints",
+    "codifferential", "evaluate", "check_analytic_partials",
 ]
 
 
@@ -53,39 +54,51 @@ class ScalarField(Protocol):
 
 
 class SegmentPoints:
-    """The segment points y + t_j (x_k - y) of one y-node of the T kernel.
+    """The segment points t_j x_k + (1 - t_j) y of one T-kernel batch of
+    points x_k, one y-node at a time.
 
     Coordinate i of a segment point depends only on (t_j, x_ki), and the
     lattice batches that T is evaluated on repeat each coordinate value many
     times.  So coordinate i is held as a plane ``planes[i]`` of shape
-    (t, u_i) over its u_i distinct values, with ``inverses[i]`` of shape (m,)
-    mapping each point x_k to its column.  A coordinate with no repeated
-    value has no map (None): its plane is the full (t, m) row ``full[i]``.
+    (t, u_i) over its u_i distinct values (compared by their bits, so that
+    -0.0 and 0.0 stay apart), with ``inverses[i]`` of shape (m,) mapping each
+    point to its column.  ``t_j x_i`` is formed once per batch, and
+    ``move_to`` adds ``(1 - t_j) y_i`` for the next y-node: each entry is the
+    sum of the same two rounded products as in the full segment array, so it
+    has the same bits.
 
     ``shape`` is (t m, n), the shape of the point array this stands for.
-    ``_pts`` expands it into that array, the column-major view of ``full``
-    (n, t, m) with points in t-major order, built on the first request.
+    ``_pts`` expands it into that array, the column-major view of one
+    (n, t, m) buffer with points in t-major order, filled on the first
+    request per y-node.
     """
 
-    def __init__(self, planes, inverses, full):
-        self.planes, self.inverses, self._full = planes, inverses, full
-        n, t, m = full.shape
-        self.shape = (t * m, n)
+    def __init__(self, cols: np.ndarray, tj: np.ndarray):
+        """``cols``: the batch as C-contiguous (n, m) coordinate rows;
+        ``tj``: the (t,) nodes of the t-rule."""
+        n, m = cols.shape
+        self._tx, self.inverses = [], []
+        for col in cols:
+            bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+            self._tx.append(tj[:, None] * bits.view(np.float64))
+            self.inverses.append(inv)
+        self.planes = [np.empty_like(tx) for tx in self._tx]
+        self._full = np.empty((n, tj.size, m))
+        self.shape = (tj.size * m, n)
+        self._built = False
+
+    def move_to(self, ty: np.ndarray) -> None:
+        """Place the planes at the y-node with (1 - t_j) y = ``ty``, (n, t)."""
+        for tx, typ, plane in zip(self._tx, ty, self.planes):
+            np.add(tx, typ[:, None], out=plane)
         self._built = False
 
     def array(self) -> np.ndarray:
         if not self._built:
             for plane, inv, row in zip(self.planes, self.inverses, self._full):
-                if inv is not None:
-                    plane.take(inv, axis=1, out=row, mode="clip")
+                plane.take(inv, axis=1, out=row, mode="clip")
             self._built = True
         return self._full.reshape(self.shape[1], -1).T
-
-    def __array__(self, dtype=None, copy=None):
-        pts = self.array()
-        if dtype is not None:
-            pts = pts.astype(dtype, copy=False)
-        return pts.copy() if copy else pts
 
 
 class _Planes:
@@ -168,17 +181,13 @@ def _pts(points) -> np.ndarray:
     return pts
 
 
-def _batch(points):
-    """``points`` for a field that reads ``SegmentPoints`` unexpanded."""
-    return points if isinstance(points, SegmentPoints) else _pts(points)
-
-
 @dataclass(frozen=True)
 class ConstantField:
     value: float
 
     def __call__(self, points):
-        return np.full(_batch(points).shape[0], float(self.value))
+        pts = points if isinstance(points, SegmentPoints) else _pts(points)
+        return np.full(pts.shape[0], float(self.value))
 
     def partial(self, k):
         return ConstantField(0.0)
@@ -201,16 +210,16 @@ class ExprField:
                 f"unknown variables {sorted(extra)}; expected subset of x1..x{dims}")
 
     def __call__(self, points):
-        pts = _batch(points)
-        if isinstance(pts, SegmentPoints):
-            env = {f"x{i + 1}": plane if inv is None else _Planes(plane, inv)
-                   for i, (plane, inv) in enumerate(zip(pts.planes, pts.inverses))}
+        if isinstance(points, SegmentPoints):
+            env = {f"x{i + 1}": _Planes(plane, inv) for i, (plane, inv)
+                   in enumerate(zip(points.planes, points.inverses))}
         else:
-            env = {f"x{i + 1}": pts[:, i] for i in range(self.dims)}
+            points = _pts(points)
+            env = {f"x{i + 1}": points[:, i] for i in range(self.dims)}
         out = ex.evaluate(self.node, env)
         if isinstance(out, _Planes):
             out = out.full()
-        m = pts.shape[0]
+        m = points.shape[0]
         if isinstance(out, np.ndarray) and out.base is None and out.size == m:
             return out.reshape(m)  # a fresh result of the expression's last operation
         # a constant, or a view of an input column or plane
@@ -266,16 +275,18 @@ class LinearCombinationField:
         self.terms = [(float(c), f) for c, f in terms]
 
     def __call__(self, points):
-        pts = _batch(points)
-        out = np.zeros(pts.shape[0])
+        if not isinstance(points, SegmentPoints):
+            points = _pts(points)
+        out = np.zeros(points.shape[0])
         for c, f in self.terms:
+            v = f(_points_for(f, points))
             # x * 1.0 == x and b + (-x) == b - x: unit terms skip the product
             if c == 1.0:
-                out += f(pts)
+                out += v
             elif c == -1.0:
-                out -= f(pts)
+                out -= v
             else:
-                out += c * f(pts)
+                out += c * v
         return out
 
     def partial(self, k):
@@ -286,6 +297,15 @@ class LinearCombinationField:
                 return None
             parts.append((c, g))
         return LinearCombinationField(parts)
+
+
+def _points_for(field, points):
+    """The points ``field`` is called with: a ``SegmentPoints`` stays
+    compressed for the fields of this module that read its planes, and every
+    other field gets the (m, n) array."""
+    if type(field) in (ConstantField, ExprField, LinearCombinationField):
+        return points
+    return _pts(points)
 
 
 class BumpField:
@@ -484,8 +504,10 @@ class DifferentialForm:
 
     def evaluate(self, points) -> np.ndarray:
         """Coefficient array of shape (num_components, m) at the given points."""
-        pts = _batch(points)
-        return np.stack([f(pts) for f in self.components], axis=0)
+        if not isinstance(points, SegmentPoints):
+            points = _pts(points)
+        return np.stack([f(_points_for(f, points)) for f in self.components],
+                        axis=0)
 
     def value_at(self, point) -> CovectorValue:
         vals = self.evaluate(np.asarray(point).reshape(1, -1))[:, 0]

@@ -27,14 +27,15 @@ the tests pin this order bit for bit.
 
 The segment points are held as compressed coordinate planes: coordinate i of
 y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m points
-has far fewer than m distinct values per coordinate, so each y-node builds
-one (t, u_i) plane over the u_i distinct values of coordinate i.  Expression
-fields evaluate every single-coordinate subexpression on these planes (sin
-of one coordinate is computed once per distinct value, not once per point)
-and expand to the full batch only where coordinates meet; other fields see
-the full segment array, expanded lazily into one reused buffer.  The planes
-are sums of the same rounded products as the full array, so the results are
-bit-equal (see ``_TuEvaluator``).
+has far fewer than m distinct values per coordinate, so each y-node fills
+one (t, u_i) plane over the u_i distinct values of coordinate i
+(``forms.SegmentPoints``).  Expression fields evaluate every
+single-coordinate subexpression on these planes (sin of one coordinate is
+computed once per distinct value, not once per point) and expand to the
+full batch only where coordinates meet; other fields see the full segment
+array, expanded lazily into one reused buffer.  The planes are sums of the
+same rounded products as the full array, so the results are bit-equal (see
+``_TuEvaluator``).
 """
 
 from __future__ import annotations
@@ -125,20 +126,20 @@ class _TuEvaluator:
     Layout of the y-loop: coordinate i of the segment point y + t_j (x - y)
     is t_j x_i + (1 - t_j) y_i, which depends only on (t_j, x_i), and the
     lattice batches that T is evaluated on repeat each x_i many times.  So
-    each batch finds the distinct values u_i of every coordinate (compared
-    by their bits) and forms t_j u_i once; ``(1 - t_j) y`` is formed once
-    per evaluator.  Each y-node then costs one add per coordinate into a
-    compressed plane of shape (t, u_i), reused across y-nodes, and the
-    fields receive a ``forms.SegmentPoints`` over these planes.  An
-    ``ExprField`` evaluates every single-coordinate subexpression on the
-    distinct values and expands to the (t, m) batch only where coordinates
-    meet; other fields expand the planes, on first request per y-node, into
-    one (n, t, m) buffer whose column-major (t m, n) view is the segment
-    array, points in t-major order.  A coordinate with no repeated value
-    keeps its full plane in that buffer.  Each coordinate is the sum of the
-    same two rounded products t_j x and (1 - t_j) y whatever the layout,
-    and each field value goes through the same operations, so Tu does not
-    depend on the layout to the last bit.
+    each batch builds one ``forms.SegmentPoints``, which finds the distinct
+    values u_i of every coordinate (compared by their bits) and forms
+    t_j u_i once; ``(1 - t_j) y`` is formed once per evaluator.  Each y-node
+    then costs one add per coordinate into a compressed plane of shape
+    (t, u_i), reused across y-nodes.  An ``ExprField`` evaluates every
+    single-coordinate subexpression on the distinct values and expands to
+    the (t, m) batch only where coordinates meet; other fields get the
+    planes expanded, on first request per y-node, into one (n, t, m) buffer
+    whose column-major (t m, n) view is the segment array, points in
+    t-major order.  A coordinate with no repeated value gets a plane of m
+    sorted values and a permutation for its map, so there is one path.
+    Each coordinate is the sum of the same two rounded products t_j x and
+    (1 - t_j) y whatever the layout, and each field value goes through the
+    same operations, so Tu does not depend on the layout to the last bit.
 
     The field values are then summed over t (einsum, no BLAS, so the result
     does not depend on the BLAS thread count) and contracted with x - y
@@ -173,25 +174,12 @@ class _TuEvaluator:
             return hit
         m, t = pts.shape[0], self.tj.size
         cols = np.ascontiguousarray(pts.T)  # (n, m): x - y reads contiguous rows
-        full = np.empty((n, t, m))
-        tux, planes, inverses = [], [], []
-        for col, row in zip(cols, full):
-            # distinct values by their bits, so that -0.0 and 0.0 stay apart
-            bits, inv = np.unique(col.view(np.int64), return_inverse=True)
-            if bits.size < m:
-                tux.append(self.tj[:, None] * bits.view(np.float64))
-                planes.append(np.empty_like(tux[-1]))
-                inverses.append(inv)
-            else:
-                tux.append(self.tj[:, None] * col)
-                planes.append(row)
-                inverses.append(None)
+        seg = SegmentPoints(cols, self.tj)
         out = np.zeros((num_components(n, l - 1), m))
         shape = (num_components(n, l), t, m)
         for y, ty, w in zip(self.ys, self._ty, self.ws):
-            for tx, typ, plane in zip(tux, ty, planes):
-                np.add(tx, typ[:, None], out=plane)
-            a = self.u.evaluate(SegmentPoints(planes, inverses, full)).reshape(shape)
+            seg.move_to(ty)
+            a = self.u.evaluate(seg).reshape(shape)
             c = contract_coeffs(n, l, np.einsum("t,ctm->cm", self.tw, a),
                                 cols - y[:, None])
             out += w * c

@@ -10,6 +10,7 @@ from orliczforms.errors import (DegreeError, InvalidInputError,
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
                                RadialPowerField, SegmentPoints, _pts)
+from orliczforms.homotopy import _t_rule
 
 
 def oneform(*components, dims=2):
@@ -328,50 +329,43 @@ def _plane_fields(n):
     return fields
 
 
-class _PlaneProbe:
-    """A field that, at each y-node of the T kernel, evaluates ``fields`` on
-    the SegmentPoints it is handed and on their expanded segment array."""
-
-    def __init__(self, fields):
-        self.fields, self.calls, self.problems = fields, 0, []
-
-    def __call__(self, points):
-        assert isinstance(points, SegmentPoints)
-        assert any(inv is not None for inv in points.inverses)
-        self.calls += 1
-        m = points.shape[0]
-        for name, f in self.fields:
-            got = f(points)
-            seg = _pts(points)
-            want = f(seg)
-            if not (got.shape == (m,) and got.flags.c_contiguous
-                    and got.flags.writeable):
-                self.problems.append(f"{name}: shape {got.shape}, flags {got.flags}")
-            elif any(np.shares_memory(got, a) for a in list(points.planes) + [seg]):
-                self.problems.append(f"{name}: result shares memory with the points")
-            elif got.tobytes() != want.tobytes():
-                self.problems.append(f"{name}: values differ from the segment array")
-        return np.zeros(m)
-
-    def partial(self, k):
-        return None
+def _plane_problems(fields, seg):
+    """How ``fields`` on ``seg`` differ from the same fields on its expanded
+    segment array, which must be fresh, C-contiguous (t m,) results."""
+    problems, m = [], seg.shape[0]
+    for name, f in fields:
+        got = f(seg)
+        arr = _pts(seg)
+        want = f(arr)
+        if not (got.shape == (m,) and got.flags.c_contiguous
+                and got.flags.writeable):
+            problems.append(f"{name}: shape {got.shape}, flags {got.flags}")
+        elif any(np.shares_memory(got, a) for a in list(seg.planes) + [arr]):
+            problems.append(f"{name}: result shares memory with the points")
+        elif got.tobytes() != want.tobytes():
+            problems.append(f"{name}: values differ from the segment array")
+    return problems
 
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
-    box = Box(np.zeros(dims), np.ones(dims))
     fields = _plane_fields(dims)
     assert sum(isinstance(f, ExprField) for _, f in fields) > len(PLANE_SOURCES)
-    probe = _PlaneProbe(fields)
-    u = DifferentialForm.from_components(dims, 1, {(1,): probe})
-    tu = apply_T(u, box, resolution=15)
-    lattice = box.quadrature(4).points  # every coordinate repeats
-    only_x1 = np.random.default_rng(dims).uniform(0.1, 0.9, (9, dims))
-    only_x1[:, 0] = only_x1[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]  # the others keep full planes
+    tj, _ = _t_rule(1, 32)
+    rng = np.random.default_rng(dims)
+    lattice = Box(np.zeros(dims), np.ones(dims)).quadrature(4).points
+    only_x1 = rng.uniform(0.1, 0.9, (9, dims))
+    only_x1[:, 0] = only_x1[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]  # no other repeats
+    problems = []
     for pts in (lattice, only_x1):
-        tu.components[0](pts)
-    assert probe.calls == 2 * tu.components[0].evaluator.ys.shape[0] > 2
-    assert probe.problems == []
+        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+        for y in rng.uniform(0.0, 1.0, (4, dims)):
+            seg.move_to((1.0 - tj) * y[:, None])
+            want = (tj[:, None, None] * pts[None, :, :]
+                    + (1.0 - tj)[:, None, None] * y).reshape(-1, dims)
+            assert _pts(seg).tobytes() == want.tobytes()
+            problems += _plane_problems(fields, seg)
+    assert problems == []
 
 
 def test_callable_in_linear_combination_receives_the_segment_array():
@@ -396,18 +390,31 @@ def test_callable_in_linear_combination_receives_the_segment_array():
         assert got.tobytes() == want.tobytes()
 
 
-def test_segment_points_convert_with_asarray():
-    box = Box([0.0, 0.0], [1.0, 1.0])
+def test_fields_from_outside_receive_the_segment_array():
     seen = []
 
-    class Foreign:  # a field from outside the module reads raw coordinates
+    class Foreign:  # indexes the points directly, as the field protocol allows
         def __call__(self, points):
-            seen.append(np.array_equal(np.asarray(points), _pts(points)))
-            return np.zeros(np.asarray(points).shape[0])
+            seen.append(type(points) is np.ndarray and points.shape[1] == 2)
+            return points[:, 0] * points[:, 1]
 
         def partial(self, k):
             return None
 
-    tu = apply_T(oneform(Foreign(), 0.0), box, resolution=15)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    mixed = LinearCombinationField([(2.0, Foreign()), (1.0, ExprField("x1", 2))])
+    tu = apply_T(oneform(mixed, Foreign()), box, resolution=15)
     tu.components[0](box.quadrature(5).points)
-    assert seen and all(seen)
+    assert len(seen) > 2 and all(seen)
+
+
+def test_segment_points_keep_signed_zeros_apart():
+    tj, _ = _t_rule(1, 32)
+    pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+    y = np.array([-0.0, -0.0])
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+    seg.move_to((1.0 - tj) * y[:, None])
+    want = (tj[:, None, None] * pts + (1.0 - tj)[:, None, None] * y).reshape(-1, 2)
+    assert np.signbit(want).any() and not np.signbit(want).all()
+    assert _pts(seg).tobytes() == want.tobytes()
+    assert ExprField("x1", 2)(seg).tobytes() == want[:, 0].tobytes()
