@@ -9,7 +9,6 @@ Schema (all keys optional, defaults shown):
   "grid_resolution": 51,
   "ball_resolution": 15,
   "ball_count": 24,
-  "t_nodes": 32,
   "sigma": 1.1,
   "rho": null,                       // null -> same as sigma
   "k": 0.5,
@@ -26,8 +25,7 @@ Schema (all keys optional, defaults shown):
   "sobolev_t": 1.5,
   "osc_a_values": [0.5, 1.0, 2.0],
   "verifiers": ["all"],
-  "stability_check": true,
-  "seed": 0
+  "stability_check": true
 }
 """
 
@@ -52,7 +50,6 @@ DEFAULT_CONFIG: dict = {
     "grid_resolution": 51,
     "ball_resolution": 15,
     "ball_count": 24,
-    "t_nodes": 32,
     "sigma": 1.1,
     "rho": None,
     "k": 0.5,
@@ -70,7 +67,6 @@ DEFAULT_CONFIG: dict = {
     "osc_a_values": [0.5, 1.0, 2.0],
     "verifiers": ["all"],
     "stability_check": True,
-    "seed": 0,
 }
 
 def _is_num(x) -> bool:
@@ -202,7 +198,7 @@ def _validate(cfg: dict) -> list:
                 e.append(f"domain: ball needs a length-{dims} center and radius > 0")
 
     for key, low in (("grid_resolution", 5), ("ball_resolution", 5),
-                     ("ball_count", 1), ("t_nodes", 2)):
+                     ("ball_count", 1)):
         v = cfg[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             e.append(f"{key} must be an integer >= {low}, got {v!r}")
@@ -257,6 +253,11 @@ def _validate(cfg: dict) -> list:
             elif spec["name"] == "custom":
                 if not isinstance(spec.get("expression"), str):
                     e.append(f"{where}: custom needs an 'expression' string")
+                else:
+                    try:  # parse it against x1..x{dims} now, not in run_suite
+                        custom_weight(spec["expression"], dims)
+                    except OrliczFormsError as exc:
+                        e.append(f"{where}: {exc}")
             else:
                 e.append(f"{where}: unknown weight {spec['name']!r}")
 
@@ -293,8 +294,6 @@ def _validate(cfg: dict) -> list:
 
     if not isinstance(cfg["stability_check"], bool):
         e.append(f"stability_check must be boolean, got {cfg['stability_check']!r}")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        e.append(f"seed must be an integer, got {cfg['seed']!r}")
     return e
 
 

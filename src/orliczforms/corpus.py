@@ -135,7 +135,7 @@ def _entries_3d(domain: Domain) -> list[CorpusEntry]:
 
 
 def build_corpus(domain: Domain | None = None, dims: int = 2, *, admit: bool = True,
-                 resolution: int | None = None, t_nodes: int = 32) -> list[CorpusEntry]:
+                 resolution: int | None = None) -> list[CorpusEntry]:
     """Build the default corpus on a domain, optionally running the admission gate.
 
     With ``admit`` the decomposition residual is measured for every entry of
@@ -160,8 +160,7 @@ def build_corpus(domain: Domain | None = None, dims: int = 2, *, admit: bool = T
     admitted = []
     for e in entries:
         if e.form is not None and 1 <= e.degree <= dims - 1:
-            r = decomposition_residual(e.form, domain, resolution=resolution,
-                                       t_nodes=t_nodes)
+            r = decomposition_residual(e.form, domain, resolution=resolution)
             if not r <= RESIDUAL_GATE:
                 raise InvalidInputError(
                     f"corpus entry {e.id} fails the decomposition gate: "

@@ -459,10 +459,6 @@ def as_field(obj, dims: int) -> ScalarField:
     if isinstance(obj, (ex.Num, ex.Var, ex.BinOp, ex.Call)):
         return ExprField(obj, dims)
     if callable(obj):
-        if isinstance(obj, (ExprField, CallableField, BumpField, RadialPowerField,
-                            ConstantField, GridField, LinearCombinationField,
-                            FDPartialField)):
-            return obj
         if hasattr(obj, "partial"):
             return obj
         return CallableField(obj, dims)

@@ -40,7 +40,7 @@ from .corpus import CorpusEntry
 from .errors import InvalidInputError, RejectedPairError
 from .forms import DifferentialForm, codifferential
 from .geometry import Ball, Box, Domain, ball_family
-from .homotopy import FD_SCALE, apply_T, closed_part, materialize
+from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
 from .young import (OscillationNormSpec, YoungFunction, check_g_class,
                     check_wrh, luxemburg_norm, lp_norm, oscillation_norm,
@@ -130,7 +130,7 @@ class HarnessContext:
     """
 
     def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
-                 ball_resolution: int = 15, ball_count: int = 24, t_nodes: int = 32,
+                 ball_resolution: int = 15, ball_count: int = 24,
                  sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
                  radius_fraction: float = 0.25):
         if not sigma > 1:
@@ -143,7 +143,6 @@ class HarnessContext:
         self.grid_resolution = grid_resolution
         self.ball_resolution = ball_resolution
         self.ball_count = ball_count
-        self.t_nodes = t_nodes
         self.sigma = sigma
         self.rho = sigma if rho is None else rho
         self.k = k
@@ -171,7 +170,7 @@ class HarnessContext:
     def echo(self, **extra) -> dict:
         base = {"dims": self.dims, "grid_resolution": self.grid_resolution,
                 "ball_resolution": self.ball_resolution,
-                "ball_count": self.ball_count, "t_nodes": self.t_nodes,
+                "ball_count": self.ball_count, "t_nodes": T_NODES,
                 "sigma": self.sigma, "rho": self.rho, "k": self.k,
                 "radius_fraction": self.radius_fraction}
         base.update(extra)
@@ -193,8 +192,7 @@ class HarnessContext:
             if not isinstance(self.domain, Box):
                 raise InvalidInputError(
                     "homotopy-image verifiers require a box domain")
-            tu = apply_T(entry.form, self.domain, resolution=self.grid_resolution,
-                         t_nodes=self.t_nodes)
+            tu = apply_T(entry.form, self.domain, resolution=self.grid_resolution)
             self._tu[key] = materialize(tu, self.domain,
                                         resolution=self.grid_res(scale))
         return self._tu[key]
@@ -205,8 +203,7 @@ class HarnessContext:
         res = self.grid_res(scale) if entry.degree == 0 else self.grid_resolution
         key = (entry.id, res)
         if key not in self._closed:
-            self._closed[key] = closed_part(entry.form, self.domain, resolution=res,
-                                            t_nodes=self.t_nodes)
+            self._closed[key] = closed_part(entry.form, self.domain, resolution=res)
         return self._closed[key]
 
     def oscillation(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
@@ -224,13 +221,13 @@ class HarnessContext:
         rkey = (form_key, scale)
         if rkey not in self._residuals:
             self._residuals[rkey] = oscillation_residuals(
-                form, balls, ball_resolution=self.ball_res(scale), t_nodes=self.t_nodes)
+                form, balls, ball_resolution=self.ball_res(scale))
         wkey = None if weight is None else weight.describe()
         key = (form_key, phi.describe(), wkey, scale)
         if key not in self._profiles:
             self._profiles[key] = oscillation_profile(
                 form, balls, phi, weight, ball_resolution=self.ball_res(scale),
-                t_nodes=self.t_nodes, residuals=self._residuals[rkey])
+                residuals=self._residuals[rkey])
         res = oscillation_norm(form, self.domain, phi,
                                OscillationNormSpec(kind, k=self.k, sigma=self.sigma),
                                balls=balls, profile=self._profiles[key])
@@ -298,6 +295,16 @@ def _weighted_gate(phi: YoungFunction, p: float, q: float, alpha: float, s: floa
         if not dom_rep.ok:
             out.append(f"Young function is not dominated by t^{s}: ratio "
                        f"{dom_rep.worst_ratio:.6g} at t={dom_rep.worst_t:.3g}")
+    return out
+
+
+def _weights_gate(weights: list, region: Domain, resolution: int) -> list:
+    out = []
+    for i, w in enumerate(weights):
+        try:
+            w.validate_positive(region, resolution)
+        except InvalidInputError as exc:
+            out.append(f"weights[{i}]: {exc}")
     return out
 
 
@@ -532,8 +539,12 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                               scale: int = 1) -> VerificationReport:
     """Weighted comparison ||u||_{phi locLip_k, w} <= C ||u||_{p, w} under the
     exponent gate alpha*p - p - alpha*q > 0 and the ball-average weight class.
+    The weight must be positive at every node it is evaluated at.
     """
     _raise_on(_weighted_gate(phi, p, q, alpha, s))
+    weight.validate_positive(ctx.domain, ctx.grid_res(scale))
+    for ball in ctx.balls():
+        weight.validate_positive(ball, ctx.ball_res(scale))
     beta = alpha * q / (alpha * p - p - alpha * q)
     gamma = alpha * q / p
     a_rep = check_a_class(weight, alpha, beta, gamma, list(ctx.balls()),
@@ -604,7 +615,8 @@ VERIFIERS = (
     Verifier("weighted_lipschitz", False,
              lambda c, n: _weighted_gate(
                  c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
-                 c.weighted["alpha"], c.weighted["s"]),
+                 c.weighted["alpha"], c.weighted["s"])
+             + _weights_gate(c.build_weights(), c.build_domain(), c.grid_resolution),
              lambda ctx, c, sc: [verify_weighted_lipschitz(
                  ctx, c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"], w, sc)
@@ -638,12 +650,11 @@ def run_suite(config) -> list:
 
     domain = config.build_domain()
     corpus = build_corpus(domain, config.dims, admit=True,
-                          resolution=config.grid_resolution,
-                          t_nodes=config.t_nodes)
+                          resolution=config.grid_resolution)
     ctx = HarnessContext(
         domain, corpus, grid_resolution=config.grid_resolution,
         ball_resolution=config.ball_resolution, ball_count=config.ball_count,
-        t_nodes=config.t_nodes, sigma=config.sigma, rho=config.rho,
+        sigma=config.sigma, rho=config.rho,
         k=config.k, radius_fraction=config.radius_fraction)
     enabled = config.enabled_verifiers()
     reports = []

@@ -14,10 +14,10 @@ region's quadrature restricted to the bump's support, with the discrete
 weights renormalized to sum exactly to 1.  Under that normalization the
 discrete decomposition d(T^ u) + T^(du) = u holds *identically* in the
 y-weights; the residual that ``decomposition_residual`` observes comes only
-from the t-quadrature (32-node Gauss-Legendre, negligible for smooth
-integrands) and from the finite differences it uses to take d of the
-quadrature-defined Tu.  The residual therefore shrinks like the FD step
-squared, which is what the doubling check measures.
+from the t-quadrature (a fixed ``T_NODES`` = 32-node Gauss-Legendre rule,
+negligible for smooth integrands) and from the finite differences it uses to
+take d of the quadrature-defined Tu.  The residual therefore shrinks like the
+FD step squared, which is what the doubling check measures.
 
 The t-sum precedes the contraction: x - y does not depend on t and iota is
 linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt,
@@ -51,8 +51,11 @@ from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
                     LinearCombinationField, SegmentPoints, _pts)
 from .geometry import Ball, Box, Domain, ball_inside
 
-__all__ = ["BumpFunction", "FD_SCALE", "apply_Ky", "apply_T", "closed_part",
-           "decomposition_residual", "materialize"]
+__all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T",
+           "closed_part", "decomposition_residual", "materialize"]
+
+# Gauss-Legendre nodes in t; 16 to 32 move no constant by more than 3.5e-5
+T_NODES = 32
 
 # FD step per unit diameter for d of fields without exact partials (the
 # quadrature-defined Tu of apply_T, bare callables); the spline Tu of
@@ -105,10 +108,10 @@ class BumpFunction:
 
 
 @functools.lru_cache(maxsize=None)
-def _t_rule(l: int, t_nodes: int):
-    """Gauss-Legendre nodes on [0,1] with the t^(l-1) factor folded in; built
-    once per (l, t_nodes) and shared read-only."""
-    tj, tw = np.polynomial.legendre.leggauss(t_nodes)
+def _t_rule(l: int):
+    """T_NODES Gauss-Legendre nodes on [0,1] with the t^(l-1) factor folded
+    in; built once per degree l and shared read-only."""
+    tj, tw = np.polynomial.legendre.leggauss(T_NODES)
     tj = 0.5 * (tj + 1.0)
     tw = 0.5 * tw * tj ** (l - 1)
     tj.setflags(write=False)
@@ -151,12 +154,11 @@ class _TuEvaluator:
     contract-then-sum order.
     """
 
-    def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray,
-                 t_nodes: int):
+    def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray):
         self.u = u
         self.ys = ys
         self.ws = ws
-        self.tj, self.tw = _t_rule(u.degree, t_nodes)
+        self.tj, self.tw = _t_rule(u.degree)
         # (1 - t_j) y for every y-node, shape (ys, n, t)
         self._ty = (1.0 - self.tj) * ys[:, :, None]
         self._cache: dict[tuple, np.ndarray] = {}
@@ -200,12 +202,12 @@ class _TuComponent:
         return None
 
 
-def apply_Ky(u: DifferentialForm, y, x, t_nodes: int = 32):
+def apply_Ky(u: DifferentialForm, y, x):
     """The kernel contraction (K_y u)(x) as a pointwise covector value."""
     if u.degree < 1:
         raise DegreeError("the kernel operator needs degree >= 1")
     y, x = _one_point(u.dims, "y", y), _one_point(u.dims, "x", x)
-    ev = _TuEvaluator(u, y, np.array([1.0]), t_nodes)
+    ev = _TuEvaluator(u, y, np.array([1.0]))
     return CovectorValue(u.dims, u.degree - 1, ev.coeffs(x)[:, 0])
 
 
@@ -220,7 +222,7 @@ def _one_point(n: int, name: str, p) -> np.ndarray:
 
 
 def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
-            resolution: int = 41, t_nodes: int = 32) -> DifferentialForm:
+            resolution: int = 41) -> DifferentialForm:
     """Tu as a degree-(l-1) form whose coefficients are quadrature sums.
 
     The returned form has no exact partials: differentiate it with an
@@ -239,13 +241,13 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
         raise InvalidInputError(
             "bump support contains no quadrature node; raise the resolution")
     ws = ws / total
-    ev = _TuEvaluator(u, ys, ws, t_nodes)
+    ev = _TuEvaluator(u, ys, ws)
     comps = tuple(_TuComponent(ev, r) for r in range(num_components(u.dims, u.degree - 1)))
     return DifferentialForm(u.dims, u.degree - 1, comps)
 
 
 def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
-                *, resolution: int = 15, t_nodes: int = 32) -> DifferentialForm:
+                *, resolution: int = 15) -> DifferentialForm:
     """The closed part u_B = u - T(du) (= d(Tu)); the mean for 0-forms, u for
     top-degree forms.  du takes exact partials where a component has them
     (every corpus form and the spline Tu of ``materialize``), else central
@@ -258,7 +260,7 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
     if u.degree == u.dims:
         return u
     du = u.d(fd_step=FD_SCALE * region.diameter())
-    return u - apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
+    return u - apply_T(du, region, bump, resolution=resolution)
 
 
 def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
@@ -278,7 +280,7 @@ def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
 
 def decomposition_residual(u: DifferentialForm, region: Domain,
                            bump: BumpFunction | None = None, *,
-                           resolution: int = 41, t_nodes: int = 32) -> float:
+                           resolution: int = 41) -> float:
     """max over a test lattice of |u - d(Tu) - T(du)|.
 
     The FD step for d(Tu) is tied to the quadrature resolution
@@ -292,8 +294,8 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
     if bump is None:
         bump = BumpFunction(region, resolution=resolution)
     du = u.d(fd_step=FD_SCALE * region.diameter())
-    tu = apply_T(u, region, bump, resolution=resolution, t_nodes=t_nodes)
-    tdu = apply_T(du, region, bump, resolution=resolution, t_nodes=t_nodes)
+    tu = apply_T(u, region, bump, resolution=resolution)
+    tdu = apply_T(du, region, bump, resolution=resolution)
     h = RESIDUAL_FD_COEFFICIENT * region.diameter() / resolution
     recon = tu.d(fd_step=h) + tdu
     pts = _test_lattice(region, RESIDUAL_TEST_RESOLUTION)

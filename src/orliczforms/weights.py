@@ -149,14 +149,12 @@ class PhiDominatedReport:
                 "worst_ratio": self.worst_ratio}
 
 
-def check_phi_dominated(phi: YoungFunction, p: float,
-                        grid: np.ndarray | None = None) -> PhiDominatedReport:
-    """Sampled check that phi(t) <= t^p on the log grid (a gate, not a proof)."""
+def check_phi_dominated(phi: YoungFunction, p: float) -> PhiDominatedReport:
+    """Sampled check that phi(t) <= t^p on ``LOG_GRID`` (a gate, not a proof)."""
     if p < 1:
         raise InvalidInputError(f"exponent must be >= 1, got {p}")
-    grid = LOG_GRID if grid is None else np.asarray(grid, dtype=np.float64)
-    ratios = phi(grid) / grid ** p
+    ratios = phi(LOG_GRID) / LOG_GRID ** p
     worst = int(np.argmax(ratios))
     ok = bool(ratios[worst] <= 1.0 + 1e-12)
-    return PhiDominatedReport(p=float(p), ok=ok, worst_t=float(grid[worst]),
+    return PhiDominatedReport(p=float(p), ok=ok, worst_t=float(LOG_GRID[worst]),
                               worst_ratio=float(ratios[worst]))

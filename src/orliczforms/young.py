@@ -6,11 +6,11 @@ The Luxemburg norm of a scalar field f over a region is
 
 computed by bisection on log(lam): the integral I(lam) is non-increasing in
 lam, so a bracket [lo, hi] with I(lo) > 1 >= I(hi) shrinks geometrically.
-The bracket is closed to relative width 1e-10 by default, comfortably inside
-the 1e-8 guarantees quoted elsewhere, and the returned value is the geometric
-midpoint.  With phi(t) = t^p this reproduces the discrete L^p norm on the
-same quadrature grid exactly (up to the bracket width), which is the main
-cross-check oracle.
+The bracket is closed to relative width ``LUX_REL_TOL`` = 1e-10, comfortably
+inside the 1e-8 guarantees quoted elsewhere, and the returned value is the
+geometric midpoint.  With phi(t) = t^p this reproduces the discrete L^p norm
+on the same quadrature grid exactly (up to the bracket width), which is the
+main cross-check oracle.
 
 The two oscillation norms share one per-ball profile ||u - u_B||_{phi,B};
 only the |B| prefactor differs (|B|^-1 versus |B|^-(n+k)/n), so comparisons
@@ -34,12 +34,13 @@ from .geometry import Ball, Domain, ball_family
 
 __all__ = [
     "YoungFunction", "power", "power_log", "custom_young", "young_violations",
-    "LOG_GRID", "check_g_class", "GClassReport", "luxemburg_norm", "lp_norm",
-    "OscillationNormSpec", "OscillationResult", "oscillation_residuals",
+    "LOG_GRID", "LUX_REL_TOL", "check_g_class", "GClassReport", "luxemburg_norm",
+    "lp_norm", "OscillationNormSpec", "OscillationResult", "oscillation_residuals",
     "oscillation_profile", "oscillation_norm", "check_wrh", "WRHReport",
 ]
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 1000)
+LUX_REL_TOL = 1e-10  # relative bracket width that ends luxemburg_norm's bisection
 
 
 class YoungFunction:
@@ -187,18 +188,17 @@ class GClassReport:
         }
 
 
-def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None,
-                  grid: np.ndarray | None = None) -> GClassReport:
+def check_g_class(phi: YoungFunction, p: float, q: float,
+                  c: float | None = None) -> GClassReport:
     """Sampled membership check for the G(p, q, c) growth class.
 
-    Verifies, on a log grid, the two ratio sandwiches against the witnesses
+    Verifies, on ``LOG_GRID``, the two ratio sandwiches against the witnesses
     (g convex increasing, h concave increasing) and the derived power bounds
     c1 t^p <= g^-1(phi(t)) <= c2 t^p and likewise with (h, q).  This certifies
     the sampled grid only; it is a report, not a proof.
     """
     if not 1 <= p < q:
         raise InvalidInputError(f"need 1 <= p < q, got p={p}, q={q}")
-    grid = LOG_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     g, h, c_wit = phi.witnesses(p, q)
     c_eff = float(c if c is not None else c_wit)
     if c_eff < 1:
@@ -211,15 +211,15 @@ def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None
         report.violations.append(msg)
         report.member = False
 
-    gv, hv = np.asarray(g(grid)), np.asarray(h(grid))
+    gv, hv = np.asarray(g(LOG_GRID)), np.asarray(h(LOG_GRID))
     if np.any(np.diff(gv) <= 0):
         record("witness g is not increasing on the grid")
     if np.any(np.diff(hv) <= 0):
         record("witness h is not increasing on the grid")
 
     rng = np.random.default_rng(0)
-    si = grid[rng.integers(0, grid.size, 10000)]
-    ti = grid[rng.integers(0, grid.size, 10000)]
+    si = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
+    ti = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
     mid_g, avg_g = np.asarray(g((si + ti) / 2)), (np.asarray(g(si)) + np.asarray(g(ti))) / 2
     if not np.all(mid_g <= avg_g + tol * np.maximum(1.0, np.abs(avg_g))):
         record("witness g fails midpoint convexity")
@@ -227,8 +227,8 @@ def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None
     if not np.all(mid_h >= avg_h - tol * np.maximum(1.0, np.abs(avg_h))):
         record("witness h fails midpoint concavity")
 
-    rg = phi(grid ** (1.0 / p)) / gv
-    rh = phi(grid ** (1.0 / q)) / hv
+    rg = phi(LOG_GRID ** (1.0 / p)) / gv
+    rh = phi(LOG_GRID ** (1.0 / q)) / hv
     report.ratio_g = (float(rg.min()), float(rg.max()))
     report.ratio_h = (float(rh.min()), float(rh.max()))
     slack = 1 + 1e-9
@@ -238,7 +238,7 @@ def check_g_class(phi: YoungFunction, p: float, q: float, c: float | None = None
         record(f"ratio phi(t^(1/q))/h(t) leaves [1/c, c]: range {report.ratio_h}")
 
     # derived doubling consequences: g^-1(phi(t)) ~ t^p and h^-1(phi(t)) ~ t^q
-    sub = grid[::10]
+    sub = LOG_GRID[::10]
     phis = phi(sub)
     ginv = _monotone_inverse_grid(g, phis)
     hinv = _monotone_inverse_grid(h, phis)
@@ -268,7 +268,7 @@ def _field_values(f, points):
 
 
 def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
-                   resolution: int = 41, rel_tol: float = 1e-10) -> float:
+                   resolution: int = 41) -> float:
     """inf{lam > 0 : integral phi(|f|/lam) d(mu) <= 1} over the region's grid.
 
     ``f`` may be a scalar field, a DifferentialForm (its pointwise modulus
@@ -329,7 +329,7 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
 
         # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda
         for _ in range(300):
-            if hi / lo - 1.0 <= rel_tol:
+            if hi / lo - 1.0 <= LUX_REL_TOL:
                 break
             if val_lo < val_hi - 1e-12:
                 raise InvalidInputError(
@@ -400,8 +400,7 @@ class OscillationResult:
 
 
 def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
-                          ball_resolution: int = 15,
-                          t_nodes: int = 32) -> list[np.ndarray]:
+                          ball_resolution: int = 15) -> list[np.ndarray]:
     """|u - u_B| at the nodes of ``B.quadrature(ball_resolution)``, per ball.
 
     u_B is the per-ball closed part.  The values depend on neither the Young
@@ -409,15 +408,13 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
     """
     out = []
     for ball in balls:
-        u_b = homotopy.closed_part(u, ball, resolution=ball_resolution,
-                                   t_nodes=t_nodes)
+        u_b = homotopy.closed_part(u, ball, resolution=ball_resolution)
         out.append((u - u_b).modulus_values(ball.quadrature(ball_resolution).points))
     return out
 
 
 def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,
                         weight=None, *, ball_resolution: int = 15,
-                        t_nodes: int = 32,
                         residuals: list[np.ndarray] | None = None) -> list[float]:
     """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part.
 
@@ -425,16 +422,14 @@ def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFuncti
     ``balls`` at ``ball_resolution``; only the Luxemburg bisection then runs.
     """
     if residuals is None:
-        residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution,
-                                          t_nodes=t_nodes)
+        residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution)
     return [luxemburg_norm(r, ball, phi, weight=weight, resolution=ball_resolution)
             for ball, r in zip(balls, residuals)]
 
 
 def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
                      spec: OscillationNormSpec, weight=None, *,
-                     ball_resolution: int = 15, t_nodes: int = 32,
-                     balls: list[Ball] | None = None,
+                     ball_resolution: int = 15, balls: list[Ball] | None = None,
                      profile: list[float] | None = None) -> OscillationResult:
     """sup over the ball family of |B|^e ||u - u_B||_{phi,B}.
 
@@ -449,8 +444,7 @@ def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
         raise EmptyBallFamilyError("no admissible balls for the oscillation norm")
     if profile is None:
         profile = oscillation_profile(u, balls, phi, weight,
-                                      ball_resolution=ball_resolution,
-                                      t_nodes=t_nodes)
+                                      ball_resolution=ball_resolution)
     e = spec.exponent(domain.dims)
     per = [b.volume() ** e * v for b, v in zip(balls, profile)]
     idx = int(np.argmax(per)) if per else 0

@@ -1,8 +1,13 @@
 """Command-line behavior: output shapes, exit codes, config plumbing."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from orliczforms import cli
 from orliczforms.cli import main
 
 
@@ -116,6 +121,22 @@ def test_verify_rejects_bad_config_with_diagnostics(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--config", str(path))
     assert code == 2
     assert "grid_res" in err and "sigma" in err  # all violations listed
+
+
+def test_verify_rejects_non_positive_weight_without_traceback(tmp_path):
+    path = write_config(tmp_path, {
+        "verifiers": ["weighted_lipschitz"],
+        "weights": [{"name": "custom", "expression": "x1 - 0.5"}]})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orliczforms.cli", "verify",
+                           "--config", path], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "weights[0]" in proc.stderr and "not positive" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_missing_config_file(tmp_path, capsys):

@@ -34,16 +34,26 @@ def test_partial_nested_override_rejected():
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"grid_resolution": 21, "seed": 7}))
+    path.write_text(json.dumps({"grid_resolution": 21, "ball_count": 7}))
     cfg = load_config(str(path))
     assert cfg.grid_resolution == 21
-    assert cfg.seed == 7
+    assert cfg.ball_count == 7
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as exc:
         load_config(overrides={"grid_res": 21})
     assert any("grid_res" in v for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("key, value", [("t_nodes", 32), ("seed", 0)])
+def test_removed_settings_rejected_as_unknown_keys(key, value):
+    # the t-rule is the constant homotopy.T_NODES and a run draws no random
+    # numbers, so neither key selects anything
+    assert key not in DEFAULT_CONFIG
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={key: value})
+    assert exc.value.violations == [f"unknown config key {key!r}"]
 
 
 def test_violations_are_aggregated():
@@ -174,6 +184,31 @@ def test_custom_young_built_at_load(expression):
     assert [v.split(":")[0] for v in exc.value.violations] == ["weighted.young"]
     cfg = load_config(overrides={"young": {"name": "custom", "expression": "t^2"}})
     assert cfg.build_young()(2.0) == 4.0
+
+
+@pytest.mark.parametrize("expression", ["x1 +* 2", "x3 + 1"])
+def test_custom_weight_built_at_load(expression):
+    # a parse error and a variable outside x1..x2 both fail at load
+    weights = [{"name": "constant", "value": 1.0},
+               {"name": "custom", "expression": expression}]
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"weights": weights})
+    assert [v.split(":")[0] for v in exc.value.violations] == ["weights[1]"]
+    cfg = load_config(overrides={"dims": 3, "g_class": {"p": 1.5, "q": 2.5},
+                                 "weights": [{"name": "custom",
+                                              "expression": "x3 + 1"}]})
+    assert cfg.build_weights()[0].describe() == "custom(expr=x3 + 1)"
+
+
+def test_non_positive_weight_rejected_at_load():
+    weights = [{"name": "custom", "expression": "x1 - 0.5"}]
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"weights": weights})
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].startswith(
+        "weighted_lipschitz: weights[0]: weight custom(expr=x1 - 0.5) is not positive")
+    # the weights enter weighted_lipschitz only
+    load_config(overrides={"weights": weights, "verifiers": ["thm_bmo_le_lip"]})
 
 
 def test_run_config_attribute_delegation():

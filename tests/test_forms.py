@@ -351,7 +351,7 @@ def _plane_problems(fields, seg):
 def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
     fields = _plane_fields(dims)
     assert sum(isinstance(f, ExprField) for _, f in fields) > len(PLANE_SOURCES)
-    tj, _ = _t_rule(1, 32)
+    tj, _ = _t_rule(1)
     rng = np.random.default_rng(dims)
     lattice = Box(np.zeros(dims), np.ones(dims)).quadrature(4).points
     only_x1 = rng.uniform(0.1, 0.9, (9, dims))
@@ -409,7 +409,7 @@ def test_fields_from_outside_receive_the_segment_array():
 
 
 def test_segment_points_keep_signed_zeros_apart():
-    tj, _ = _t_rule(1, 32)
+    tj, _ = _t_rule(1)
     pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
     y = np.array([-0.0, -0.0])
     seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)

@@ -11,8 +11,9 @@ import pytest
 
 import orliczforms
 from orliczforms import (CorpusEntry, HarnessContext, build_corpus,
-                         constant_weight, default_domain, homotopy, load_config,
-                         named_form, power, power_log, reports_to_csv,
+                         constant_weight, custom_weight, default_domain,
+                         homotopy, load_config, named_form, power, power_log,
+                         power_weight, reports_to_csv,
                          reports_to_json, run_suite, suite_passed,
                          verify_conjugate_pair, verify_lemma_T_bound,
                          verify_lemma_closedpart_bound,
@@ -160,6 +161,20 @@ def test_weighted_gates(ctx):
         verify_weighted_lipschitz(ctx, power(2.0), 4.0, 1.5, 2.0, 1.2, w)
 
 
+def test_weighted_lipschitz_rejects_non_positive_weight(ctx):
+    # negative on half the domain grid
+    with pytest.raises(InvalidInputError, match="not positive"):
+        verify_weighted_lipschitz(ctx, power(1.2), 4.0, 1.5, 2.0, 1.2,
+                                  custom_weight("x1 - 0.5", 2))
+    # zero only at a ball center, a node of that ball's quadrature that the
+    # domain grid misses
+    center = ctx.balls()[0].center
+    assert power_weight(center, 0.5)(DOM.quadrature(ctx.grid_res()).points).min() > 0
+    with pytest.raises(InvalidInputError, match="not positive at 1 of"):
+        verify_weighted_lipschitz(ctx, power(1.2), 4.0, 1.5, 2.0, 1.2,
+                                  power_weight(center, 0.5))
+
+
 def test_conjugate_pair_rejects_non_conjugate_data():
     from orliczforms import DifferentialForm
     from orliczforms.forms import ExprField
@@ -283,6 +298,11 @@ def test_suite_reports_echo_their_parameters(light_reports):
     weights = [r.config["weight"] for r in light_reports
                if r.inequality == "weighted_lipschitz"]
     assert len(set(map(str, weights))) == 3
+
+
+def test_suite_reports_echo_the_fixed_t_rule(light_reports):
+    assert homotopy.T_NODES == 32
+    assert {r.config["t_nodes"] for r in light_reports} == {homotopy.T_NODES}
 
 
 def test_suite_respects_verifier_subset():

@@ -34,8 +34,8 @@ def test_kernel_quadrature_in_t_is_exact_for_polynomials():
 
 
 def test_t_rule_built_once_and_read_only():
-    tj, tw = _t_rule(2, 32)
-    assert _t_rule(2, 32)[0] is tj
+    tj, tw = _t_rule(2)
+    assert _t_rule(2)[0] is tj
     for arr in (tj, tw):
         with pytest.raises(ValueError):
             arr[0] = 0.0
