@@ -270,8 +270,8 @@ def _validate(cfg: dict) -> list:
 
     v = cfg["verifiers"]
     if v != "all" and v != ["all"]:
-        if not isinstance(v, list):
-            e.append("verifiers: expected 'all' or a list of verifier names")
+        if not isinstance(v, list) or not v:
+            e.append("verifiers: expected 'all' or a nonempty list of verifier names")
         else:
             unknown = [x for x in v if x not in VERIFIER_NAMES]
             if unknown:

@@ -14,7 +14,10 @@ T kernel); a field must return a fresh (m,) array and keep no reference to
 the points.  Inside the T kernel, ``ExprField``, ``LinearCombinationField``
 and ``ConstantField`` of this module are instead handed a
 ``SegmentPoints``, which holds the segment points as compressed coordinate
-planes, and read the planes without expanding them; a field that needs the
+planes.  An ``ExprField`` splits its expression once, when it is built:
+each maximal subexpression of a single coordinate x_i becomes a leaf that
+is evaluated on plane i and then expanded to the batch, and the rest of the
+expression combines the expanded leaves as usual.  A field that needs the
 raw coordinates calls ``_pts(points)``, which expands a ``SegmentPoints``
 into its column-major segment array.  Every other field, and any field from
 outside this module, receives that array.  A *differential form* of degree
@@ -65,7 +68,9 @@ class SegmentPoints:
     point to its column.  ``t_j x_i`` is formed once per batch, and
     ``move_to`` adds ``(1 - t_j) y_i`` for the next y-node: each entry is the
     sum of the same two rounded products as in the full segment array, so it
-    has the same bits.
+    has the same bits.  An ``ExprField`` evaluates each one-coordinate leaf
+    of its split on ``planes[i]`` and takes the (t, u_i) result through
+    ``inverses[i]`` to the (t, m) batch.
 
     ``shape`` is (t m, n), the shape of the point array this stands for.
     ``_pts`` expands it into that array, the column-major view of one
@@ -101,77 +106,6 @@ class SegmentPoints:
         return self._full.reshape(self.shape[1], -1).T
 
 
-class _Planes:
-    """Value of a single-coordinate subexpression of an ``ExprField`` on
-    ``SegmentPoints``: ``data`` of shape (t, u) over the distinct values of
-    the coordinate, expanded to the (t, m) batch by the index map
-    ``inverse``.
-
-    Ufuncs and the arithmetic operators apply to ``data`` while the other
-    operand is a scalar or shares the map.  Otherwise the operands are
-    expanded and the result is a plain (t, m) array, which numpy combines
-    from then on.  Each element goes through the same ufunc as on the
-    expanded array, so the values are bit-equal to evaluating on the
-    segment array.
-    """
-
-    __slots__ = ("data", "inverse")
-
-    def __init__(self, data, inverse):
-        self.data, self.inverse = data, inverse
-
-    def full(self) -> np.ndarray:
-        """The value on the (t, m) batch, a fresh C-contiguous array."""
-        return self.data.take(self.inverse, axis=1, mode="clip")
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        if len(inputs) == 1:
-            return _Planes(ufunc(self.data), self.inverse)
-        return _binary(ufunc, *inputs)
-
-    def __add__(self, other):
-        return _binary(np.add, self, other)
-
-    def __radd__(self, other):
-        return _binary(np.add, other, self)
-
-    def __sub__(self, other):
-        return _binary(np.subtract, self, other)
-
-    def __rsub__(self, other):
-        return _binary(np.subtract, other, self)
-
-    def __mul__(self, other):
-        return _binary(np.multiply, self, other)
-
-    def __rmul__(self, other):
-        return _binary(np.multiply, other, self)
-
-    def __truediv__(self, other):
-        return _binary(np.true_divide, self, other)
-
-    def __rtruediv__(self, other):
-        return _binary(np.true_divide, other, self)
-
-
-def _binary(ufunc, a, b):
-    """ufunc(a, b) where one operand is ``_Planes`` and the other a scalar,
-    ``_Planes`` or a (t, m) array."""
-    if isinstance(a, _Planes):
-        if isinstance(b, _Planes) and b.inverse is a.inverse:
-            return _Planes(ufunc(a.data, b.data), a.inverse)
-        if not isinstance(b, (_Planes, np.ndarray)):
-            return _Planes(ufunc(a.data, b), a.inverse)
-        a = a.full()
-    elif not isinstance(a, np.ndarray):
-        return _Planes(ufunc(a, b.data), b.inverse)
-    if isinstance(b, _Planes):
-        b = b.full()
-    return ufunc(a, b)
-
-
 def _pts(points) -> np.ndarray:
     if isinstance(points, SegmentPoints):
         return points.array()
@@ -193,11 +127,44 @@ class ConstantField:
         return ConstantField(0.0)
 
 
+@dataclass(frozen=True)
+class _OnPlane:
+    """Leaf of a split expression: ``node``, whose only free variable is
+    ``name`` = x_(axis+1), evaluated on that coordinate's plane of a
+    ``SegmentPoints`` and expanded to the (t, m) batch."""
+
+    axis: int
+    name: str
+    node: object
+
+    def ev(self, points):
+        value = self.node.ev({self.name: points.planes[self.axis]})
+        return value.take(points.inverses[self.axis], axis=1, mode="clip")
+
+
+def _split(node):
+    """``node`` with each maximal subtree of exactly one free variable
+    replaced by an ``_OnPlane`` leaf.  Every ufunc sees the elements it sees
+    on the segment array, so the values are bit-equal."""
+    names = ex.free_variables(node)
+    if len(names) == 1:
+        (name,) = names
+        return _OnPlane(int(name[1:]) - 1, name, node)
+    if isinstance(node, ex.BinOp):
+        return ex.BinOp(node.op, _split(node.left), _split(node.right))
+    if isinstance(node, ex.Call):
+        return ex.Call(node.fn, _split(node.arg))
+    return node
+
+
 class ExprField:
     """Field defined by an expression in variables x1..xn.
 
     Partials are exact: the expression is differentiated symbolically, so
-    chains of ``partial`` calls never lose accuracy.
+    chains of ``partial`` calls never lose accuracy.  On ``SegmentPoints``
+    the field evaluates ``_split(node)``, built once here, so every
+    single-coordinate subexpression runs on that coordinate's distinct
+    values.
     """
 
     def __init__(self, source, dims: int):
@@ -208,21 +175,19 @@ class ExprField:
         if extra:
             raise ExpressionError(
                 f"unknown variables {sorted(extra)}; expected subset of x1..x{dims}")
+        self._split = _split(self.node)
 
     def __call__(self, points):
         if isinstance(points, SegmentPoints):
-            env = {f"x{i + 1}": _Planes(plane, inv) for i, (plane, inv)
-                   in enumerate(zip(points.planes, points.inverses))}
+            out = ex.evaluate(self._split, points)
         else:
             points = _pts(points)
-            env = {f"x{i + 1}": points[:, i] for i in range(self.dims)}
-        out = ex.evaluate(self.node, env)
-        if isinstance(out, _Planes):
-            out = out.full()
+            out = ex.evaluate(self.node, {f"x{i + 1}": points[:, i]
+                                          for i in range(self.dims)})
         m = points.shape[0]
         if isinstance(out, np.ndarray) and out.base is None and out.size == m:
             return out.reshape(m)  # a fresh result of the expression's last operation
-        # a constant, or a view of an input column or plane
+        # a constant, or a view of an input column
         return np.broadcast_to(np.asarray(out, dtype=np.float64).reshape(-1), (m,)).copy()
 
     def partial(self, k):

@@ -539,12 +539,10 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                               scale: int = 1) -> VerificationReport:
     """Weighted comparison ||u||_{phi locLip_k, w} <= C ||u||_{p, w} under the
     exponent gate alpha*p - p - alpha*q > 0 and the ball-average weight class.
-    The weight must be positive at every node it is evaluated at.
+    The weight must be positive at every node it is evaluated at; reading it
+    raises otherwise.
     """
     _raise_on(_weighted_gate(phi, p, q, alpha, s))
-    weight.validate_positive(ctx.domain, ctx.grid_res(scale))
-    for ball in ctx.balls():
-        weight.validate_positive(ball, ctx.ball_res(scale))
     beta = alpha * q / (alpha * p - p - alpha * q)
     gamma = alpha * q / p
     a_rep = check_a_class(weight, alpha, beta, gamma, list(ctx.balls()),

@@ -29,11 +29,12 @@ The segment points are held as compressed coordinate planes: coordinate i of
 y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m points
 has far fewer than m distinct values per coordinate, so each y-node fills
 one (t, u_i) plane over the u_i distinct values of coordinate i
-(``forms.SegmentPoints``).  Expression fields evaluate every
-single-coordinate subexpression on these planes (sin of one coordinate is
-computed once per distinct value, not once per point) and expand to the
-full batch only where coordinates meet; other fields see the full segment
-array, expanded lazily into one reused buffer.  The planes are sums of the
+(``forms.SegmentPoints``).  An expression field is split once, when it
+is built, into its maximal single-coordinate subexpressions, which run on
+these planes (sin of one coordinate is computed once per distinct value,
+not once per point) and are expanded to the full batch where the rest of
+the expression combines them; other fields see the full segment array,
+expanded lazily into one reused buffer.  The planes are sums of the
 same rounded products as the full array, so the results are bit-equal (see
 ``_TuEvaluator``).
 """
@@ -133,9 +134,10 @@ class _TuEvaluator:
     values u_i of every coordinate (compared by their bits) and forms
     t_j u_i once; ``(1 - t_j) y`` is formed once per evaluator.  Each y-node
     then costs one add per coordinate into a compressed plane of shape
-    (t, u_i), reused across y-nodes.  An ``ExprField`` evaluates every
-    single-coordinate subexpression on the distinct values and expands to
-    the (t, m) batch only where coordinates meet; other fields get the
+    (t, u_i), reused across y-nodes.  An ``ExprField`` evaluates each
+    leaf of its split (a maximal subexpression of one coordinate) on the
+    distinct values and expands the leaf to the (t, m) batch, where the
+    rest of the expression combines the leaves; other fields get the
     planes expanded, on first request per y-node, into one (n, t, m) buffer
     whose column-major (t m, n) view is the segment array, points in
     t-major order.  A coordinate with no repeated value gets a plane of m

@@ -1,9 +1,13 @@
 """Positive weight functions and the ball-averaged growth-class test.
 
 A weight enters every norm as the density of the measure d(mu) = w(x) dx.
-Positivity is checked at quadrature nodes only; a weight vanishing on a
-measure-zero set must keep its zeros off the grid (the power weight defaults
-its center slightly off the domain centroid for exactly this reason).
+``Weight.__call__``, which every norm, oscillation and class test reads a
+weight through, raises ``InvalidInputError`` when the weight is not positive
+at some of the nodes it is evaluated at; ``load_config`` also checks the
+configured weights on the domain grid.  Positivity is checked at nodes
+only, so a weight vanishing on a measure-zero set must keep its zeros off
+the grid (the power weight defaults its center slightly off the domain
+centroid for exactly this reason).
 
 The class test computes, over a ball family,
 
@@ -40,7 +44,13 @@ class Weight:
         self.params = dict(params or {})
 
     def __call__(self, points):
-        return np.asarray(self.field(points), dtype=np.float64)
+        vals = np.asarray(self.field(points), dtype=np.float64)
+        bad = int(np.count_nonzero(~(vals > 0)))
+        if bad:
+            raise InvalidInputError(
+                f"weight {self.describe()} is not positive at {bad} of "
+                f"{vals.size} quadrature nodes")
+        return vals
 
     def describe(self) -> str:
         if self.params:
@@ -50,13 +60,7 @@ class Weight:
 
     def validate_positive(self, region, resolution: int = 21) -> None:
         """Require w > 0 at every quadrature node of the region."""
-        quad = region.quadrature(resolution)
-        vals = self(quad.points)
-        bad = int(np.count_nonzero(~(vals > 0)))
-        if bad:
-            raise InvalidInputError(
-                f"weight {self.describe()} is not positive at {bad} of "
-                f"{vals.size} quadrature nodes")
+        self(region.quadrature(resolution).points)
 
     def __repr__(self):
         return f"Weight({self.describe()})"

@@ -386,17 +386,15 @@ class OscillationNormSpec:
 @dataclass
 class OscillationResult:
     value: float
-    argmax_ball: Ball | None
+    argmax_ball: Ball
     per_ball: list[float]
     profile: list[float]
     balls: list[Ball]
 
     def to_dict(self):
-        d = {"value": self.value, "per_ball": list(self.per_ball)}
-        if self.argmax_ball is not None:
-            d["argmax_center"] = self.argmax_ball.center.tolist()
-            d["argmax_radius"] = self.argmax_ball.radius
-        return d
+        return {"value": self.value, "per_ball": list(self.per_ball),
+                "argmax_center": self.argmax_ball.center.tolist(),
+                "argmax_radius": self.argmax_ball.radius}
 
 
 def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
@@ -419,10 +417,12 @@ def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFuncti
     """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part.
 
     ``residuals``, when given, are the ``oscillation_residuals`` of ``u`` on
-    ``balls`` at ``ball_resolution``; only the Luxemburg bisection then runs.
+    ``balls`` at ``ball_resolution``, one array per ball; only the Luxemburg
+    bisection then runs.
     """
     if residuals is None:
         residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution)
+    _check_per_ball("residuals", residuals, balls)
     return [luxemburg_norm(r, ball, phi, weight=weight, resolution=ball_resolution)
             for ball, r in zip(balls, residuals)]
 
@@ -435,7 +435,7 @@ def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
 
     ``balls`` and ``profile`` allow sharing one family (and one set of
     per-ball Luxemburg values) between the two norm kinds, which keeps
-    comparisons between them exact.
+    comparisons between them exact; ``profile`` needs one value per ball.
     """
     if balls is None:
         balls = ball_family(domain, spec.ball_count, spec.radius_fraction,
@@ -445,12 +445,18 @@ def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
     if profile is None:
         profile = oscillation_profile(u, balls, phi, weight,
                                       ball_resolution=ball_resolution)
+    _check_per_ball("profile", profile, balls)
     e = spec.exponent(domain.dims)
     per = [b.volume() ** e * v for b, v in zip(balls, profile)]
-    idx = int(np.argmax(per)) if per else 0
-    return OscillationResult(value=float(max(per)) if per else 0.0,
-                             argmax_ball=balls[idx] if per else None,
-                             per_ball=per, profile=list(profile), balls=list(balls))
+    return OscillationResult(value=float(max(per)),
+                             argmax_ball=balls[int(np.argmax(per))], per_ball=per,
+                             profile=list(profile), balls=list(balls))
+
+
+def _check_per_ball(name: str, values, balls) -> None:
+    if len(values) != len(balls):
+        raise InvalidInputError(
+            f"{name} has {len(values)} entries for {len(balls)} balls")
 
 
 # --- weak reverse Hoelder ----------------------------------------------------

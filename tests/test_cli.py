@@ -123,6 +123,13 @@ def test_verify_rejects_bad_config_with_diagnostics(tmp_path, capsys):
     assert "grid_res" in err and "sigma" in err  # all violations listed
 
 
+def test_verify_rejects_empty_verifier_list(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--config",
+                         write_config(tmp_path, {"verifiers": []}))
+    assert code == 2
+    assert "verifiers" in err and out == ""
+
+
 def test_verify_rejects_non_positive_weight_without_traceback(tmp_path):
     path = write_config(tmp_path, {
         "verifiers": ["weighted_lipschitz"],

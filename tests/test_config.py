@@ -135,6 +135,12 @@ def test_verifier_names_checked():
         load_config(overrides={"verifiers": ["thm_everything"]})
 
 
+def test_empty_verifier_list_rejected():
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"verifiers": []})
+    assert [v.split(":")[0] for v in exc.value.violations] == ["verifiers"]
+
+
 @pytest.mark.parametrize("verifier", VERIFIERS, ids=lambda v: v.name)
 def test_ball_domain_incompatible_with_operator_verifiers(verifier):
     ball_domain = {"kind": "ball", "center": [0.5, 0.5], "radius": 0.4}

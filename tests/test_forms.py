@@ -7,9 +7,10 @@ from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
                          materialize, named_form)
 from orliczforms.errors import (DegreeError, InvalidInputError,
                                 OutOfDomainError)
+from orliczforms import expressions as ex
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
-                               RadialPowerField, SegmentPoints, _pts)
+                               RadialPowerField, SegmentPoints, _OnPlane, _pts)
 from orliczforms.homotopy import _t_rule
 
 
@@ -300,13 +301,35 @@ def test_linear_combination_bit_equal_to_scaled_sum():
 
 # ---------------------------------------------------------------- segment planes
 # Inside the T kernel, fields receive SegmentPoints: each coordinate held as a
-# plane over its distinct values.  ExprField reads the planes unexpanded and
-# must give the bits it gives on the expanded segment array.
+# plane over its distinct values.  ExprField evaluates each one-coordinate
+# subtree of its expression on that coordinate's plane and must give the bits
+# it gives on the expanded segment array.
 
 PLANE_SOURCES = ["x1", "x2", "0", "pi", "sin(pi*x1)", "cos(pi*x2)", "sqrt(x1)",
                  "x1*x2", "3*x1^2*x2 - x2", "sin(pi*x1)*cos(pi*x2) + x1",
                  "x1^1.5", "x2^2.5 / (1 + x1)", "x1 / x2",
-                 "exp(sin(pi*x1) * cos(x2))", "log(1 + sqrt(abs(x1 - 0.5) * x2))"]
+                 "exp(sin(pi*x1) * cos(x2))", "log(1 + sqrt(abs(x1 - 0.5) * x2))",
+                 "sin(x1*x2)", "x1*x1 - x1", "x1^x2", "2*(x1 + x2)", "-x2^2 + e"]
+
+
+def test_expr_split_puts_maximal_one_coordinate_subtrees_on_planes():
+    leaves, outside = [], []
+
+    def walk(node):
+        if isinstance(node, _OnPlane):
+            leaves.append((node.axis + 1, str(node.node)))
+        elif isinstance(node, ex.Var):
+            outside.append(node.name)
+        elif isinstance(node, ex.BinOp):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, ex.Call):
+            walk(node.arg)
+
+    walk(ExprField("sin(pi*x1)*cos(pi*x2) + x1", 2)._split)
+    assert leaves == [(1, str(ex.parse("sin(pi*x1)"))),
+                      (2, str(ex.parse("cos(pi*x2)"))), (1, "x1")]
+    assert outside == []
 
 
 def _plane_fields(n):

@@ -6,8 +6,9 @@ import pytest
 
 from orliczforms import (Ball, Box, OscillationNormSpec, ball_family,
                          check_a_class, check_wrh, constant_weight,
-                         custom_weight, named_form, oscillation_norm,
-                         oscillation_profile, power, power_weight)
+                         custom_weight, default_domain, lp_norm, luxemburg_norm,
+                         named_form, oscillation_norm, oscillation_profile,
+                         power, power_weight)
 from orliczforms.errors import (EmptyBallFamilyError, InvalidInputError)
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -37,6 +38,18 @@ def test_weight_positivity_audit():
         custom_weight("x1 - 2", 2).validate_positive(BOX)
     with pytest.raises(InvalidInputError):
         constant_weight(-1.0)
+
+
+def test_non_positive_weight_raises_wherever_it_is_read():
+    w = custom_weight("x1 - 0.5", 2)
+    u = named_form("poly:x1", 2)
+    balls = ball_family(default_domain(2), 4, 0.25, expansion=1.1)
+    with pytest.raises(InvalidInputError, match="not positive at"):
+        lp_norm(u, BOX, 2.0, weight=w, resolution=21)
+    with pytest.raises(InvalidInputError, match="not positive at"):
+        luxemburg_norm(u, BOX, power(2.0), weight=w, resolution=21)
+    with pytest.raises(InvalidInputError, match="not positive at"):
+        check_a_class(w, 2.0, 3.0, 0.75, balls, resolution=9)
 
 
 def test_a_class_parameter_gates():
@@ -107,6 +120,18 @@ def test_oscillation_profile_reuse_is_consistent():
                               OscillationNormSpec(kind="bmo", ball_count=8),
                               ball_resolution=9, balls=balls, profile=profile)
     assert reused.value == pytest.approx(fresh.value, rel=1e-12)
+
+
+def test_per_ball_lists_must_match_the_balls():
+    u = named_form("corpus:trig-0form", 2)
+    balls = ball_family(BOX, 4, expansion=1.1)
+    spec = OscillationNormSpec(kind="bmo", ball_count=4)
+    with pytest.raises(InvalidInputError, match="profile has 1 entries for 4 balls"):
+        oscillation_norm(u, BOX, power(2.0), spec, ball_resolution=9,
+                         balls=balls, profile=[1.0])
+    with pytest.raises(InvalidInputError, match="residuals has 1 entries for 4 balls"):
+        oscillation_profile(u, balls, power(2.0), ball_resolution=9,
+                            residuals=[np.ones(3)])
 
 
 def test_constant_weight_scales_quadratic_norm_by_square_root():
