@@ -11,18 +11,21 @@ fall back to central finite differences with an explicit step.  The points
 may be any (m, n) float array, including a column-major view of a buffer
 the caller overwrites after the call (the segment points of ``homotopy``'s
 T kernel); a field must return a fresh (m,) array and keep no reference to
-the points.  Inside the T kernel, ``ExprField``, ``LinearCombinationField``
-and ``ConstantField`` of this module are instead handed a
-``SegmentPoints``, which holds the segment points as compressed coordinate
-planes.  An ``ExprField`` splits its expression once, when it is built:
-each maximal subexpression of a single coordinate x_i becomes a leaf that
-is evaluated on plane i and then expanded to the batch, and the rest of the
-expression combines the expanded leaves as usual.  A field that needs the
-raw coordinates calls ``_pts(points)``, which expands a ``SegmentPoints``
-into its column-major segment array.  Every other field, and any field from
-outside this module, receives that array.  A *differential form* of degree
-l is a tuple of scalar fields indexed by the lexicographic rank of the
-ordered multi-indices (see ``exterior``).
+the points.  Inside the T kernel, ``ExprField``, ``GridField``,
+``LinearCombinationField`` and ``ConstantField`` of this module are instead
+handed a ``SegmentPoints``, which holds the segment points as compressed
+coordinate planes.  An ``ExprField`` splits its expression once, when it
+is built: each maximal subexpression of a single coordinate x_i becomes a
+leaf that is evaluated on plane i and then expanded to the batch, and the
+rest of the expression combines the expanded leaves as usual.  A
+``GridField`` computes its B-spline basis on the planes and combines it per
+point; it splits a plain (m, n) array into such planes itself, so both
+inputs take one path.  A field that needs the raw coordinates calls
+``_pts(points)``, which expands a ``SegmentPoints`` into its column-major
+segment array.  Every other field, and any field from outside this module,
+receives that array.  A *differential form* of degree l is a tuple of
+scalar fields indexed by the lexicographic rank of the ordered
+multi-indices (see ``exterior``).
 
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
@@ -56,6 +59,13 @@ class ScalarField(Protocol):
     def partial(self, k: int) -> Optional["ScalarField"]: ...
 
 
+def _distinct(col: np.ndarray):
+    """The distinct values of a 1-D float array, compared by their bits so
+    that -0.0 and 0.0 stay apart, and the map from each entry to its value."""
+    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inv
+
+
 class SegmentPoints:
     """The segment points t_j x_k + (1 - t_j) y of one T-kernel batch of
     points x_k, one y-node at a time.
@@ -84,8 +94,8 @@ class SegmentPoints:
         n, m = cols.shape
         self._tx, self.inverses = [], []
         for col in cols:
-            bits, inv = np.unique(col.view(np.int64), return_inverse=True)
-            self._tx.append(tj[:, None] * bits.view(np.float64))
+            values, inv = _distinct(col)
+            self._tx.append(tj[:, None] * values)
             self.inverses.append(inv)
         self.planes = [np.empty_like(tx) for tx in self._tx]
         self._full = np.empty((n, tj.size, m))
@@ -268,7 +278,7 @@ def _points_for(field, points):
     """The points ``field`` is called with: a ``SegmentPoints`` stays
     compressed for the fields of this module that read its planes, and every
     other field gets the (m, n) array."""
-    if type(field) in (ConstantField, ExprField, LinearCombinationField):
+    if type(field) in (ConstantField, ExprField, LinearCombinationField, GridField):
         return points
     return _pts(points)
 
@@ -383,27 +393,104 @@ class _RadialPowerGrad:
         return None
 
 
-class GridField:
-    """Cubic interpolant of samples on a uniform tensor grid over a box.
+def _cubic_basis(t: np.ndarray, x: np.ndarray, nu: int):
+    """Knot interval and cubic B-spline values at the points ``x``.
 
-    Used to materialize expensive fields once and reuse them; queries slightly
-    outside the grid extrapolate rather than fail.  Partials are exact
-    derivatives of the interpolant: ``partial(k)`` is a GridField on the
-    same spline with the derivative orders ``nu`` raised by one along axis
-    k, so chains of ``partial`` calls never fall back to finite differences.
+    Returns ``e`` = ell - 3 for the interval t[ell] <= x < t[ell + 1],
+    clamped to the spline's first and last intervals so that points outside
+    extrapolate, and the (4, x.size) values of the nu-th derivatives of
+    B_(ell-3) .. B_ell, the only B-splines of ``t`` that are nonzero there.
+    De Boor's recursion: three degree-raising steps, of which the last
+    ``nu`` differentiate.
+    """
+    e = np.clip(np.searchsorted(t, x, side="right") - 4, 0, t.size - 8)
+    if nu > 3:
+        return e, np.zeros((4, x.size))
+    knot = {n: t[3 + n:].take(e) for n in range(-2, 4)}  # t[ell + n]
+    b = [np.ones(x.shape)]
+    for j in range(1, 4):
+        nxt = [0.0] * (j + 1)
+        for n in range(1, j + 1):
+            right, left = knot[n], knot[n - j]
+            if j > 3 - nu:
+                w = j * b[n - 1] / (right - left)
+                nxt[n - 1] = nxt[n - 1] - w
+                nxt[n] = w
+            else:
+                w = b[n - 1] / (right - left)
+                nxt[n - 1] = nxt[n - 1] + w * (right - x)
+                nxt[n] = w * (x - left)
+        b = nxt
+    return e, np.stack(b)
+
+
+def _planes(points):
+    """``(planes, inverses)`` of a batch: a ``SegmentPoints``' own, and for
+    an (m, n) array one (1, u_i) plane per coordinate over its distinct
+    values, so that both take the same path through ``GridField``."""
+    if isinstance(points, SegmentPoints):
+        return points.planes, points.inverses
+    planes, inverses = [], []
+    for col in _pts(points).T:
+        values, inv = _distinct(col)
+        planes.append(values[None, :])
+        inverses.append(inv)
+    return planes, inverses
+
+
+class GridField:
+    """Exact cubic interpolant of samples on a tensor grid over a box.
+
+    The spline is the not-a-knot cubic tensor spline through the samples,
+    built by one 1-D not-a-knot solve per axis; it takes the grid values to
+    rounding and is linear in them.  ``knots`` holds one knot vector per
+    axis and ``coefficients`` the coefficient array, so the field is
+    ``scipy.interpolate.NdBSpline(knots, coefficients, 3)``.  Queries
+    outside the grid extrapolate with the end pieces.  ``partial(k)`` is a
+    GridField on the same spline with the derivative orders ``nu`` raised
+    by one along axis k, so chains of ``partial`` calls stay exact.
+
+    Evaluation works on coordinate planes: the points arrive as one plane
+    of values per coordinate and a map from each point to its column (a
+    ``SegmentPoints`` holds these already; an (m, n) array is split into
+    its distinct values per column).  The knot interval and the four
+    nonzero basis values of each axis are computed once per plane value,
+    and each point sums the 4^n products of its basis values against the
+    coefficients it gathers from the flat coefficient array.
     """
 
     def __init__(self, axes, values):
-        from scipy.interpolate import RegularGridInterpolator
-        self.axes = [np.asarray(a, dtype=np.float64) for a in axes]
-        self.dims = len(self.axes)
+        from scipy.interpolate import make_interp_spline
+        c = np.asarray(values, dtype=np.float64)
+        self.dims = c.ndim
+        knots = []
+        for i, x in enumerate(axes):
+            spline = make_interp_spline(np.asarray(x, dtype=np.float64), c, k=3, axis=i)
+            knots.append(spline.t)
+            c = np.moveaxis(spline.c, 0, i)
+        self.knots = tuple(knots)
+        self.coefficients = np.ascontiguousarray(c)
         self.nu = (0,) * self.dims
-        self._interp = RegularGridInterpolator(
-            self.axes, np.asarray(values, dtype=np.float64),
-            method="cubic", bounds_error=False, fill_value=None)
+        self._strides = tuple(s // c.itemsize for s in self.coefficients.strides)
+        # flat offsets of the 4^n coefficients a point reads, axis 0 outermost
+        self._offsets = np.ravel_multi_index(
+            np.indices((4,) * self.dims).reshape(self.dims, -1), c.shape)
 
     def __call__(self, points):
-        return self._interp(_pts(points), nu=self.nu)
+        planes, inverses = _planes(points)
+        base, basis = 0, []
+        for t, nu, stride, plane, inv in zip(self.knots, self.nu, self._strides,
+                                             planes, inverses):
+            e, b = _cubic_basis(t, plane.reshape(-1), nu)
+            base = base + (stride * e).reshape(plane.shape).take(inv, axis=1).reshape(-1)
+            basis.append(b.reshape((4,) + plane.shape).take(inv, axis=2).reshape(4, -1))
+        weights = basis[0]
+        for b in basis[1:]:
+            weights = (weights[:, None, :] * b).reshape(-1, b.shape[1])
+        c = self.coefficients.take(self._offsets[:, None] + base)
+        # no BLAS: the sum order depends only on the shapes, so the bits
+        # depend neither on the layout of the points nor on the BLAS threads
+        return np.einsum("jp,jp->p", weights, c)
 
     def partial(self, k):
         if not 1 <= k <= self.dims:

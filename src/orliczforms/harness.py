@@ -8,14 +8,14 @@ denominators, hypotheses that fail for the entry) are skipped with a flag
 rather than failed: the inequalities are vacuous there.
 
 Cost model: the homotopy image Tu is expensive to evaluate pointwise, so the
-context materializes it once per entry as a cubic interpolant on the domain
-grid and runs every norm against the interpolant; the per-ball closed parts
-of Tu differentiate the spline exactly.  Under the doubled-grid
-stability rerun the y-quadrature that *defines* the domain's T (behind Tu
-and u_Omega) stays fixed while the sampling grid and all norm quadratures
-double.  Per-ball closed parts take their y-nodes from ``ball_res(scale)``
-(1 node in the bump support at resolution 9, 16 at 18), so there the rerun
-also changes the operator.
+context materializes it once per entry as the exact cubic spline through its
+values on the domain grid and runs every norm against the spline; the
+per-ball closed parts of Tu differentiate the spline exactly.  Under the
+doubled-grid stability rerun the y-quadrature that *defines* the domain's T
+(behind Tu and u_Omega) stays fixed while the sampling grid and all norm
+quadratures double.  Per-ball closed parts take their y-nodes from
+``ball_res(scale)`` (1 node in the bump support at resolution 9, 16 at 18),
+so there the rerun also changes the operator.
 
 The oscillation seminorms are cached on two levels.  The values |u - u_B| at
 each ball's quadrature nodes depend only on the form, the ball and the scale,
@@ -152,6 +152,7 @@ class HarnessContext:
         self._closed: dict = {}
         self._residuals: dict = {}
         self._profiles: dict = {}
+        self._g_class: dict = {}
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
@@ -175,6 +176,13 @@ class HarnessContext:
                 "radius_fraction": self.radius_fraction}
         base.update(extra)
         return base
+
+    def g_class(self, phi: YoungFunction, p: float, q: float, c: float | None):
+        """``check_g_class(phi, p, q, c)``, run once per (phi, p, q, c)."""
+        key = (phi.describe(), p, q, c)
+        if key not in self._g_class:
+            self._g_class[key] = check_g_class(phi, p, q, c)
+        return self._g_class[key]
 
     # -- cached fields ----------------------------------------------------
     def form_entries(self, min_degree: int = 0, max_degree: int | None = None) -> list:
@@ -391,8 +399,9 @@ def verify_oscillation_lower_bound(ctx: HarnessContext, psi: YoungFunction,
                              weight=wdesc, scale=scale), entries)
 
 
-def _require_g_class(phi: YoungFunction, p: float, q: float, c: float | None):
-    rep = check_g_class(phi, p, q, c)
+def _require_g_class(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
+                     c: float | None):
+    rep = ctx.g_class(phi, p, q, c)
     if not rep.member:
         raise InvalidInputError(
             "Young function fails the G(p,q,c) sandwich: " + "; ".join(rep.violations))
@@ -404,7 +413,7 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                          scale: int = 1) -> VerificationReport:
     """||Tu||_{phi locLip_k} <= C ||u||_phi for entries passing the weak
     reverse Hoelder check with s=q, t=p on rho-dilated balls."""
-    _require_g_class(phi, p, q, c)
+    _require_g_class(ctx, phi, p, q, c)
     dom = ctx.domain
     wrh_balls = list(ctx.balls()) if ctx.rho == ctx.sigma else None
     entries = []
@@ -435,7 +444,7 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
     """
     n = ctx.dims
     _raise_on(_thm_bmo_gate(n, p, q))
-    _require_g_class(phi, p, q, c)
+    _require_g_class(ctx, phi, p, q, c)
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
@@ -494,7 +503,7 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
     # conjugacy forces p <= 2 <= q; the sandwich class is defined for p < q
     # only, so the boundary case p = q = 2 skips the membership gate
     if p < q:
-        _require_g_class(phi, p, q, None)
+        _require_g_class(ctx, phi, p, q, None)
     beta = 1.0 + 1.0 / ctx.dims - p / (ctx.dims * q)
     quad = ctx.domain.quadrature(ctx.grid_res(scale))
     entries = []

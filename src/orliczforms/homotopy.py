@@ -33,10 +33,12 @@ one (t, u_i) plane over the u_i distinct values of coordinate i
 is built, into its maximal single-coordinate subexpressions, which run on
 these planes (sin of one coordinate is computed once per distinct value,
 not once per point) and are expanded to the full batch where the rest of
-the expression combines them; other fields see the full segment array,
-expanded lazily into one reused buffer.  The planes are sums of the
-same rounded products as the full array, so the results are bit-equal (see
-``_TuEvaluator``).
+the expression combines them.  The spline of a materialized Tu
+(``forms.GridField``) computes its B-spline basis once per plane value and
+combines it per point; this is the closed part of Tu on each ball.  Other
+fields see the full segment array, expanded lazily into one reused buffer.
+The planes are sums of the same rounded products as the full array, so the
+results are bit-equal (see ``_TuEvaluator``).
 """
 
 from __future__ import annotations
@@ -137,10 +139,13 @@ class _TuEvaluator:
     (t, u_i), reused across y-nodes.  An ``ExprField`` evaluates each
     leaf of its split (a maximal subexpression of one coordinate) on the
     distinct values and expands the leaf to the (t, m) batch, where the
-    rest of the expression combines the leaves; other fields get the
-    planes expanded, on first request per y-node, into one (n, t, m) buffer
-    whose column-major (t m, n) view is the segment array, points in
-    t-major order.  A coordinate with no repeated value gets a plane of m
+    rest of the expression combines the leaves; a ``GridField`` (the
+    spline of a materialized Tu, whose closed part on a ball runs T on its
+    partials) computes its knot intervals and basis values on the planes
+    and gathers them per point.  Other fields get the planes expanded, on
+    first request per y-node, into one (n, t, m) buffer whose column-major
+    (t m, n) view is the segment array, points in t-major order.  A
+    coordinate with no repeated value gets a plane of m
     sorted values and a permutation for its map, so there is one path.
     Each coordinate is the sum of the same two rounded products t_j x and
     (1 - t_j) y whatever the layout, and each field value goes through the
@@ -305,12 +310,15 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
 
 
 def materialize(u: DifferentialForm, box: Box, resolution: int) -> DifferentialForm:
-    """Sample a form on a uniform grid over a box and wrap cubic interpolants.
+    """Sample a form on a uniform grid over a box and wrap each component in
+    its exact interpolating spline (``forms.GridField``).
 
     Pays the evaluation cost once; downstream norms and per-ball closed parts
-    then query the interpolants, and ``d`` takes their exact spline partials.
-    Intended for quadrature-defined forms such as Tu whose direct evaluation
-    is expensive.
+    then query the splines, and ``d`` takes their exact partials.  The
+    splines take the sampled values to rounding and are linear in them, so
+    the materialized form is linear in ``u``.  Intended for
+    quadrature-defined forms such as Tu whose direct evaluation is
+    expensive.
     """
     if resolution < 4:
         raise InvalidInputError(f"materialization needs resolution >= 4, got {resolution}")

@@ -28,7 +28,7 @@ from .errors import EmptyBallFamilyError, InvalidInputError
 from .expressions import BinOp, Call, parse, substitute
 from .forms import ConstantField, ExprField, RadialPowerField
 from .geometry import Ball
-from .young import LOG_GRID, YoungFunction
+from .young import LOG_GRID, YoungFunction, _require_positive
 
 __all__ = ["Weight", "constant_weight", "power_weight", "custom_weight",
            "check_a_class", "AClassReport", "check_phi_dominated",
@@ -44,13 +44,8 @@ class Weight:
         self.params = dict(params or {})
 
     def __call__(self, points):
-        vals = np.asarray(self.field(points), dtype=np.float64)
-        bad = int(np.count_nonzero(~(vals > 0)))
-        if bad:
-            raise InvalidInputError(
-                f"weight {self.describe()} is not positive at {bad} of "
-                f"{vals.size} quadrature nodes")
-        return vals
+        return _require_positive(np.asarray(self.field(points), dtype=np.float64),
+                                 self.describe())
 
     def describe(self) -> str:
         if self.params:

@@ -267,6 +267,26 @@ def _field_values(f, points):
     return np.asarray(f(points), dtype=np.float64).reshape(points.shape[0])
 
 
+def _require_positive(vals: np.ndarray, name: str) -> np.ndarray:
+    """``vals``, the density ``name`` at quadrature nodes, if every one is
+    positive; raises ``InvalidInputError`` otherwise."""
+    bad = int(np.count_nonzero(~(vals > 0)))
+    if bad:
+        raise InvalidInputError(f"weight {name} is not positive at {bad} of "
+                                f"{vals.size} quadrature nodes")
+    return vals
+
+
+def _node_measure(quad, weight) -> np.ndarray:
+    """The quadrature weights, times the density ``weight`` at the nodes when
+    one is given: a ``weights.Weight`` or a bare callable, which must be
+    positive at every node."""
+    if weight is None:
+        return quad.weights
+    vals = np.asarray(weight(quad.points), dtype=np.float64)
+    return quad.weights * _require_positive(vals, getattr(weight, "__name__", repr(weight)))
+
+
 def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                    resolution: int = 41) -> float:
     """inf{lam > 0 : integral phi(|f|/lam) d(mu) <= 1} over the region's grid.
@@ -278,9 +298,7 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
     """
     quad = region.quadrature(resolution)
     vals = np.abs(_field_values(f, quad.points))
-    w = quad.weights
-    if weight is not None:
-        w = w * np.asarray(weight(quad.points), dtype=np.float64)
+    w = _node_measure(quad, weight)
     keep = w > 0
     vals, w = vals[keep], w[keep]
     if vals.size == 0:
@@ -350,9 +368,7 @@ def lp_norm(f, region, p: float, weight=None, resolution: int = 41) -> float:
         raise InvalidInputError(f"exponent must be positive, got {p}")
     quad = region.quadrature(resolution)
     vals = np.abs(_field_values(f, quad.points))
-    w = quad.weights
-    if weight is not None:
-        w = w * np.asarray(weight(quad.points), dtype=np.float64)
+    w = _node_measure(quad, weight)
     return float(np.sum(w * vals ** p) ** (1.0 / p))
 
 
@@ -407,7 +423,9 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
     out = []
     for ball in balls:
         u_b = homotopy.closed_part(u, ball, resolution=ball_resolution)
-        out.append((u - u_b).modulus_values(ball.quadrature(ball_resolution).points))
+        pts = ball.quadrature(ball_resolution).points
+        diff = u.evaluate(pts) - u_b.evaluate(pts)
+        out.append(np.sqrt(np.sum(diff * diff, axis=0)))
     return out
 
 

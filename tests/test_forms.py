@@ -1,6 +1,9 @@
 """Differential-form fields: d, star, codifferential, evaluation."""
+import itertools
+
 import numpy as np
 import pytest
+from scipy.interpolate import NdBSpline
 
 from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
                          check_analytic_partials, codifferential, evaluate,
@@ -10,7 +13,8 @@ from orliczforms.errors import (DegreeError, InvalidInputError,
 from orliczforms import expressions as ex
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
-                               RadialPowerField, SegmentPoints, _OnPlane, _pts)
+                               RadialPowerField, SegmentPoints, _OnPlane, _points_for,
+                               _pts)
 from orliczforms.homotopy import _t_rule
 
 
@@ -183,8 +187,8 @@ def _cubic_grid_field(res):
 
 
 def test_grid_field_partials_reproduce_cubic_derivatives():
-    # a not-a-knot cubic spline of a cubic is the cubic itself; at 5 nodes
-    # per axis scipy's iterative coefficient solve is exact, so the check
+    # a not-a-knot cubic spline of a cubic is the cubic itself, and the
+    # per-axis solves that build it are exact to rounding, so the check
     # isolates the derivative
     f = _cubic_grid_field(5)
     pts = np.random.default_rng(0).random((40, 2))
@@ -209,12 +213,64 @@ def test_grid_field_partial_matches_central_differences():
 def test_grid_field_partial_is_a_grid_field_on_the_same_spline():
     f = _cubic_grid_field(9)
     g = f.partial(1).partial(2)
-    assert isinstance(g, GridField) and g._interp is f._interp
+    assert isinstance(g, GridField)
+    assert g.coefficients is f.coefficients and g.knots is f.knots
     assert (f.nu, f.partial(1).nu, g.nu) == ((0, 0), (1, 0), (1, 1))
     pts = interior_points(Box([0, 0], [1, 1]), 5)
-    assert np.array_equal(g(pts), f._interp(pts, nu=(1, 1)))
+    want = NdBSpline(f.knots, f.coefficients, 3)(pts, nu=(1, 1))
+    np.testing.assert_allclose(g(pts), want, rtol=0.0, atol=1e-13)
     with pytest.raises(InvalidInputError):
         f.partial(3)
+
+
+def _smooth_grid_field(n, res):
+    axes = [np.linspace(0.0, 1.0, res)] * n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    values = np.sin(2.0 * mesh[0] + 0.5) * np.cos(1.5 * mesh[1]) + mesh[-1] ** 2
+    return GridField(axes, values), np.stack([m.ravel() for m in mesh], axis=1), values
+
+
+@pytest.mark.parametrize("dims,res", [(2, 27), (2, 54), (3, 9)])
+def test_grid_field_hits_the_grid_values(dims, res):
+    # the per-axis not-a-knot solves are exact; an iterative solve at atol
+    # 1e-6 misses these values by about 1e-5
+    f, nodes, values = _smooth_grid_field(dims, res)
+    np.testing.assert_allclose(f(nodes), values.ravel(), rtol=0.0, atol=1e-13)
+
+
+def _nu_chain(f, nu):
+    for axis, order in enumerate(nu):
+        for _ in range(order):
+            f = f.partial(axis + 1)
+    return f
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_grid_field_matches_the_b_spline_of_its_knots_and_coefficients(dims):
+    f, _, _ = _smooth_grid_field(dims, 11)
+    spline = NdBSpline(f.knots, f.coefficients, 3)
+    # up to 5 % of the side outside the grid on every face: extrapolation
+    pts = np.random.default_rng(dims).uniform(-0.05, 1.05, (400, dims))
+    pts[:2 * dims] = np.clip(pts[:2 * dims], 0.0, 1.0)  # and the faces
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    for nu in (o + (0,) * (dims - 2) for o in orders):
+        np.testing.assert_allclose(_nu_chain(f, nu)(pts), spline(pts, nu=nu),
+                                   rtol=0.0, atol=1e-13, err_msg=str(nu))
+
+
+def test_materialize_is_linear_in_the_form():
+    box = Box([0, 0], [1, 1])
+    u = named_form("poly:sin(pi*x1)*x2", 2)
+    v = named_form("poly:x1^2 - cos(x2)", 2)
+    a, b = 0.75, -1.25
+    combined = materialize(a * u + b * v, box, 27)
+    mu, mv = materialize(u, box, 27), materialize(v, box, 27)
+    pts = np.random.default_rng(0).uniform(-0.02, 1.02, (300, 2))
+    for nu in ((0, 0), (1, 0), (0, 1)):
+        want = (a * _nu_chain(mu.components[0], nu)(pts)
+                + b * _nu_chain(mv.components[0], nu)(pts))
+        np.testing.assert_allclose(_nu_chain(combined.components[0], nu)(pts), want,
+                                   rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- partials audit
@@ -387,6 +443,28 @@ def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
             want = (tj[:, None, None] * pts[None, :, :]
                     + (1.0 - tj)[:, None, None] * y).reshape(-1, dims)
             assert _pts(seg).tobytes() == want.tobytes()
+            problems += _plane_problems(fields, seg)
+    assert problems == []
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_grid_field_on_segment_planes_bit_equal_to_segment_array(dims):
+    # one evaluation path: an (m, n) array is split into planes of its
+    # distinct values, so both layouts give the same bits, on a lattice
+    # batch and on one without a repeated coordinate value
+    f, _, _ = _smooth_grid_field(dims, 7)
+    fields = [(f"nu={nu}", _nu_chain(f, nu))
+              for nu in itertools.product(range(3), repeat=dims) if sum(nu) <= 2]
+    tj, _ = _t_rule(1)
+    rng = np.random.default_rng(dims)
+    lattice = Box(np.zeros(dims), np.ones(dims)).quadrature(4).points
+    scattered = rng.uniform(-0.05, 1.05, (40, dims))
+    problems = []
+    for pts in (lattice, scattered):
+        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+        assert _points_for(f, seg) is seg
+        for y in rng.uniform(0.0, 1.0, (3, dims)):
+            seg.move_to((1.0 - tj) * y[:, None])
             problems += _plane_problems(fields, seg)
     assert problems == []
 

@@ -52,6 +52,32 @@ def test_non_positive_weight_raises_wherever_it_is_read():
         check_a_class(w, 2.0, 3.0, 0.75, balls, resolution=9)
 
 
+def _signed_density(p):
+    return p[:, 0] - 0.5
+
+
+def test_lp_norm_rejects_a_bare_callable_weight_that_is_not_positive():
+    # read as a signed density it would give 0.2887
+    u = named_form("poly:x1", 2)
+    with pytest.raises(InvalidInputError,
+                       match="weight _signed_density is not positive at 231 of 441 "
+                             "quadrature nodes"):
+        lp_norm(u, BOX, 2.0, weight=_signed_density, resolution=21)
+    assert lp_norm(u, BOX, 2.0, weight=lambda p: p[:, 0] + 0.5, resolution=21) > 0
+
+
+def test_luxemburg_norm_rejects_a_bare_callable_weight_that_is_not_positive():
+    # read as a signed density it would give 0.2974
+    u = named_form("poly:x1", 2)
+    with pytest.raises(InvalidInputError,
+                       match="weight <lambda> is not positive at 231 of 441 "
+                             "quadrature nodes"):
+        luxemburg_norm(u, BOX, power(2.0), weight=lambda p: p[:, 0] - 0.5,
+                       resolution=21)
+    assert luxemburg_norm(u, BOX, power(2.0), weight=lambda p: p[:, 0] + 0.5,
+                          resolution=21) > 0
+
+
 def test_a_class_parameter_gates():
     with pytest.raises(InvalidInputError):
         check_a_class(constant_weight(1.0), -1.0, 3.0, 0.75, BALLS)
