@@ -11,21 +11,30 @@ fall back to central finite differences with an explicit step.  The points
 may be any (m, n) float array, including a column-major view of a buffer
 the caller overwrites after the call (the segment points of ``homotopy``'s
 T kernel); a field must return a fresh (m,) array and keep no reference to
-the points.  Inside the T kernel, ``ExprField``, ``GridField``,
-``LinearCombinationField`` and ``ConstantField`` of this module are instead
-handed a ``SegmentPoints``, which holds the segment points as compressed
-coordinate planes.  An ``ExprField`` splits its expression once, when it
-is built: each maximal subexpression of a single coordinate x_i becomes a
-leaf that is evaluated on plane i and then expanded to the batch, and the
-rest of the expression combines the expanded leaves as usual.  A
-``GridField`` computes its B-spline basis on the planes and combines it per
-point; it splits a plain (m, n) array into such planes itself, so both
-inputs take one path.  A field that needs the raw coordinates calls
-``_pts(points)``, which expands a ``SegmentPoints`` into its column-major
-segment array.  Every other field, and any field from outside this module,
-receives that array.  A *differential form* of degree l is a tuple of
-scalar fields indexed by the lexicographic rank of the ordered
-multi-indices (see ``exterior``).
+the points.  A *differential form* of degree l is a tuple of scalar fields
+indexed by the lexicographic rank of the ordered multi-indices (see
+``exterior``).
+
+The T kernel does not evaluate fields at its segment points directly: it
+asks each field, through ``_t_integral``, for its t-integral
+sum_j w_j f(t_j x + (1 - t_j) y) over the t-rule, at every point x of a
+batch.  The segment points arrive as a ``SegmentPoints``, which holds them
+as compressed coordinate planes.  Two fields of this module integrate
+themselves, chosen by exact type: a ``LinearCombinationField`` combines
+the t-integrals of its terms, and an ``ExprField`` recurses over its
+expression, split once when it is built into maximal single-coordinate
+subtrees.  Its t-integral distributes over sums, differences and constant
+factors; a single-coordinate subtree is t-summed on its coordinate's plane
+and then taken to the points; a product of non-constant factors is one
+fused t-sum of the expanded factors; any other node is evaluated at the
+segment points and t-summed.  Every other field is evaluated at the
+segment points and t-summed.  A ``GridField`` is handed the
+``SegmentPoints`` and computes its B-spline basis on the planes (a
+``ConstantField`` reads only its size); any other field, including any
+field from outside this module, receives the (t m, n) segment array that
+``_pts`` expands.  Each t-sum adds its products in t order, whatever the
+size of the batch, so a point's value does not depend on the other points
+of its batch.
 
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
@@ -68,7 +77,7 @@ def _distinct(col: np.ndarray):
 
 class SegmentPoints:
     """The segment points t_j x_k + (1 - t_j) y of one T-kernel batch of
-    points x_k, one y-node at a time.
+    points x_k, one y-node at a time, with the weights ``tw`` of the t-rule.
 
     Coordinate i of a segment point depends only on (t_j, x_ki), and the
     lattice batches that T is evaluated on repeat each coordinate value many
@@ -78,9 +87,9 @@ class SegmentPoints:
     point to its column.  ``t_j x_i`` is formed once per batch, and
     ``move_to`` adds ``(1 - t_j) y_i`` for the next y-node: each entry is the
     sum of the same two rounded products as in the full segment array, so it
-    has the same bits.  An ``ExprField`` evaluates each one-coordinate leaf
-    of its split on ``planes[i]`` and takes the (t, u_i) result through
-    ``inverses[i]`` to the (t, m) batch.
+    has the same bits.  An ``ExprField`` t-sums each one-coordinate leaf of
+    its split on ``planes[i]`` and takes the (u_i,) result through
+    ``inverses[i]`` to the m points.
 
     ``shape`` is (t m, n), the shape of the point array this stands for.
     ``_pts`` expands it into that array, the column-major view of one
@@ -88,9 +97,9 @@ class SegmentPoints:
     request per y-node.
     """
 
-    def __init__(self, cols: np.ndarray, tj: np.ndarray):
+    def __init__(self, cols: np.ndarray, tj: np.ndarray, tw: np.ndarray):
         """``cols``: the batch as C-contiguous (n, m) coordinate rows;
-        ``tj``: the (t,) nodes of the t-rule."""
+        ``tj``, ``tw``: the (t,) nodes and weights of the t-rule."""
         n, m = cols.shape
         self._tx, self.inverses = [], []
         for col in cols:
@@ -99,6 +108,9 @@ class SegmentPoints:
             self.inverses.append(inv)
         self.planes = [np.empty_like(tx) for tx in self._tx]
         self._full = np.empty((n, tj.size, m))
+        self.tw = tw
+        self.tw_sum = float(tw.sum())  # the t-integral of a constant 1
+        self.m = m
         self.shape = (tj.size * m, n)
         self._built = False
 
@@ -125,6 +137,22 @@ def _pts(points) -> np.ndarray:
     return pts
 
 
+def _t_sum(tw: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """sum_j tw[j] * f1[j] * f2[j] ... for every column of the (t, k) arrays
+    ``factors``, shape (k,).
+
+    einsum (no BLAS, so the bits do not depend on the BLAS threads) adds the
+    products in j order, one column at a time, but it sums a lone column as
+    a vectorized dot product, in another order; so one column is summed as
+    the first of two, and a column's sum does not depend on k.
+    """
+    subscripts = ",".join(["t"] + ["tk"] * len(factors)) + "->k"
+    if factors[0].shape[1] == 1:
+        return np.einsum(subscripts, tw,
+                         *(np.repeat(f, 2, axis=1) for f in factors))[:1]
+    return np.einsum(subscripts, tw, *factors)
+
+
 @dataclass(frozen=True)
 class ConstantField:
     value: float
@@ -141,22 +169,32 @@ class ConstantField:
 class _OnPlane:
     """Leaf of a split expression: ``node``, whose only free variable is
     ``name`` = x_(axis+1), evaluated on that coordinate's plane of a
-    ``SegmentPoints`` and expanded to the (t, m) batch."""
+    ``SegmentPoints``."""
 
     axis: int
     name: str
     node: object
 
     def ev(self, points):
+        """The leaf at the segment points, shape (t, m)."""
         value = self.node.ev({self.name: points.planes[self.axis]})
         return value.take(points.inverses[self.axis], axis=1, mode="clip")
+
+    def integral(self, points):
+        """The leaf's t-integral at the batch points, shape (m,): t-summed
+        on the plane, then taken to the points."""
+        value = self.node.ev({self.name: points.planes[self.axis]})
+        return _t_sum(points.tw, value).take(points.inverses[self.axis], mode="clip")
 
 
 def _split(node):
     """``node`` with each maximal subtree of exactly one free variable
-    replaced by an ``_OnPlane`` leaf.  Every ufunc sees the elements it sees
-    on the segment array, so the values are bit-equal."""
+    replaced by an ``_OnPlane`` leaf, and each subtree without one by the
+    ``Num`` of its value.  Every ufunc sees the elements it sees on the
+    segment array, so the values are bit-equal."""
     names = ex.free_variables(node)
+    if not names:
+        return node if isinstance(node, ex.Num) else ex.Num(float(node.ev({})))
     if len(names) == 1:
         (name,) = names
         return _OnPlane(int(name[1:]) - 1, name, node)
@@ -167,14 +205,36 @@ def _split(node):
     return node
 
 
+def _integrate(node, points):
+    """The t-integral of ``node``, a node of a split expression, at the
+    points of a ``SegmentPoints`` batch: shape (m,), or a float for a
+    constant."""
+    if isinstance(node, ex.Num):
+        return node.value * points.tw_sum
+    if isinstance(node, _OnPlane):
+        return node.integral(points)
+    if isinstance(node, ex.BinOp):
+        op, left, right = node.op, node.left, node.right
+        if op in "+-":
+            a, b = _integrate(left, points), _integrate(right, points)
+            return a + b if op == "+" else a - b
+        if op in "*/" and isinstance(right, ex.Num):
+            a = _integrate(left, points)
+            return a * right.value if op == "*" else a / right.value
+        if op == "*" and isinstance(left, ex.Num):
+            return left.value * _integrate(right, points)
+        if op == "*":
+            return _t_sum(points.tw, left.ev(points), right.ev(points))
+    return _t_sum(points.tw, node.ev(points))
+
+
 class ExprField:
     """Field defined by an expression in variables x1..xn.
 
     Partials are exact: the expression is differentiated symbolically, so
-    chains of ``partial`` calls never lose accuracy.  On ``SegmentPoints``
-    the field evaluates ``_split(node)``, built once here, so every
-    single-coordinate subexpression runs on that coordinate's distinct
-    values.
+    chains of ``partial`` calls never lose accuracy.  ``_split(node)``,
+    built once here, is what the T kernel integrates over t (see
+    ``_integrate``).
     """
 
     def __init__(self, source, dims: int):
@@ -188,12 +248,9 @@ class ExprField:
         self._split = _split(self.node)
 
     def __call__(self, points):
-        if isinstance(points, SegmentPoints):
-            out = ex.evaluate(self._split, points)
-        else:
-            points = _pts(points)
-            out = ex.evaluate(self.node, {f"x{i + 1}": points[:, i]
-                                          for i in range(self.dims)})
+        points = _pts(points)
+        out = ex.evaluate(self.node, {f"x{i + 1}": points[:, i]
+                                      for i in range(self.dims)})
         m = points.shape[0]
         if isinstance(out, np.ndarray) and out.base is None and out.size == m:
             return out.reshape(m)  # a fresh result of the expression's last operation
@@ -250,11 +307,14 @@ class LinearCombinationField:
         self.terms = [(float(c), f) for c, f in terms]
 
     def __call__(self, points):
-        if not isinstance(points, SegmentPoints):
-            points = _pts(points)
-        out = np.zeros(points.shape[0])
-        for c, f in self.terms:
-            v = f(_points_for(f, points))
+        points = _pts(points)
+        return self._combine(points.shape[0], (f(points) for _, f in self.terms))
+
+    def _combine(self, m, values):
+        """The sum of the coefficients times ``values``, one (m,) array per
+        term; the t-integral combines the terms' t-integrals the same way."""
+        out = np.zeros(m)
+        for (c, _), v in zip(self.terms, values):
             # x * 1.0 == x and b + (-x) == b - x: unit terms skip the product
             if c == 1.0:
                 out += v
@@ -275,12 +335,28 @@ class LinearCombinationField:
 
 
 def _points_for(field, points):
-    """The points ``field`` is called with: a ``SegmentPoints`` stays
+    """The points ``field`` is evaluated at: a ``SegmentPoints`` stays
     compressed for the fields of this module that read its planes, and every
     other field gets the (m, n) array."""
-    if type(field) in (ConstantField, ExprField, LinearCombinationField, GridField):
+    if type(field) in (ConstantField, GridField):
         return points
     return _pts(points)
+
+
+def _t_integral(field, points: SegmentPoints) -> np.ndarray:
+    """sum_j w_j field(t_j x + (1 - t_j) y) at each of the m points x of the
+    batch ``points``, shape (m,).  An ``ExprField`` or a
+    ``LinearCombinationField`` integrates itself; any other field is
+    evaluated at the segment points and t-summed."""
+    kind = type(field)
+    if kind is ExprField:
+        out = _integrate(field._split, points)
+        return out if isinstance(out, np.ndarray) else np.full(points.m, out)
+    if kind is LinearCombinationField:
+        return field._combine(points.m, (_t_integral(f, points)
+                                         for _, f in field.terms))
+    values = field(_points_for(field, points))
+    return _t_sum(points.tw, values.reshape(points.tw.size, points.m))
 
 
 class BumpField:
@@ -552,10 +628,8 @@ class DifferentialForm:
 
     def evaluate(self, points) -> np.ndarray:
         """Coefficient array of shape (num_components, m) at the given points."""
-        if not isinstance(points, SegmentPoints):
-            points = _pts(points)
-        return np.stack([f(_points_for(f, points)) for f in self.components],
-                        axis=0)
+        points = _pts(points)
+        return np.stack([f(points) for f in self.components], axis=0)
 
     def value_at(self, point) -> CovectorValue:
         vals = self.evaluate(np.asarray(point).reshape(1, -1))[:, 0]

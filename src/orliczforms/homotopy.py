@@ -21,24 +21,29 @@ FD step squared, which is what the doubling check measures.
 
 The t-sum precedes the contraction: x - y does not depend on t and iota is
 linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt,
-and each y-node contracts one (C(n,l), m) block of t-summed coefficients.
-This is exact in arithmetic; in floating point it fixes the rounding, and
-the tests pin this order bit for bit.
+and each y-node contracts one (C(n,l), m) block of t-integrated
+coefficients.  Each coefficient field integrates itself over t
+(``forms._t_integral``): an expression field distributes the t-sum over its
+sums, differences and constant factors, so its single-coordinate terms
+never form a value per (t, point) pair.  This is exact in arithmetic; in
+floating point it fixes the rounding, and the tests pin this order bit for
+bit against a reference loop on fresh segment arrays.
 
-The segment points are held as compressed coordinate planes: coordinate i of
-y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m points
-has far fewer than m distinct values per coordinate, so each y-node fills
-one (t, u_i) plane over the u_i distinct values of coordinate i
-(``forms.SegmentPoints``).  An expression field is split once, when it
-is built, into its maximal single-coordinate subexpressions, which run on
-these planes (sin of one coordinate is computed once per distinct value,
-not once per point) and are expanded to the full batch where the rest of
-the expression combines them.  The spline of a materialized Tu
-(``forms.GridField``) computes its B-spline basis once per plane value and
-combines it per point; this is the closed part of Tu on each ball.  Other
-fields see the full segment array, expanded lazily into one reused buffer.
-The planes are sums of the same rounded products as the full array, so the
-results are bit-equal (see ``_TuEvaluator``).
+The segment points are held as compressed coordinate planes: coordinate i
+of y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m
+points has far fewer than m distinct values per coordinate, so each y-node
+fills one (t, u_i) plane over the u_i distinct values of coordinate i
+(``forms.SegmentPoints``).  A single-coordinate subexpression is evaluated
+and t-summed on its plane (sin of one coordinate is computed once per
+distinct value, not once per point), and only its (u_i,) t-integral is
+taken to the points; a product or another node that combines several
+coordinates expands its factors to the (t, m) batch.  The spline of a
+materialized Tu (``forms.GridField``) computes its B-spline basis once per
+plane value and combines it per point; this is the closed part of Tu on
+each ball.  Other fields see the full segment array, expanded lazily into
+one reused buffer.  Every t-sum adds its terms in t order whatever the
+size of the batch, so the kernel is pointwise: a point's value does not
+depend on the other points of its batch (see ``_TuEvaluator``).
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import numpy as np
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
 from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
-                    LinearCombinationField, SegmentPoints, _pts)
+                    LinearCombinationField, SegmentPoints, _pts, _t_integral)
 from .geometry import Ball, Box, Domain, ball_inside
 
 __all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T",
@@ -136,29 +141,38 @@ class _TuEvaluator:
     values u_i of every coordinate (compared by their bits) and forms
     t_j u_i once; ``(1 - t_j) y`` is formed once per evaluator.  Each y-node
     then costs one add per coordinate into a compressed plane of shape
-    (t, u_i), reused across y-nodes.  An ``ExprField`` evaluates each
-    leaf of its split (a maximal subexpression of one coordinate) on the
-    distinct values and expands the leaf to the (t, m) batch, where the
-    rest of the expression combines the leaves; a ``GridField`` (the
-    spline of a materialized Tu, whose closed part on a ball runs T on its
-    partials) computes its knot intervals and basis values on the planes
-    and gathers them per point.  Other fields get the planes expanded, on
-    first request per y-node, into one (n, t, m) buffer whose column-major
-    (t m, n) view is the segment array, points in t-major order.  A
-    coordinate with no repeated value gets a plane of m
-    sorted values and a permutation for its map, so there is one path.
-    Each coordinate is the sum of the same two rounded products t_j x and
-    (1 - t_j) y whatever the layout, and each field value goes through the
-    same operations, so Tu does not depend on the layout to the last bit.
+    (t, u_i), reused across y-nodes.  A coordinate with no repeated value
+    gets a plane of m sorted values and a permutation for its map, so there
+    is one path.
 
-    The field values are then summed over t (einsum, no BLAS, so the result
-    does not depend on the BLAS thread count) and contracted with x - y
-    once per y-node.  The einsum reads a C-contiguous (C, t, m) block
-    (``DifferentialForm.evaluate`` stacks fresh (t m,) rows); on a block in
-    another memory order it sums in another order and the bits move.  The
-    tests hold the kernel bit-equal to a reference loop over fresh
-    (t, m, n) segment arrays in this order, and close to the
-    contract-then-sum order.
+    Per y-node, ``forms._t_integral`` gives each component of u as its
+    t-integral sum_j w_j u_c(t_j x + (1 - t_j) y) at the m points.  An
+    ``ExprField`` t-sums each leaf of its split (a maximal subexpression of
+    one coordinate) on the leaf's plane and takes the (u_i,) result to the
+    points, adds and subtracts the integrals of its terms, scales them by
+    constant factors, and t-sums a product of non-constant factors in one
+    fused einsum of the factors expanded to (t, m); a
+    ``LinearCombinationField`` combines the t-integrals of its terms.  Any
+    other field is evaluated at the segment points and t-summed: a
+    ``GridField`` (the spline of a materialized Tu, whose closed part on a
+    ball runs T on its partials) computes its knot intervals and basis
+    values on the planes and gathers them per point, and other fields get
+    the planes expanded, on first request per y-node, into one (n, t, m)
+    buffer whose column-major (t m, n) view is the segment array, points in
+    t-major order.  Each coordinate is the sum of the same two rounded
+    products t_j x and (1 - t_j) y whatever the layout, and each value goes
+    through the same operations, so Tu does not depend on the layout to the
+    last bit.
+
+    The (C(n,l), m) block of t-integrals is then contracted with x - y once
+    per y-node.  Every t-sum is an einsum (no BLAS, so the result does not
+    depend on the BLAS thread count) that adds its terms in t order, one
+    point at a time; a lone column is summed as the first of two, because
+    einsum would sum it in another order.  So a point's value does not
+    depend on the other points of its batch.  The tests hold the kernel
+    bit-equal to a reference loop that integrates in this order on fresh
+    (t, m, n) segment arrays, bit-equal on a batch and on its two halves,
+    and close to the contract-then-sum order.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray):
@@ -181,17 +195,13 @@ class _TuEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        m, t = pts.shape[0], self.tj.size
         cols = np.ascontiguousarray(pts.T)  # (n, m): x - y reads contiguous rows
-        seg = SegmentPoints(cols, self.tj)
-        out = np.zeros((num_components(n, l - 1), m))
-        shape = (num_components(n, l), t, m)
+        seg = SegmentPoints(cols, self.tj, self.tw)
+        out = np.zeros((num_components(n, l - 1), pts.shape[0]))
         for y, ty, w in zip(self.ys, self._ty, self.ws):
             seg.move_to(ty)
-            a = self.u.evaluate(seg).reshape(shape)
-            c = contract_coeffs(n, l, np.einsum("t,ctm->cm", self.tw, a),
-                                cols - y[:, None])
-            out += w * c
+            a = np.stack([_t_integral(f, seg) for f in self.u.components])
+            out += w * contract_coeffs(n, l, a, cols - y[:, None])
         if len(self._cache) >= 16:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = out
@@ -268,6 +278,21 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
         return u
     du = u.d(fd_step=FD_SCALE * region.diameter())
     return u - apply_T(du, region, bump, resolution=resolution)
+
+
+def _closed_part_values(u: DifferentialForm, u_b: DifferentialForm,
+                        values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``u_b = closed_part(u, ...)`` at ``points``, given ``values``, the
+    values of u there; the bits of ``u_b.evaluate(points)`` without
+    evaluating u again."""
+    if u_b is u:
+        return values
+    if u.degree == 0:
+        return u_b.evaluate(points)  # the mean, a constant
+    # component r of u - T(du) is LinearCombinationField([(1.0, u_r),
+    # (-1.0, T(du)_r)]), which adds the terms to zeros: (0.0 + u_r) - T(du)_r
+    tdu = np.stack([c.terms[1][1](points) for c in u_b.components])
+    return (0.0 + values) - tdu
 
 
 def _test_lattice(region: Domain, resolution: int) -> np.ndarray:

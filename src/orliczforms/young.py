@@ -419,12 +419,14 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
 
     u_B is the per-ball closed part.  The values depend on neither the Young
     function nor the weight, so one set serves every (phi, weight) profile.
+    u is evaluated once per ball, and u_B's values are formed from it.
     """
     out = []
     for ball in balls:
         u_b = homotopy.closed_part(u, ball, resolution=ball_resolution)
         pts = ball.quadrature(ball_resolution).points
-        diff = u.evaluate(pts) - u_b.evaluate(pts)
+        values = u.evaluate(pts)
+        diff = values - homotopy._closed_part_values(u, u_b, values, pts)
         out.append(np.sqrt(np.sum(diff * diff, axis=0)))
     return out
 

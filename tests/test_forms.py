@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import NdBSpline
 
 from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
@@ -14,7 +16,7 @@ from orliczforms import expressions as ex
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
                                RadialPowerField, SegmentPoints, _OnPlane, _points_for,
-                               _pts)
+                               _pts, _t_integral)
 from orliczforms.homotopy import _t_rule
 
 
@@ -358,8 +360,8 @@ def test_linear_combination_bit_equal_to_scaled_sum():
 # ---------------------------------------------------------------- segment planes
 # Inside the T kernel, fields receive SegmentPoints: each coordinate held as a
 # plane over its distinct values.  ExprField evaluates each one-coordinate
-# subtree of its expression on that coordinate's plane and must give the bits
-# it gives on the expanded segment array.
+# subtree of its split expression on that coordinate's plane and must give
+# the bits it gives on the expanded segment array.
 
 PLANE_SOURCES = ["x1", "x2", "0", "pi", "sin(pi*x1)", "cos(pi*x2)", "sqrt(x1)",
                  "x1*x2", "3*x1^2*x2 - x2", "sin(pi*x1)*cos(pi*x2) + x1",
@@ -426,24 +428,37 @@ def _plane_problems(fields, seg):
     return problems
 
 
+def _split_problems(fields, seg):
+    """How the split expressions of the ExprFields among ``fields``, on the
+    planes of ``seg``, differ from the fields on its segment array."""
+    t, m = seg.tw.size, seg.m
+    problems = []
+    for name, f in fields:
+        if type(f) is ExprField:
+            got = np.broadcast_to(f._split.ev(seg), (t, m)).reshape(-1)
+            if got.tobytes() != f(_pts(seg)).tobytes():
+                problems.append(f"{name}: split values differ from the segment array")
+    return problems
+
+
 @pytest.mark.parametrize("dims", [2, 3])
 def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
     fields = _plane_fields(dims)
     assert sum(isinstance(f, ExprField) for _, f in fields) > len(PLANE_SOURCES)
-    tj, _ = _t_rule(1)
+    tj, tw = _t_rule(1)
     rng = np.random.default_rng(dims)
     lattice = Box(np.zeros(dims), np.ones(dims)).quadrature(4).points
     only_x1 = rng.uniform(0.1, 0.9, (9, dims))
     only_x1[:, 0] = only_x1[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]  # no other repeats
     problems = []
     for pts in (lattice, only_x1):
-        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
         for y in rng.uniform(0.0, 1.0, (4, dims)):
             seg.move_to((1.0 - tj) * y[:, None])
             want = (tj[:, None, None] * pts[None, :, :]
                     + (1.0 - tj)[:, None, None] * y).reshape(-1, dims)
             assert _pts(seg).tobytes() == want.tobytes()
-            problems += _plane_problems(fields, seg)
+            problems += _plane_problems(fields, seg) + _split_problems(fields, seg)
     assert problems == []
 
 
@@ -455,13 +470,13 @@ def test_grid_field_on_segment_planes_bit_equal_to_segment_array(dims):
     f, _, _ = _smooth_grid_field(dims, 7)
     fields = [(f"nu={nu}", _nu_chain(f, nu))
               for nu in itertools.product(range(3), repeat=dims) if sum(nu) <= 2]
-    tj, _ = _t_rule(1)
+    tj, tw = _t_rule(1)
     rng = np.random.default_rng(dims)
     lattice = Box(np.zeros(dims), np.ones(dims)).quadrature(4).points
     scattered = rng.uniform(-0.05, 1.05, (40, dims))
     problems = []
     for pts in (lattice, scattered):
-        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
         assert _points_for(f, seg) is seg
         for y in rng.uniform(0.0, 1.0, (3, dims)):
             seg.move_to((1.0 - tj) * y[:, None])
@@ -510,12 +525,87 @@ def test_fields_from_outside_receive_the_segment_array():
 
 
 def test_segment_points_keep_signed_zeros_apart():
-    tj, _ = _t_rule(1)
+    tj, tw = _t_rule(1)
     pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
     y = np.array([-0.0, -0.0])
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj)
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
     seg.move_to((1.0 - tj) * y[:, None])
     want = (tj[:, None, None] * pts + (1.0 - tj)[:, None, None] * y).reshape(-1, 2)
     assert np.signbit(want).any() and not np.signbit(want).all()
     assert _pts(seg).tobytes() == want.tobytes()
     assert ExprField("x1", 2)(seg).tobytes() == want[:, 0].tobytes()
+
+
+# ---------------------------------------------------------------- t-integrals
+# The T kernel asks each field for its t-integral on SegmentPoints.  ExprField
+# and LinearCombinationField integrate themselves over their terms and on the
+# coordinate planes, in another order than t-summing the field's values at
+# the segment points; the two must agree to rounding.
+
+def _expressions(n):
+    """Expression sources in x1..xn that mix single-coordinate terms,
+    products, quotients, powers, calls of several coordinates and
+    constants; every value stays moderate on [0, 1]^n."""
+    var = st.integers(1, n).map(lambda i: f"x{i}")
+    atom = st.one_of(
+        var,
+        st.sampled_from(["2.5", "pi", "e", "0", "-1.5", "sin(2)"]),
+        st.builds(lambda fn, v: f"{fn}({v})",
+                  st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), var),
+        st.builds(lambda v, p: f"{v}^{p}", var, st.sampled_from(["2", "3", "1.5"])),
+        st.builds(lambda fn, v, op, w: f"{fn}({v} {op} {w})",
+                  st.sampled_from(["sin", "cos", "exp", "sqrt"]), var,
+                  st.sampled_from(["+", "*"]), var))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(lambda a, op, b: f"({a}) {op} ({b})",
+                      inner, st.sampled_from(["+", "-", "*"]), inner),
+            st.builds(lambda a, b: f"({a}) / (2 + ({b})^2)", inner, inner),
+            st.builds(lambda a, c: f"({a}) / {c}", inner, st.sampled_from(["3", "-0.5"])),
+            st.builds(lambda c, a: f"{c}*({a})", st.sampled_from(["3", "-0.5", "pi"]), inner),
+            st.builds(lambda a, p: f"(1 + ({a})^2)^{p}", inner,
+                      st.sampled_from(["0.5", "1.5", "-1"])),
+            st.builds(lambda fn, a: f"{fn}({a})", st.sampled_from(["sin", "cos"]), inner))
+
+    return st.recursive(atom, extend, max_leaves=6)
+
+
+@st.composite
+def _t_integral_fields(draw, n):
+    """An ExprField, or a LinearCombinationField of ExprFields, their
+    partials and a constant."""
+    exprs = [ExprField(draw(_expressions(n), label="expression"), n)
+             for _ in range(draw(st.integers(1, 3), label="terms"))]
+    if len(exprs) == 1 and draw(st.booleans(), label="bare"):
+        return exprs[0]
+    terms = []
+    for f in exprs:
+        if draw(st.booleans(), label="partial"):
+            f = f.partial(draw(st.integers(1, n), label="axis"))
+        terms.append((draw(st.sampled_from([1.0, -1.0, 2.5, -0.75]), label="c"), f))
+    if draw(st.booleans(), label="constant term"):
+        terms.append((-1.0, ConstantField(draw(st.sampled_from([0.0, 1.25])))))
+    return LinearCombinationField(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_t_integral_agrees_with_t_sum_of_field_values(data):
+    n = data.draw(st.sampled_from((2, 3)), label="dims")
+    f = data.draw(_t_integral_fields(n), label="field")
+    if data.draw(st.booleans(), label="lattice"):
+        pts = Box(np.zeros(n), np.ones(n)).quadrature(4).points
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+        pts = rng.uniform(0.05, 0.95, (data.draw(st.integers(1, 12), label="m"), n))
+    tj, tw = _t_rule(data.draw(st.integers(1, n - 1), label="degree"))
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
+    y = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                           label="y"))
+    seg.move_to((1.0 - tj) * y[:, None])
+    ref = np.einsum("t,tm->m", tw, f(_pts(seg)).reshape(tj.size, pts.shape[0]))
+    got = _t_integral(f, seg)
+    assert got.shape == (pts.shape[0],)
+    bound = 1e-13 * max(1.0, float(np.abs(ref).max()))
+    assert float(np.abs(got - ref).max()) <= bound

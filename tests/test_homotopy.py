@@ -10,7 +10,10 @@ from orliczforms import (Ball, Box, DifferentialForm, apply_Ky, apply_T,
                          build_corpus, closed_part, decomposition_residual,
                          materialize, named_form)
 from orliczforms.errors import DegreeError, InvalidInputError
+from orliczforms import expressions as ex
 from orliczforms.exterior import _contraction_table, num_components
+from orliczforms.forms import (ExprField, LinearCombinationField, SegmentPoints,
+                               _OnPlane, _t_integral)
 from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -59,14 +62,85 @@ def _signed_rows(n, l, a, v):
     return c
 
 
-# Reference y-loop of T in the kernel's order: fresh segment arrays, the
-# t-sum of the field values, then the contraction with x - y.  The kernel's
-# plane layout must match it bit for bit.
+def _sum_over_t(tw, *factors):
+    """sum_j tw[j] * f1[j] * f2[j] ..., the products added in j order."""
+    acc = np.zeros(factors[0].shape[1:])
+    for j in range(tw.size):
+        term = tw[j] * factors[0][j]
+        for f in factors[1:]:
+            term = term * f[j]
+        acc += term
+    return acc
+
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
+
+
+def _split_values(node, coords):
+    """A node of a split expression at the (t, m) coordinate arrays."""
+    if isinstance(node, _OnPlane):
+        return node.node.ev({node.name: coords[node.axis]})
+    if isinstance(node, ex.BinOp):
+        return _UFUNCS[node.op](_split_values(node.left, coords),
+                                _split_values(node.right, coords))
+    if isinstance(node, ex.Call):
+        return ex._FUNCTIONS[node.fn](_split_values(node.arg, coords))
+    return node.value
+
+
+def _split_integral(node, coords, tw):
+    """The t-integral of a split-expression node, in the kernel's order: it
+    distributes over sums, differences and constant factors; a constant c
+    integrates to c * sum(tw); a product of two non-constant factors is one
+    t-sum of their products; any other node is evaluated, then t-summed."""
+    if isinstance(node, ex.Num):
+        return node.value * float(tw.sum())
+    if isinstance(node, ex.BinOp):
+        left, right = node.left, node.right
+        if node.op in "+-":
+            return _UFUNCS[node.op](_split_integral(left, coords, tw),
+                                    _split_integral(right, coords, tw))
+        if node.op in "*/" and isinstance(right, ex.Num):
+            return _UFUNCS[node.op](_split_integral(left, coords, tw), right.value)
+        if node.op == "*" and isinstance(left, ex.Num):
+            return left.value * _split_integral(right, coords, tw)
+        if node.op == "*":
+            return _sum_over_t(tw, _split_values(left, coords),
+                               _split_values(right, coords))
+    return _sum_over_t(tw, _split_values(node, coords))
+
+
+def _field_integral(f, seg, tw):
+    """The t-integral of field ``f`` at the fresh (t, m, n) segment array."""
+    t, m, n = seg.shape
+    if type(f) is ExprField:
+        coords = [seg[:, :, i] for i in range(n)]
+        return np.broadcast_to(_split_integral(f._split, coords, tw), (m,))
+    if type(f) is LinearCombinationField:
+        out = np.zeros(m)
+        for c, g in f.terms:
+            v = _field_integral(g, seg, tw)
+            if c == 1.0:
+                out += v
+            elif c == -1.0:
+                out -= v
+            else:
+                out += c * v
+        return out
+    return _sum_over_t(tw, f(seg.reshape(-1, n)).reshape(t, m))
+
+
+# Reference y-loop of T in the kernel's order: fresh segment arrays, each
+# component's t-integral (see ``forms._t_integral``), then the contraction
+# with x - y.  The kernel's plane layout must match it bit for bit.
 def _reference_T_coeffs(ev, pts):
     n, l = ev.u.dims, ev.u.degree
     out = np.zeros((num_components(n, l - 1), pts.shape[0]))
     for y, w in zip(ev.ys, ev.ws):
-        a = np.einsum("t,ctm->cm", ev.tw, _segment_values(ev, pts, y))
+        seg = (ev.tj[:, None, None] * pts[None, :, :]
+               + (1.0 - ev.tj)[:, None, None] * y[None, None, :])
+        a = np.stack([_field_integral(f, seg, ev.tw) for f in ev.u.components])
         out += w * _signed_rows(n, l, a, (pts - y).T)
     return out
 
@@ -171,6 +245,24 @@ def test_T_kernel_bit_identical_on_lattice_batches(dims, kind, fid, batch):
     elif batch != "single-point":
         assert max(distinct) < pts.shape[0]
     assert np.array_equal(ev.coeffs(pts), _reference_T_coeffs(ev, pts))
+
+
+# The kernel is pointwise: a point's value does not depend on the other
+# points of its batch, not even where a part of the batch is a single point
+# or holds one distinct value of a coordinate.
+POINTWISE_BATCHES = {"linspace": lambda region: _linspace_grid(region, 4),
+                     "random": _random_points}
+
+
+@pytest.mark.parametrize("batch", sorted(POINTWISE_BATCHES))
+@pytest.mark.parametrize("dims,kind,fid", KERNEL_CASES, ids=KERNEL_IDS)
+def test_T_kernel_is_pointwise(dims, kind, fid, batch):
+    ev, _ = _kernel_case(dims, kind, fid)
+    pts = POINTWISE_BATCHES[batch](_kernel_regions(dims)[kind])
+    whole = ev.coeffs(pts)
+    for k in (1, pts.shape[0] // 2, pts.shape[0] - 1):
+        halves = np.concatenate([ev.coeffs(pts[:k]), ev.coeffs(pts[k:])], axis=1)
+        assert np.array_equal(whole, halves), k
 
 
 def _componentwise_partial(u, k):
@@ -300,6 +392,28 @@ def test_closed_form_reproduced_by_closed_part(dims, eid):
     gap = (u - closed_part(u, ball, resolution=9)).modulus_values(
         ball.quadrature(9).points)
     assert np.all(gap == 0.0)
+
+
+# The t-integrals of the components of du cancel exactly for a closed form:
+# each component subtracts two t-integrals with the same bits.  This is what
+# makes the oscillation norms of a closed form exactly 0.
+CLOSED_NOT_TOP = [(n, eid) for n, eid in CLOSED_ENTRIES
+                  if named_form(f"corpus:{eid}", n).degree < n]
+
+
+@pytest.mark.parametrize("dims,eid", CLOSED_NOT_TOP,
+                         ids=[f"{n}-{eid}" for n, eid in CLOSED_NOT_TOP])
+def test_du_of_closed_form_t_integrates_to_zero(dims, eid):
+    du = named_form(f"corpus:{eid}", dims).d()
+    assert any(type(f) is LinearCombinationField for f in du.components)
+    ball = Ball(np.full(dims, 0.45), 0.3)
+    pts = ball.quadrature(9).points
+    tj, tw = _t_rule(du.degree)
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
+    for y in ball.quadrature(5).points:
+        seg.move_to((1.0 - tj) * y[:, None])
+        for f in du.components:
+            assert np.all(_t_integral(f, seg) == 0.0)
 
 
 @pytest.mark.parametrize("dims,eid", [(2, "poly-1form"), (2, "radial-1form"),

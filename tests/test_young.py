@@ -11,7 +11,8 @@ from orliczforms import (Ball, Box, YoungFunction, ball_family, check_g_class,
                          power_log, young_violations)
 from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
                                 NoConvergenceError)
-from orliczforms.forms import CallableField
+from orliczforms.forms import CallableField, ExprField
+from orliczforms.homotopy import closed_part
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -83,6 +84,40 @@ def test_ball_lattice_built_once_per_ball_and_resolution(monkeypatch):
     for phi in (power(2.0), power_log(1.5)):
         oscillation_profile(u, balls, phi, ball_resolution=9, residuals=residuals)
     assert sorted(builds) == sorted((id(b), 9) for b in balls)
+
+
+# u - u_B is formed from one evaluation of u per ball: u_B = u - T(du) takes
+# u's values as (0.0 + u) - T(du), the top-degree u_B = u reuses them, and
+# the 0-form u_B is the mean.  The residuals keep the bits of evaluating the
+# closed part as a form.
+RESIDUAL_FORMS = ["corpus:trig-1form", "corpus:mixed-1form", "corpus:poly-top-form",
+                  "corpus:trig-0form"]
+
+
+@pytest.mark.parametrize("name", RESIDUAL_FORMS)
+def test_oscillation_residuals_evaluate_u_once_per_ball(name, monkeypatch):
+    u = named_form(name, 2)
+    balls = ball_family(BOX, 3, expansion=1.1)
+    want = []
+    for ball in balls:
+        pts = ball.quadrature(9).points
+        diff = u.evaluate(pts) - closed_part(u, ball, resolution=9).evaluate(pts)
+        want.append(np.sqrt(np.sum(diff * diff, axis=0)))
+    calls = []
+    original = ExprField.__call__
+
+    def counting(self, points):
+        calls.append(points.shape[0])
+        return original(self, points)
+
+    monkeypatch.setattr(ExprField, "__call__", counting)
+    got = oscillation_residuals(u, balls, ball_resolution=9)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    expr_components = sum(type(f) is ExprField for f in u.components)
+    # a 0-form's mean reads u at the same nodes once more, inside closed_part
+    per_ball = 2 if u.degree == 0 else 1
+    assert sorted(calls) == sorted(per_ball * expr_components
+                                   * [b.quadrature(9).points.shape[0] for b in balls])
 
 
 # One errstate covers the whole bisection: phi's overflow at extreme lambda
