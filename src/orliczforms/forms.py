@@ -17,24 +17,30 @@ indexed by the lexicographic rank of the ordered multi-indices (see
 
 The T kernel does not evaluate fields at its segment points directly: it
 asks each field, through ``_t_integral``, for its t-integral
-sum_j w_j f(t_j x + (1 - t_j) y) over the t-rule, at every point x of a
-batch.  The segment points arrive as a ``SegmentPoints``, which holds them
-as compressed coordinate planes.  Two fields of this module integrate
-themselves, chosen by exact type: a ``LinearCombinationField`` combines
-the t-integrals of its terms, and an ``ExprField`` recurses over its
+sum_j w_j f(t_j x + (1 - t_j) y) over the t-rule, at every y-node y and
+every point x of a batch, as one (Y, m) block.  The segment points arrive
+as a ``SegmentPoints``, which holds them as compressed coordinate planes for
+all y-nodes at once.  Two fields of this module integrate themselves,
+chosen by exact type: a ``LinearCombinationField`` combines the
+t-integrals of its terms, and an ``ExprField`` recurses over its
 expression, split once when it is built into maximal single-coordinate
 subtrees.  Its t-integral distributes over sums, differences and constant
-factors; a single-coordinate subtree is t-summed on its coordinate's plane
-and then taken to the points; a product of non-constant factors is one
-fused t-sum of the expanded factors; any other node is evaluated at the
-segment points and t-summed.  Every other field is evaluated at the
-segment points and t-summed.  A ``GridField`` is handed the
-``SegmentPoints`` and computes its B-spline basis on the planes (a
-``ConstantField`` reads only its size); any other field, including any
-field from outside this module, receives the (t m, n) segment array that
-``_pts`` expands.  Each t-sum adds its products in t order, whatever the
-size of the batch, so a point's value does not depend on the other points
-of its batch.
+factors; a single-coordinate subtree is evaluated and t-summed on its
+coordinate's plane, for as many y-nodes at once as ``CHUNK_VALUES`` allows
+(all of them on a lattice batch), and then taken to the points; a product
+of non-constant factors is one fused t-sum of the factors expanded to the
+points; any other node is evaluated at the segment points and t-summed.
+Every other field is evaluated at the segment points and t-summed.  A
+``GridField`` is handed the ``SegmentPoints`` and computes its B-spline
+basis on the planes (a ``ConstantField`` reads only its size); any other
+field, including any field from outside this module, receives the
+(Y' t m, n) segment array that ``_pts`` expands.  Whatever is expanded to
+the m points runs over consecutive y-nodes in parts of at most
+``CHUNK_VALUES`` values per array (``SegmentPoints.chunked``), so no array
+but the (Y, m) blocks grows with the number of y-nodes.  Each t-sum adds
+its products in t order, whatever the size of the batch or of the part,
+so a point's value depends neither on the other points of its batch nor
+on the parts.
 
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
@@ -75,57 +81,102 @@ def _distinct(col: np.ndarray):
     return bits.view(np.float64), inv
 
 
+# The most float64 values the T kernel holds in one array that grows with
+# the y-nodes, other than its (., Y, m) blocks: a part's coordinate planes
+# and one-coordinate leaf values, its segment array (per coordinate) and
+# product factors, and a GridField's (4^n, P) weights and gathered
+# coefficients.  A part holds at least one y-node (a GridField part at
+# least one row), so one y-node's t values per column (4^n per point) may
+# exceed it.
+CHUNK_VALUES = 16384
+
+
 class SegmentPoints:
-    """The segment points t_j x_k + (1 - t_j) y of one T-kernel batch of
-    points x_k, one y-node at a time, with the weights ``tw`` of the t-rule.
+    """The segment points t_j x_k + (1 - t_j) y_q of one T-kernel batch of
+    points x_k, for all y-nodes y_q at once, with the weights ``tw`` of the
+    t-rule.
 
-    Coordinate i of a segment point depends only on (t_j, x_ki), and the
-    lattice batches that T is evaluated on repeat each coordinate value many
-    times.  So coordinate i is held as a plane ``planes[i]`` of shape
-    (t, u_i) over its u_i distinct values (compared by their bits, so that
-    -0.0 and 0.0 stay apart), with ``inverses[i]`` of shape (m,) mapping each
-    point to its column.  ``t_j x_i`` is formed once per batch, and
-    ``move_to`` adds ``(1 - t_j) y_i`` for the next y-node: each entry is the
-    sum of the same two rounded products as in the full segment array, so it
-    has the same bits.  An ``ExprField`` t-sums each one-coordinate leaf of
-    its split on ``planes[i]`` and takes the (u_i,) result through
-    ``inverses[i]`` to the m points.
+    Coordinate i of a segment point depends only on (y_qi, t_j, x_ki), and
+    the lattice batches that T is evaluated on repeat each coordinate value
+    many times.  So coordinate i is held as a plane ``plane(i)`` of shape
+    (Y, t, u_i) over its ``widths[i]`` = u_i distinct values (compared by
+    their bits, so that -0.0 and 0.0 stay apart), with ``inverses[i]`` of
+    shape (m,) mapping each point to its column.  t_j x_i is formed once
+    per batch and each plane entry adds (1 - t_j) y_i to it: the sum of the
+    same two rounded products as in the full segment array, so it has the
+    same bits.  A plane is formed on first request.
 
-    ``shape`` is (t m, n), the shape of the point array this stands for.
-    ``_pts`` expands it into that array, the column-major view of one
-    (n, t, m) buffer with points in t-major order, filled on the first
-    request per y-node.
+    Work on the y-nodes runs over consecutive y-nodes in parts
+    (``chunked``), each a ``SegmentPoints`` of its own, whose (Y', t, width)
+    arrays hold at most ``CHUNK_VALUES`` values (and at least one y-node).
+    An ``ExprField`` t-sums each one-coordinate leaf of its split on the
+    leaf's plane, of width u_i, so on a lattice batch all y-nodes go at
+    once; what must be expanded to the m points (a product of several
+    coordinates, any field evaluated at the segment points) goes in parts of
+    width m.  ``shape`` is (Y t m, n), the shape of the point array this
+    stands for; ``_pts`` expands it into that array, the column-major view
+    of a fresh (n, Y, t, m) buffer, points in (y, t, point) order.
     """
 
-    def __init__(self, cols: np.ndarray, tj: np.ndarray, tw: np.ndarray):
+    def __init__(self, cols: np.ndarray, ys: np.ndarray, tj: np.ndarray,
+                 tw: np.ndarray):
         """``cols``: the batch as C-contiguous (n, m) coordinate rows;
-        ``tj``, ``tw``: the (t,) nodes and weights of the t-rule."""
+        ``ys``: the (Y, n) y-nodes; ``tj``, ``tw``: the (t,) nodes and
+        weights of the t-rule."""
         n, m = cols.shape
         self._tx, self.inverses = [], []
         for col in cols:
             values, inv = _distinct(col)
             self._tx.append(tj[:, None] * values)
             self.inverses.append(inv)
-        self.planes = [np.empty_like(tx) for tx in self._tx]
-        self._full = np.empty((n, tj.size, m))
+        self.widths = [tx.shape[1] for tx in self._tx]
+        self._ty = (1.0 - tj) * ys[:, :, None]  # (Y, n, t)
+        self._planes = [None] * n
         self.tw = tw
         self.tw_sum = float(tw.sum())  # the t-integral of a constant 1
         self.m = m
-        self.shape = (tj.size * m, n)
-        self._built = False
+        self.ynodes = ys.shape[0]
+        self.shape = (self.ynodes * tj.size * m, n)
 
-    def move_to(self, ty: np.ndarray) -> None:
-        """Place the planes at the y-node with (1 - t_j) y = ``ty``, (n, t)."""
-        for tx, typ, plane in zip(self._tx, ty, self.planes):
-            np.add(tx, typ[:, None], out=plane)
-        self._built = False
+    def plane(self, i: int) -> np.ndarray:
+        """Coordinate i at the segment points, over its distinct values:
+        shape (Y, t, u_i)."""
+        if self._planes[i] is None:
+            self._planes[i] = self._tx[i] + self._ty[:, i, :, None]
+        return self._planes[i]
+
+    @property
+    def planes(self) -> list:
+        """``plane(i)`` for every coordinate i."""
+        return [self.plane(i) for i in range(len(self._tx))]
+
+    def _part(self, a: int, b: int) -> "SegmentPoints":
+        """The y-nodes a..b-1 of this batch; the planes formed so far are
+        shared."""
+        if a == 0 and b >= self.ynodes:
+            return self
+        part = copy.copy(self)
+        part._ty = self._ty[a:b]
+        part._planes = [None if p is None else p[a:b] for p in self._planes]
+        part.ynodes = part._ty.shape[0]
+        part.shape = (part.ynodes * self.tw.size * self.m, self.shape[1])
+        return part
+
+    def chunked(self, fn, width: int) -> np.ndarray:
+        """``fn(part)``, shape (part.ynodes, m), for each part of consecutive
+        y-nodes in turn whose (Y', t, ``width``) arrays hold at most
+        ``CHUNK_VALUES`` values, stacked to (Y, m)."""
+        step = max(1, CHUNK_VALUES // max(1, self.tw.size * width))
+        out = np.empty((self.ynodes, self.m))
+        for a in range(0, self.ynodes, step):
+            out[a:a + step] = fn(self._part(a, a + step))
+        return out
 
     def array(self) -> np.ndarray:
-        if not self._built:
-            for plane, inv, row in zip(self.planes, self.inverses, self._full):
-                plane.take(inv, axis=1, out=row, mode="clip")
-            self._built = True
-        return self._full.reshape(self.shape[1], -1).T
+        full = np.empty((len(self._tx), self.ynodes, self.tw.size, self.m))
+        for i, (inv, row) in enumerate(zip(self.inverses, full)):
+            self.plane(i).take(inv, axis=2, out=row, mode="clip")
+        return full.reshape(self.shape[1], -1).T
 
 
 def _pts(points) -> np.ndarray:
@@ -138,18 +189,18 @@ def _pts(points) -> np.ndarray:
 
 
 def _t_sum(tw: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """sum_j tw[j] * f1[j] * f2[j] ... for every column of the (t, k) arrays
-    ``factors``, shape (k,).
+    """sum_j tw[j] * f1[q, j] * f2[q, j] ... for every y-node q and column
+    of the (Y, t, k) arrays ``factors``, shape (Y, k).
 
     einsum (no BLAS, so the bits do not depend on the BLAS threads) adds the
     products in j order, one column at a time, but it sums a lone column as
     a vectorized dot product, in another order; so one column is summed as
-    the first of two, and a column's sum does not depend on k.
+    the first of two, and a column's sum depends neither on k nor on Y.
     """
-    subscripts = ",".join(["t"] + ["tk"] * len(factors)) + "->k"
-    if factors[0].shape[1] == 1:
+    subscripts = ",".join(["t"] + ["ytk"] * len(factors)) + "->yk"
+    if factors[0].shape[2] == 1:
         return np.einsum(subscripts, tw,
-                         *(np.repeat(f, 2, axis=1) for f in factors))[:1]
+                         *(np.repeat(f, 2, axis=2) for f in factors))[:, :1]
     return np.einsum(subscripts, tw, *factors)
 
 
@@ -176,15 +227,21 @@ class _OnPlane:
     node: object
 
     def ev(self, points):
-        """The leaf at the segment points, shape (t, m)."""
-        value = self.node.ev({self.name: points.planes[self.axis]})
-        return value.take(points.inverses[self.axis], axis=1, mode="clip")
+        """The leaf at the segment points, shape (Y, t, m)."""
+        value = self.node.ev({self.name: points.plane(self.axis)})
+        return value.take(points.inverses[self.axis], axis=2, mode="clip")
 
     def integral(self, points):
-        """The leaf's t-integral at the batch points, shape (m,): t-summed
-        on the plane, then taken to the points."""
-        value = self.node.ev({self.name: points.planes[self.axis]})
-        return _t_sum(points.tw, value).take(points.inverses[self.axis], mode="clip")
+        """The leaf's t-integral at the batch points, shape (Y, m): t-summed
+        on the plane, in parts of the y-nodes sized by the plane's width,
+        then taken to the points."""
+        inv = points.inverses[self.axis]
+
+        def part_integral(part):
+            value = self.node.ev({self.name: part.plane(self.axis)})
+            return _t_sum(part.tw, value).take(inv, axis=1, mode="clip")
+
+        return points.chunked(part_integral, points.widths[self.axis])
 
 
 def _split(node):
@@ -207,8 +264,9 @@ def _split(node):
 
 def _integrate(node, points):
     """The t-integral of ``node``, a node of a split expression, at the
-    points of a ``SegmentPoints`` batch: shape (m,), or a float for a
-    constant."""
+    points of a ``SegmentPoints`` batch: shape (Y, m), or a float for a
+    constant.  Only a node that combines several coordinates is expanded to
+    the points, one part of the y-nodes at a time."""
     if isinstance(node, ex.Num):
         return node.value * points.tw_sum
     if isinstance(node, _OnPlane):
@@ -224,8 +282,9 @@ def _integrate(node, points):
         if op == "*" and isinstance(left, ex.Num):
             return left.value * _integrate(right, points)
         if op == "*":
-            return _t_sum(points.tw, left.ev(points), right.ev(points))
-    return _t_sum(points.tw, node.ev(points))
+            return points.chunked(
+                lambda part: _t_sum(part.tw, left.ev(part), right.ev(part)), points.m)
+    return points.chunked(lambda part: _t_sum(part.tw, node.ev(part)), points.m)
 
 
 class ExprField:
@@ -310,10 +369,11 @@ class LinearCombinationField:
         points = _pts(points)
         return self._combine(points.shape[0], (f(points) for _, f in self.terms))
 
-    def _combine(self, m, values):
-        """The sum of the coefficients times ``values``, one (m,) array per
-        term; the t-integral combines the terms' t-integrals the same way."""
-        out = np.zeros(m)
+    def _combine(self, shape, values):
+        """The sum of the coefficients times ``values``, one array of
+        ``shape`` per term; the t-integral combines the terms' (Y, m)
+        t-integrals the same way."""
+        out = np.zeros(shape)
         for (c, _), v in zip(self.terms, values):
             # x * 1.0 == x and b + (-x) == b - x: unit terms skip the product
             if c == 1.0:
@@ -344,19 +404,24 @@ def _points_for(field, points):
 
 
 def _t_integral(field, points: SegmentPoints) -> np.ndarray:
-    """sum_j w_j field(t_j x + (1 - t_j) y) at each of the m points x of the
-    batch ``points``, shape (m,).  An ``ExprField`` or a
+    """sum_j w_j field(t_j x + (1 - t_j) y) at each y-node y and each of the
+    m points x of the batch ``points``, shape (Y, m).  An ``ExprField`` or a
     ``LinearCombinationField`` integrates itself; any other field is
-    evaluated at the segment points and t-summed."""
+    evaluated at the segment points, one part of the y-nodes at a time, and
+    t-summed."""
     kind = type(field)
+    shape = (points.ynodes, points.m)
     if kind is ExprField:
         out = _integrate(field._split, points)
-        return out if isinstance(out, np.ndarray) else np.full(points.m, out)
+        return out if isinstance(out, np.ndarray) else np.full(shape, out)
     if kind is LinearCombinationField:
-        return field._combine(points.m, (_t_integral(f, points)
-                                         for _, f in field.terms))
-    values = field(_points_for(field, points))
-    return _t_sum(points.tw, values.reshape(points.tw.size, points.m))
+        return field._combine(shape, (_t_integral(f, points) for _, f in field.terms))
+
+    def part_integral(part):
+        values = field(_points_for(field, part))
+        return _t_sum(part.tw, values.reshape(part.ynodes, part.tw.size, part.m))
+
+    return points.chunked(part_integral, points.m)
 
 
 class BumpField:
@@ -501,17 +566,33 @@ def _cubic_basis(t: np.ndarray, x: np.ndarray, nu: int):
 
 
 def _planes(points):
-    """``(planes, inverses)`` of a batch: a ``SegmentPoints``' own, and for
-    an (m, n) array one (1, u_i) plane per coordinate over its distinct
-    values, so that both take the same path through ``GridField``."""
+    """``(planes, inverses)`` of a batch: a ``SegmentPoints``' own, as
+    (Y t, u_i) rows, and for an (m, n) array one (1, u_i) plane per
+    coordinate over its distinct values, so that both take the same path
+    through ``GridField``."""
     if isinstance(points, SegmentPoints):
-        return points.planes, points.inverses
+        return ([p.reshape(p.shape[0] * p.shape[1], p.shape[2]) for p in points.planes],
+                points.inverses)
     planes, inverses = [], []
     for col in _pts(points).T:
         values, inv = _distinct(col)
         planes.append(values[None, :])
         inverses.append(inv)
     return planes, inverses
+
+
+def _basis_sum(weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_j weights[j, p] * c[j, p] for every point p, shape (P,).
+
+    No BLAS: the sum order depends only on the shapes, so the bits depend
+    neither on the layout of the points nor on the BLAS threads.  As in
+    ``_t_sum``, a lone point is summed as the first of two, so that its
+    value does not depend on how the points are split into parts.
+    """
+    if weights.shape[1] == 1:
+        return np.einsum("jp,jp->p", np.repeat(weights, 2, axis=1),
+                         np.repeat(c, 2, axis=1))[:1]
+    return np.einsum("jp,jp->p", weights, c)
 
 
 class GridField:
@@ -526,13 +607,16 @@ class GridField:
     GridField on the same spline with the derivative orders ``nu`` raised
     by one along axis k, so chains of ``partial`` calls stay exact.
 
-    Evaluation works on coordinate planes: the points arrive as one plane
-    of values per coordinate and a map from each point to its column (a
-    ``SegmentPoints`` holds these already; an (m, n) array is split into
-    its distinct values per column).  The knot interval and the four
-    nonzero basis values of each axis are computed once per plane value,
-    and each point sums the 4^n products of its basis values against the
-    coefficients it gathers from the flat coefficient array.
+    Evaluation works on coordinate planes: the points arrive as rows of
+    values per coordinate and a map from each point to its column (a
+    ``SegmentPoints`` holds these already, one row per (y-node, t-node);
+    an (m, n) array is one row of its distinct values per column).  The
+    knot interval and the four nonzero basis values of each axis are
+    computed once per plane value, and each point sums the 4^n products of
+    its basis values against the coefficients it gathers from the flat
+    coefficient array.  The rows go in parts whose (4^n, P) weights and
+    gathered coefficients hold at most ``CHUNK_VALUES`` values (at least
+    one row), so that they stay in cache.
     """
 
     def __init__(self, axes, values):
@@ -554,19 +638,27 @@ class GridField:
 
     def __call__(self, points):
         planes, inverses = _planes(points)
-        base, basis = 0, []
-        for t, nu, stride, plane, inv in zip(self.knots, self.nu, self._strides,
-                                             planes, inverses):
+        rows, m = planes[0].shape[0], inverses[0].size
+        axes = []
+        for t, nu, stride, plane in zip(self.knots, self.nu, self._strides, planes):
             e, b = _cubic_basis(t, plane.reshape(-1), nu)
-            base = base + (stride * e).reshape(plane.shape).take(inv, axis=1).reshape(-1)
-            basis.append(b.reshape((4,) + plane.shape).take(inv, axis=2).reshape(4, -1))
-        weights = basis[0]
-        for b in basis[1:]:
-            weights = (weights[:, None, :] * b).reshape(-1, b.shape[1])
-        c = self.coefficients.take(self._offsets[:, None] + base)
-        # no BLAS: the sum order depends only on the shapes, so the bits
-        # depend neither on the layout of the points nor on the BLAS threads
-        return np.einsum("jp,jp->p", weights, c)
+            axes.append(((stride * e).reshape(plane.shape),
+                         b.reshape((4,) + plane.shape)))
+        # the (4^n, P) weights and coefficients of a part of the rows hold at
+        # most CHUNK_VALUES values (at least one row)
+        step = max(1, CHUNK_VALUES // (self._offsets.size * max(1, m)))
+        out = np.empty(rows * m)
+        for r in range(0, rows, step):
+            base, basis = 0, []
+            for (offset, b), inv in zip(axes, inverses):
+                base = base + offset[r:r + step].take(inv, axis=1).reshape(-1)
+                basis.append(b[:, r:r + step].take(inv, axis=2).reshape(4, -1))
+            weights = basis[0]
+            for b in basis[1:]:
+                weights = (weights[:, None, :] * b).reshape(4 * len(weights), -1)
+            c = self.coefficients.take(self._offsets[:, None] + base)
+            out[r * m:(r + step) * m] = _basis_sum(weights, c)
+        return out
 
     def partial(self, k):
         if not 1 <= k <= self.dims:

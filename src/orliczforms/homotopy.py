@@ -20,30 +20,38 @@ take d of the quadrature-defined Tu.  The residual therefore shrinks like the
 FD step squared, which is what the doubling check measures.
 
 The t-sum precedes the contraction: x - y does not depend on t and iota is
-linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt,
-and each y-node contracts one (C(n,l), m) block of t-integrated
-coefficients.  Each coefficient field integrates itself over t
+linear, so (K_y u)(x) = iota_{x-y} integral_0^1 t^(l-1) u(y + t(x - y)) dt.
+Each coefficient field integrates itself over t, for all y-nodes at once
 (``forms._t_integral``): an expression field distributes the t-sum over its
 sums, differences and constant factors, so its single-coordinate terms
-never form a value per (t, point) pair.  This is exact in arithmetic; in
-floating point it fixes the rounding, and the tests pin this order bit for
-bit against a reference loop on fresh segment arrays.
+never form a value per (t, point) pair.  The kernel then contracts the
+(C(n,l), Y, m) block of t-integrals with x - y, an (n, Y, m) block, in one
+call, and adds the y-nodes' rows into the result one at a time in y order,
+weighted by the bump: a sum over y in one einsum or dot product would
+reorder it.  This is exact in arithmetic; in floating point it fixes the
+rounding, and the tests pin this order bit for bit against a reference
+loop over y-nodes on fresh segment arrays.
 
 The segment points are held as compressed coordinate planes: coordinate i
-of y + t_j (x - y) depends only on (t_j, x_i), and a lattice batch of m
-points has far fewer than m distinct values per coordinate, so each y-node
-fills one (t, u_i) plane over the u_i distinct values of coordinate i
+of y + t_j (x - y) depends only on (y_i, t_j, x_i), and a lattice batch of
+m points has far fewer than m distinct values per coordinate, so each
+coordinate is a (Y, t, u_i) plane over its u_i distinct values
 (``forms.SegmentPoints``).  A single-coordinate subexpression is evaluated
 and t-summed on its plane (sin of one coordinate is computed once per
-distinct value, not once per point), and only its (u_i,) t-integral is
-taken to the points; a product or another node that combines several
-coordinates expands its factors to the (t, m) batch.  The spline of a
-materialized Tu (``forms.GridField``) computes its B-spline basis once per
-plane value and combines it per point; this is the closed part of Tu on
-each ball.  Other fields see the full segment array, expanded lazily into
-one reused buffer.  Every t-sum adds its terms in t order whatever the
-size of the batch, so the kernel is pointwise: a point's value does not
-depend on the other points of its batch (see ``_TuEvaluator``).
+distinct value and y-node, not once per point), for all y-nodes at once on
+a lattice batch, and only its (Y, u_i) t-integral is taken to the points.
+What must be expanded to the points (a product or another node that
+combines several coordinates, and fields evaluated at the segment points)
+runs over consecutive y-nodes in parts whose expanded arrays hold at most
+``forms.CHUNK_VALUES`` values, as do the planes and leaf values of a part,
+so that memory grows with the y-nodes only by the (., Y, m) blocks.  The
+spline of a materialized Tu (``forms.GridField``) computes its B-spline
+basis once per plane value and combines it per point, in parts of its rows
+bounded the same way; this is the closed part of Tu on each ball.  Other
+fields see the segment array of each part, expanded into a fresh buffer.
+Every t-sum adds its terms in t order whatever the size of the batch or of
+the part, so the kernel is pointwise: a point's value does not depend on
+the other points of its batch (see ``_TuEvaluator``).
 """
 
 from __future__ import annotations
@@ -134,45 +142,48 @@ class _TuEvaluator:
     that the components of Tu, which all evaluate one point batch, and the
     FD stencils of ``decomposition_residual`` do not recompute the y-sum.
 
-    Layout of the y-loop: coordinate i of the segment point y + t_j (x - y)
-    is t_j x_i + (1 - t_j) y_i, which depends only on (t_j, x_i), and the
+    Layout: coordinate i of the segment point y + t_j (x - y) is
+    t_j x_i + (1 - t_j) y_i, which depends only on (y_i, t_j, x_i), and the
     lattice batches that T is evaluated on repeat each x_i many times.  So
-    each batch builds one ``forms.SegmentPoints``, which finds the distinct
-    values u_i of every coordinate (compared by their bits) and forms
-    t_j u_i once; ``(1 - t_j) y`` is formed once per evaluator.  Each y-node
-    then costs one add per coordinate into a compressed plane of shape
-    (t, u_i), reused across y-nodes.  A coordinate with no repeated value
-    gets a plane of m sorted values and a permutation for its map, so there
-    is one path.
+    each batch builds one ``forms.SegmentPoints`` for all y-nodes, which
+    finds the distinct values u_i of every coordinate (compared by their
+    bits), forms t_j u_i once and adds (1 - t_j) y_i to it in a (Y, t, u_i)
+    plane per coordinate.  A coordinate with no repeated value gets a plane
+    of m sorted values and a permutation for its map, so there is one path.
 
-    Per y-node, ``forms._t_integral`` gives each component of u as its
-    t-integral sum_j w_j u_c(t_j x + (1 - t_j) y) at the m points.  An
-    ``ExprField`` t-sums each leaf of its split (a maximal subexpression of
-    one coordinate) on the leaf's plane and takes the (u_i,) result to the
-    points, adds and subtracts the integrals of its terms, scales them by
-    constant factors, and t-sums a product of non-constant factors in one
-    fused einsum of the factors expanded to (t, m); a
-    ``LinearCombinationField`` combines the t-integrals of its terms.  Any
-    other field is evaluated at the segment points and t-summed: a
-    ``GridField`` (the spline of a materialized Tu, whose closed part on a
-    ball runs T on its partials) computes its knot intervals and basis
-    values on the planes and gathers them per point, and other fields get
-    the planes expanded, on first request per y-node, into one (n, t, m)
-    buffer whose column-major (t m, n) view is the segment array, points in
-    t-major order.  Each coordinate is the sum of the same two rounded
-    products t_j x and (1 - t_j) y whatever the layout, and each value goes
-    through the same operations, so Tu does not depend on the layout to the
-    last bit.
+    ``forms._t_integral`` gives each component of u as its t-integral
+    sum_j w_j u_c(t_j x + (1 - t_j) y) at every y-node and point, a (Y, m)
+    block.  An ``ExprField`` t-sums each leaf of its split (a maximal
+    subexpression of one coordinate) on the leaf's plane and takes the
+    (Y, u_i) result to the points, adds and subtracts the integrals of its
+    terms, scales them by constant factors, and t-sums a product of
+    non-constant factors in one fused einsum of the factors expanded to
+    (Y', t, m); a ``LinearCombinationField`` combines the t-integrals of
+    its terms.  Any other field is evaluated at the segment points and
+    t-summed: a ``GridField`` (the spline of a materialized Tu, whose
+    closed part on a ball runs T on its partials) computes its knot
+    intervals and basis values on the planes and gathers them per point,
+    and other fields get the planes expanded into a fresh (n, Y', t, m)
+    buffer whose column-major (Y' t m, n) view is the segment array, points
+    in (y, t, point) order.  Whatever expands to the points runs over parts
+    of Y' consecutive y-nodes whose arrays hold at most
+    ``forms.CHUNK_VALUES`` values (at least one y-node).  Each coordinate
+    is the sum of the same two rounded products t_j x and (1 - t_j) y
+    whatever the layout, and each value goes through the same operations,
+    so Tu depends neither on the layout nor on the parts to the last bit.
 
-    The (C(n,l), m) block of t-integrals is then contracted with x - y once
-    per y-node.  Every t-sum is an einsum (no BLAS, so the result does not
+    The (C(n,l), Y, m) block of t-integrals is then contracted with the
+    (n, Y, m) block x - y in one call, and the (C(n,l-1), m) rows of the
+    y-nodes are added into the result one at a time, in y order, each times
+    its weight.  Every t-sum is an einsum (no BLAS, so the result does not
     depend on the BLAS thread count) that adds its terms in t order, one
     point at a time; a lone column is summed as the first of two, because
     einsum would sum it in another order.  So a point's value does not
     depend on the other points of its batch.  The tests hold the kernel
-    bit-equal to a reference loop that integrates in this order on fresh
-    (t, m, n) segment arrays, bit-equal on a batch and on its two halves,
-    and close to the contract-then-sum order.
+    bit-equal to a reference loop over y-nodes that integrates in this
+    order on fresh (t, m, n) segment arrays, for any size of the parts,
+    bit-equal on a batch and on its two halves, and close to the
+    contract-then-sum order.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray):
@@ -180,8 +191,6 @@ class _TuEvaluator:
         self.ys = ys
         self.ws = ws
         self.tj, self.tw = _t_rule(u.degree)
-        # (1 - t_j) y for every y-node, shape (ys, n, t)
-        self._ty = (1.0 - self.tj) * ys[:, :, None]
         self._cache: dict[tuple, np.ndarray] = {}
 
     def coeffs(self, pts: np.ndarray) -> np.ndarray:
@@ -195,13 +204,15 @@ class _TuEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        cols = np.ascontiguousarray(pts.T)  # (n, m): x - y reads contiguous rows
-        seg = SegmentPoints(cols, self.tj, self.tw)
-        out = np.zeros((num_components(n, l - 1), pts.shape[0]))
-        for y, ty, w in zip(self.ys, self._ty, self.ws):
-            seg.move_to(ty)
-            a = np.stack([_t_integral(f, seg) for f in self.u.components])
-            out += w * contract_coeffs(n, l, a, cols - y[:, None])
+        cols = np.ascontiguousarray(pts.T)  # (n, m)
+        seg = SegmentPoints(cols, self.ys, self.tj, self.tw)
+        a = np.empty((len(self.u.components), self.ys.shape[0], pts.shape[0]))
+        for r, f in enumerate(self.u.components):
+            a[r] = _t_integral(f, seg)
+        c = contract_coeffs(n, l, a, cols[:, None, :] - self.ys.T[:, :, None])
+        out = np.zeros((c.shape[0], pts.shape[0]))
+        for k, w in enumerate(self.ws):  # in y order, as one y-node at a time
+            out += w * c[:, k]
         if len(self._cache) >= 16:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = out
@@ -272,7 +283,7 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
     ``apply_T``, bare callables)."""
     if u.degree == 0:
         quad = region.quadrature(resolution)
-        mean = quad.integrate(u.components[0](quad.points)) / float(quad.weights.sum())
+        mean = _mean(quad, u.components[0](quad.points))
         return DifferentialForm(u.dims, 0, (ConstantField(mean),))
     if u.degree == u.dims:
         return u
@@ -280,15 +291,18 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
     return u - apply_T(du, region, bump, resolution=resolution)
 
 
+def _mean(quad, values: np.ndarray) -> float:
+    """The mean over the region of ``quad`` of the ``values`` at its nodes."""
+    return quad.integrate(values) / float(quad.weights.sum())
+
+
 def _closed_part_values(u: DifferentialForm, u_b: DifferentialForm,
                         values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``u_b = closed_part(u, ...)`` at ``points``, given ``values``, the
-    values of u there; the bits of ``u_b.evaluate(points)`` without
-    evaluating u again."""
+    """``u_b = closed_part(u, ...)`` at ``points`` for u of degree >= 1,
+    given ``values``, the values of u there; the bits of
+    ``u_b.evaluate(points)`` without evaluating u again."""
     if u_b is u:
         return values
-    if u.degree == 0:
-        return u_b.evaluate(points)  # the mean, a constant
     # component r of u - T(du) is LinearCombinationField([(1.0, u_r),
     # (-1.0, T(du)_r)]), which adds the terms to zeros: (0.0 + u_r) - T(du)_r
     tdu = np.stack([c.terms[1][1](points) for c in u_b.components])

@@ -13,11 +13,12 @@ from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
 from orliczforms.errors import (DegreeError, InvalidInputError,
                                 OutOfDomainError)
 from orliczforms import expressions as ex
+from orliczforms import forms
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
                                RadialPowerField, SegmentPoints, _OnPlane, _points_for,
                                _pts, _t_integral)
-from orliczforms.homotopy import _t_rule
+from orliczforms.homotopy import T_NODES, _t_rule
 
 
 def oneform(*components, dims=2):
@@ -359,9 +360,10 @@ def test_linear_combination_bit_equal_to_scaled_sum():
 
 # ---------------------------------------------------------------- segment planes
 # Inside the T kernel, fields receive SegmentPoints: each coordinate held as a
-# plane over its distinct values.  ExprField evaluates each one-coordinate
-# subtree of its split expression on that coordinate's plane and must give
-# the bits it gives on the expanded segment array.
+# plane over its distinct values, for all y-nodes at once.  ExprField
+# evaluates each one-coordinate subtree of its split expression on that
+# coordinate's plane and must give the bits it gives on the expanded
+# segment array.
 
 PLANE_SOURCES = ["x1", "x2", "0", "pi", "sin(pi*x1)", "cos(pi*x2)", "sqrt(x1)",
                  "x1*x2", "3*x1^2*x2 - x2", "sin(pi*x1)*cos(pi*x2) + x1",
@@ -431,14 +433,21 @@ def _plane_problems(fields, seg):
 def _split_problems(fields, seg):
     """How the split expressions of the ExprFields among ``fields``, on the
     planes of ``seg``, differ from the fields on its segment array."""
-    t, m = seg.tw.size, seg.m
+    shape = (seg.ynodes, seg.tw.size, seg.m)
     problems = []
     for name, f in fields:
         if type(f) is ExprField:
-            got = np.broadcast_to(f._split.ev(seg), (t, m)).reshape(-1)
+            got = np.broadcast_to(f._split.ev(seg), shape).reshape(-1)
             if got.tobytes() != f(_pts(seg)).tobytes():
                 problems.append(f"{name}: split values differ from the segment array")
     return problems
+
+
+def _segment_array(pts, ys, tj):
+    """The segment points t_j x + (1 - t_j) y, in (y, t, point) order."""
+    return (tj[None, :, None, None] * pts[None, None, :, :]
+            + (1.0 - tj)[None, :, None, None] * ys[:, None, None, :]
+            ).reshape(-1, pts.shape[1])
 
 
 @pytest.mark.parametrize("dims", [2, 3])
@@ -452,13 +461,10 @@ def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
     only_x1[:, 0] = only_x1[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]  # no other repeats
     problems = []
     for pts in (lattice, only_x1):
-        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
-        for y in rng.uniform(0.0, 1.0, (4, dims)):
-            seg.move_to((1.0 - tj) * y[:, None])
-            want = (tj[:, None, None] * pts[None, :, :]
-                    + (1.0 - tj)[:, None, None] * y).reshape(-1, dims)
-            assert _pts(seg).tobytes() == want.tobytes()
-            problems += _plane_problems(fields, seg) + _split_problems(fields, seg)
+        ys = rng.uniform(0.0, 1.0, (4, dims))
+        seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+        assert _pts(seg).tobytes() == _segment_array(pts, ys, tj).tobytes()
+        problems += _plane_problems(fields, seg) + _split_problems(fields, seg)
     assert problems == []
 
 
@@ -476,19 +482,18 @@ def test_grid_field_on_segment_planes_bit_equal_to_segment_array(dims):
     scattered = rng.uniform(-0.05, 1.05, (40, dims))
     problems = []
     for pts in (lattice, scattered):
-        seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
+        seg = SegmentPoints(np.ascontiguousarray(pts.T),
+                            rng.uniform(0.0, 1.0, (3, dims)), tj, tw)
         assert _points_for(f, seg) is seg
-        for y in rng.uniform(0.0, 1.0, (3, dims)):
-            seg.move_to((1.0 - tj) * y[:, None])
-            problems += _plane_problems(fields, seg)
+        problems += _plane_problems(fields, seg)
     assert problems == []
 
 
-def test_callable_in_linear_combination_receives_the_segment_array():
+def test_callable_in_linear_combination_receives_the_segment_array(monkeypatch):
     seen = []
 
     def record(p):
-        seen.append((p.copy(), p.shape, p.flags.f_contiguous))
+        seen.append((p.copy(), p.flags.f_contiguous))
         return p[:, 0] * p[:, 1]
 
     field = LinearCombinationField([(1.0, ExprField("sin(pi*x1)", 2)),
@@ -496,13 +501,18 @@ def test_callable_in_linear_combination_receives_the_segment_array():
     box = Box([0.0, 0.0], [1.0, 1.0])
     ev = apply_T(oneform(field, "x2"), box, resolution=15).components[0].evaluator
     pts = box.quadrature(5).points
+    per_chunk = 2  # y-nodes
+    monkeypatch.setattr(forms, "CHUNK_VALUES", per_chunk * ev.tj.size * pts.shape[0])
     ev.coeffs(pts)
-    assert len(seen) == ev.ys.shape[0] > 1
-    for (got, shape, column_major), y in zip(seen, ev.ys):
-        # the segment points y + t_j (x - y), t-major, as t_j x + (1 - t_j) y
-        want = (ev.tj[:, None, None] * pts[None, :, :]
-                + (1.0 - ev.tj)[:, None, None] * y).reshape(-1, 2)
-        assert shape == want.shape and column_major
+    ynodes = ev.ys.shape[0]
+    assert len(seen) == -(-ynodes // per_chunk) > 1
+    # each call gets one chunk's segment points y + t_j (x - y), as
+    # t_j x + (1 - t_j) y, column-major, in (y, t, point) order
+    rows = ev.tj.size * pts.shape[0]
+    for q, (got, column_major) in enumerate(seen):
+        ys = ev.ys[q * per_chunk:(q + 1) * per_chunk]
+        want = _segment_array(pts, ys, ev.tj)
+        assert column_major and want.shape == (ys.shape[0] * rows, 2)
         assert got.tobytes() == want.tobytes()
 
 
@@ -520,17 +530,19 @@ def test_fields_from_outside_receive_the_segment_array():
     box = Box([0.0, 0.0], [1.0, 1.0])
     mixed = LinearCombinationField([(2.0, Foreign()), (1.0, ExprField("x1", 2))])
     tu = apply_T(oneform(mixed, Foreign()), box, resolution=15)
-    tu.components[0](box.quadrature(5).points)
-    assert len(seen) > 2 and all(seen)
+    pts = box.quadrature(5).points
+    rows = T_NODES * pts.shape[0]
+    chunks = -(-tu.components[0].evaluator.ys.shape[0] // (forms.CHUNK_VALUES // rows))
+    tu.components[0](pts)
+    assert len(seen) == 2 * chunks and all(seen)
 
 
 def test_segment_points_keep_signed_zeros_apart():
     tj, tw = _t_rule(1)
     pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
     y = np.array([-0.0, -0.0])
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
-    seg.move_to((1.0 - tj) * y[:, None])
-    want = (tj[:, None, None] * pts + (1.0 - tj)[:, None, None] * y).reshape(-1, 2)
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), y[None, :], tj, tw)
+    want = _segment_array(pts, y[None, :], tj)
     assert np.signbit(want).any() and not np.signbit(want).all()
     assert _pts(seg).tobytes() == want.tobytes()
     assert ExprField("x1", 2)(seg).tobytes() == want[:, 0].tobytes()
@@ -600,12 +612,13 @@ def test_t_integral_agrees_with_t_sum_of_field_values(data):
         rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
         pts = rng.uniform(0.05, 0.95, (data.draw(st.integers(1, 12), label="m"), n))
     tj, tw = _t_rule(data.draw(st.integers(1, n - 1), label="degree"))
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
-    y = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
-                           label="y"))
-    seg.move_to((1.0 - tj) * y[:, None])
-    ref = np.einsum("t,tm->m", tw, f(_pts(seg)).reshape(tj.size, pts.shape[0]))
+    ys = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                              max_size=n), min_size=1, max_size=4),
+                            label="ys"))
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    shape = (ys.shape[0], pts.shape[0])
+    ref = np.einsum("t,ytm->ym", tw, f(_pts(seg)).reshape(shape[0], tj.size, shape[1]))
     got = _t_integral(f, seg)
-    assert got.shape == (pts.shape[0],)
+    assert got.shape == shape
     bound = 1e-13 * max(1.0, float(np.abs(ref).max()))
     assert float(np.abs(got - ref).max()) <= bound

@@ -1,5 +1,6 @@
 """Averaged cone-contraction operator and the decomposition identity."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from orliczforms import (Ball, Box, DifferentialForm, apply_Ky, apply_T,
                          materialize, named_form)
 from orliczforms.errors import DegreeError, InvalidInputError
 from orliczforms import expressions as ex
+from orliczforms import forms as forms_module
 from orliczforms.exterior import _contraction_table, num_components
 from orliczforms.forms import (ExprField, LinearCombinationField, SegmentPoints,
                                _OnPlane, _t_integral)
-from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule
+from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule, _TuEvaluator
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
+BOXES = {2: BOX, 3: Box(np.zeros(3), np.ones(3))}
 
 
 def test_kernel_on_constant_oneform():
@@ -192,7 +195,7 @@ def _kernel_case(dims, kind, fid):
     u = _kernel_forms(dims)[fid]
     region = _kernel_regions(dims)[kind]
     ev = apply_T(u, region, resolution=15).components[0].evaluator
-    assert ev.ys.shape[0] > 1  # the segment buffer is reused across y-nodes
+    assert ev.ys.shape[0] > 1  # the kernel adds several y-nodes' rows
     return ev, _random_points(region)
 
 
@@ -270,6 +273,76 @@ def _componentwise_partial(u, k):
                             tuple(f.partial(k) for f in u.components))
 
 
+# The kernel runs the work that expands to the batch points over parts of
+# the y-nodes, and a spline over parts of its rows, sized by
+# forms.CHUNK_VALUES.  The parts must not show in the bits: one y-node per
+# part and one row per spline part, and everything in one part, both match
+# the reference loop.
+@functools.lru_cache(maxsize=None)
+def _chunk_forms(n):
+    """The kernel forms and the componentwise partial along x_n of each but
+    the closed part; d-materialized-Tu.dn is a spline partial chain."""
+    forms = dict(_kernel_forms(n))
+    for fid, u in _kernel_forms(n).items():
+        if fid != "closed-part":
+            forms[f"{fid}.d{n}"] = _componentwise_partial(u, n)
+    return forms
+
+
+CHUNK_BATCHES = {"lattice": lambda region: region.quadrature(5).points,
+                 "scattered": _random_points,
+                 "single-point": lambda region: region.centroid().reshape(1, -1) + 0.01}
+CHUNK_CASES = [(n, fid, batch) for n in (2, 3) for fid in _chunk_forms(n)
+               for batch in sorted(CHUNK_BATCHES)]
+
+
+@pytest.mark.parametrize("dims,fid,batch", CHUNK_CASES,
+                         ids=[f"{n}-{f}-{b}" for n, f, b in CHUNK_CASES])
+def test_T_kernel_bit_equal_for_any_chunk_budget(dims, fid, batch, monkeypatch):
+    u = _chunk_forms(dims)[fid]
+    ev = apply_T(u, BOXES[dims], resolution=15).components[0].evaluator
+    pts = CHUNK_BATCHES[batch](BOXES[dims])
+    ref = _reference_T_coeffs(ev, pts)
+    whole = 4 ** dims * ev.ys.shape[0] * ev.tj.size * pts.shape[0] + 1
+    assert ev.ys.shape[0] > 1
+    for budget in (1, whole):
+        monkeypatch.setattr(forms_module, "CHUNK_VALUES", budget)
+        ev._cache.clear()
+        assert np.array_equal(ev.coeffs(pts), ref), budget
+
+
+# Only the (., Y, m) blocks of the kernel grow with the y-node count Y: the
+# C t-integrals, x - y, the contraction and its one product row.  Every
+# array that expands to the points is held to a part of the y-nodes.
+@pytest.mark.parametrize("batch", ["lattice", "scattered"])
+def test_T_kernel_memory_grows_only_by_its_block_arrays(batch):
+    tu = materialize(apply_T(named_form("corpus:poly-1form", 2), BOX, resolution=9),
+                     BOX, 6)
+    u = DifferentialForm(2, 1, (tu.components[0].partial(1), "x1*sin(pi*x2) + x2^2"))
+    if batch == "lattice":
+        axis = np.linspace(0.05, 0.95, 45)
+        pts = np.stack([g.reshape(-1) for g in np.meshgrid(axis, axis, indexing="ij")],
+                       axis=1)
+    else:
+        pts = np.random.default_rng(1).uniform(0.05, 0.95, (2025, 2))
+    rng = np.random.default_rng(0)
+
+    def peak(ynodes):
+        ys = rng.uniform(0.3, 0.7, (ynodes, 2))
+        ev = _TuEvaluator(u, ys, np.full(ynodes, 1.0 / ynodes))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ev.coeffs(pts)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    m, ynodes = pts.shape[0], 16
+    blocks = 2 + 2 + 1 + 1  # t-integrals, x - y, contraction, product row
+    assert peak(2 * ynodes) - peak(ynodes) <= 8 * ynodes * m * blocks
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_T_kernel_bit_identical_on_random_lattice_subsets(data):
@@ -316,6 +389,13 @@ def test_kernel_rejects_misshaped_points(case):
 def test_Tu_of_an_empty_batch_is_empty():
     tu = apply_T(named_form("corpus:trig-1form", 2), BOX, resolution=11)
     assert tu.components[0](np.zeros((0, 2))).shape == (0,)
+    # every path that sizes its parts of the y-nodes by the batch: a
+    # one-coordinate leaf, a product, a field at the segment array, a spline
+    for fid in ("trig-closed-1form", "bump-1form", "d-materialized-Tu"):
+        ev = apply_T(_kernel_forms(2)[fid], BOX, resolution=11).components[0].evaluator
+        assert ev.coeffs(np.zeros((0, 2))).shape == (1, 0)
+    spline = _kernel_forms(2)["d-materialized-Tu"].components[0]
+    assert spline(np.zeros((0, 2))).shape == (0,)
 
 
 def test_kernel_takes_a_point_as_a_vector_or_a_row():
@@ -409,11 +489,11 @@ def test_du_of_closed_form_t_integrates_to_zero(dims, eid):
     ball = Ball(np.full(dims, 0.45), 0.3)
     pts = ball.quadrature(9).points
     tj, tw = _t_rule(du.degree)
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), tj, tw)
-    for y in ball.quadrature(5).points:
-        seg.move_to((1.0 - tj) * y[:, None])
-        for f in du.components:
-            assert np.all(_t_integral(f, seg) == 0.0)
+    ys = ball.quadrature(5).points
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    for f in du.components:
+        got = _t_integral(f, seg)
+        assert got.shape == (ys.shape[0], pts.shape[0]) and np.all(got == 0.0)
 
 
 @pytest.mark.parametrize("dims,eid", [(2, "poly-1form"), (2, "radial-1form"),
