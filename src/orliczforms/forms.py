@@ -28,7 +28,11 @@ subtrees.  Its t-integral distributes over sums, differences and constant
 factors; a single-coordinate subtree is evaluated and t-summed on its
 coordinate's plane, for as many y-nodes at once as ``CHUNK_VALUES`` allows
 (all of them on a lattice batch), and then taken to the points; a product
-of non-constant factors is one fused t-sum of the factors expanded to the
+of two such subtrees on coordinates a != b is t-summed on their pair box,
+the (Y', u_a, u_b) t-sums over every pair of their plane columns, which is
+then taken to the points, when the box has at most 2m cells (a lattice
+batch; on a scattered one it would have m^2); any other product of
+non-constant factors is one fused t-sum of the factors expanded to the
 points; any other node is evaluated at the segment points and t-summed.
 Every other field is evaluated at the segment points and t-summed.  A
 ``GridField`` is handed the ``SegmentPoints`` and computes its B-spline
@@ -45,6 +49,9 @@ on the parts.
 The exterior derivative reuses the interior-product table: the coefficient of
 ``dx_K`` in ``du`` is the signed sum of ``d(u_J)/dx_k`` over ways of removing
 one index ``k`` from ``K``, which is exactly the transpose of contraction.
+Fields are immutable, so an ``ExprField`` differentiates and splits its
+expression once per axis and hands the same partial field to every later
+caller: ``du`` of one form on many balls derives nothing again.
 """
 
 from __future__ import annotations
@@ -83,10 +90,10 @@ def _distinct(col: np.ndarray):
 
 # The most float64 values the T kernel holds in one array that grows with
 # the y-nodes, other than its (., Y, m) blocks: a part's coordinate planes
-# and one-coordinate leaf values, its segment array (per coordinate) and
-# product factors, and a GridField's (4^n, P) weights and gathered
-# coefficients.  A part holds at least one y-node (a GridField part at
-# least one row), so one y-node's t values per column (4^n per point) may
+# and one-coordinate leaf values, a pair box, its segment array (per
+# coordinate) and product factors, and a GridField's (4^n, P) weights and
+# gathered coefficients.  A part holds at least one y-node (a GridField part
+# at least one row), so one y-node's t values per column (4^n per point) may
 # exceed it.
 CHUNK_VALUES = 16384
 
@@ -111,11 +118,13 @@ class SegmentPoints:
     arrays hold at most ``CHUNK_VALUES`` values (and at least one y-node).
     An ``ExprField`` t-sums each one-coordinate leaf of its split on the
     leaf's plane, of width u_i, so on a lattice batch all y-nodes go at
-    once; what must be expanded to the m points (a product of several
-    coordinates, any field evaluated at the segment points) goes in parts of
-    width m.  ``shape`` is (Y t m, n), the shape of the point array this
-    stands for; ``_pts`` expands it into that array, the column-major view
-    of a fresh (n, Y, t, m) buffer, points in (y, t, point) order.
+    once; the product of two leaves on a lattice batch goes in parts sized
+    by its pair box (``_box_integral``), and what must be expanded to the m
+    points (another product of several coordinates, any field evaluated at
+    the segment points) goes in parts of width m.  ``shape`` is (Y t m, n),
+    the shape of the point array this stands for; ``_pts`` expands it into
+    that array, the column-major view of a fresh (n, Y, t, m) buffer, points
+    in (y, t, point) order.
     """
 
     def __init__(self, cols: np.ndarray, ys: np.ndarray, tj: np.ndarray,
@@ -226,10 +235,14 @@ class _OnPlane:
     name: str
     node: object
 
+    def on_plane(self, points):
+        """The leaf on its coordinate's plane, shape (Y, t, u_axis)."""
+        return self.node.ev({self.name: points.plane(self.axis)})
+
     def ev(self, points):
         """The leaf at the segment points, shape (Y, t, m)."""
-        value = self.node.ev({self.name: points.plane(self.axis)})
-        return value.take(points.inverses[self.axis], axis=2, mode="clip")
+        return self.on_plane(points).take(points.inverses[self.axis], axis=2,
+                                          mode="clip")
 
     def integral(self, points):
         """The leaf's t-integral at the batch points, shape (Y, m): t-summed
@@ -238,10 +251,41 @@ class _OnPlane:
         inv = points.inverses[self.axis]
 
         def part_integral(part):
-            value = self.node.ev({self.name: part.plane(self.axis)})
-            return _t_sum(part.tw, value).take(inv, axis=1, mode="clip")
+            return _t_sum(part.tw, self.on_plane(part)).take(inv, axis=1, mode="clip")
 
         return points.chunked(part_integral, points.widths[self.axis])
+
+
+def _pair_box(left, right, points) -> bool:
+    """Whether the product ``left * right`` is t-summed on its coordinate-pair
+    box (``_box_integral``): both factors are one-coordinate leaves on
+    different axes, each of at least two columns, and the box has at most
+    twice as many cells as the batch has points (a lattice batch; a
+    scattered one would square its size)."""
+    if not (isinstance(left, _OnPlane) and isinstance(right, _OnPlane)
+            and left.axis != right.axis):
+        return False
+    ua, ub = points.widths[left.axis], points.widths[right.axis]
+    return min(ua, ub) > 1 and ua * ub <= 2 * points.m
+
+
+def _box_integral(left: _OnPlane, right: _OnPlane, points) -> np.ndarray:
+    """The t-integral of ``left * right``, shape (Y, m), from each leaf on
+    its own plane: the (Y', u_a, u_b) box of t-sums over every pair of their
+    columns, taken to the points.  Each cell adds (tw_j * a_j) * b_j in t
+    order, as the t-sum of the factors expanded to the points does, so the
+    bits are the same; the box has at least two columns per axis, so einsum
+    never sums a lone column (see ``_t_sum``)."""
+    ua, ub = points.widths[left.axis], points.widths[right.axis]
+    cell = points.inverses[left.axis] * ub + points.inverses[right.axis]
+
+    def part_integral(part):
+        box = np.einsum("t,yta,ytb->yab", part.tw, left.on_plane(part),
+                        right.on_plane(part))
+        return box.reshape(part.ynodes, ua * ub).take(cell, axis=1, mode="clip")
+
+    # a part's leaf values and box hold at most CHUNK_VALUES values each
+    return points.chunked(part_integral, max(ua, ub, -(-ua * ub // points.tw.size)))
 
 
 def _split(node):
@@ -265,8 +309,9 @@ def _split(node):
 def _integrate(node, points):
     """The t-integral of ``node``, a node of a split expression, at the
     points of a ``SegmentPoints`` batch: shape (Y, m), or a float for a
-    constant.  Only a node that combines several coordinates is expanded to
-    the points, one part of the y-nodes at a time."""
+    constant.  Only a node that combines several coordinates, other than a
+    product of two leaves on a small pair box, is expanded to the points,
+    one part of the y-nodes at a time."""
     if isinstance(node, ex.Num):
         return node.value * points.tw_sum
     if isinstance(node, _OnPlane):
@@ -281,6 +326,8 @@ def _integrate(node, points):
             return a * right.value if op == "*" else a / right.value
         if op == "*" and isinstance(left, ex.Num):
             return left.value * _integrate(right, points)
+        if op == "*" and _pair_box(left, right, points):
+            return _box_integral(left, right, points)
         if op == "*":
             return points.chunked(
                 lambda part: _t_sum(part.tw, left.ev(part), right.ev(part)), points.m)
@@ -291,9 +338,9 @@ class ExprField:
     """Field defined by an expression in variables x1..xn.
 
     Partials are exact: the expression is differentiated symbolically, so
-    chains of ``partial`` calls never lose accuracy.  ``_split(node)``,
-    built once here, is what the T kernel integrates over t (see
-    ``_integrate``).
+    chains of ``partial`` calls never lose accuracy.  Each partial is built
+    once per axis and then returned again.  ``_split(node)``, built once
+    here, is what the T kernel integrates over t (see ``_integrate``).
     """
 
     def __init__(self, source, dims: int):
@@ -305,6 +352,7 @@ class ExprField:
             raise ExpressionError(
                 f"unknown variables {sorted(extra)}; expected subset of x1..x{dims}")
         self._split = _split(self.node)
+        self._partials = {}
 
     def __call__(self, points):
         points = _pts(points)
@@ -319,7 +367,10 @@ class ExprField:
     def partial(self, k):
         if not 1 <= k <= self.dims:
             raise InvalidInputError(f"axis {k} outside 1..{self.dims}")
-        return ExprField(self.node.diff(f"x{k}"), self.dims)
+        field = self._partials.get(k)
+        if field is None:  # fields are immutable, so one derivative serves every caller
+            field = self._partials[k] = ExprField(self.node.diff(f"x{k}"), self.dims)
+        return field
 
     def __repr__(self):
         return f"ExprField({str(self.node)!r}, dims={self.dims})"

@@ -40,11 +40,18 @@ coordinate is a (Y, t, u_i) plane over its u_i distinct values
 and t-summed on its plane (sin of one coordinate is computed once per
 distinct value and y-node, not once per point), for all y-nodes at once on
 a lattice batch, and only its (Y, u_i) t-integral is taken to the points.
-What must be expanded to the points (a product or another node that
-combines several coordinates, and fields evaluated at the segment points)
-runs over consecutive y-nodes in parts whose expanded arrays hold at most
-``forms.CHUNK_VALUES`` values, as do the planes and leaf values of a part,
-so that memory grows with the y-nodes only by the (., Y, m) blocks.  The
+A product of two such subexpressions on coordinates a != b, such as
+x1 * cos(pi x2), is t-summed on their pair box: the (Y, u_a, u_b) t-sums
+over every pair of distinct values, taken to the points, when the box has
+at most twice as many cells as the batch has points (the lattice batches;
+a scattered batch would square its size).  Each cell adds the same
+products in the same t order as the t-sum at the points, so the bits do
+not change.  What must be expanded to the points (another product or node
+that combines several coordinates, and fields evaluated at the segment
+points) runs over consecutive y-nodes in parts whose expanded arrays hold
+at most ``forms.CHUNK_VALUES`` values, as do the planes, leaf values and
+pair boxes of a part, so that memory grows with the y-nodes only by the
+(., Y, m) blocks.  The
 spline of a materialized Tu (``forms.GridField``) computes its B-spline
 basis once per plane value and combines it per point, in parts of its rows
 bounded the same way; this is the closed part of Tu on each ball.  Other
@@ -52,12 +59,21 @@ fields see the segment array of each part, expanded into a fresh buffer.
 Every t-sum adds its terms in t order whatever the size of the batch or of
 the part, so the kernel is pointwise: a point's value does not depend on
 the other points of its batch (see ``_TuEvaluator``).
+
+The closed part on a ball does only the work that depends on both the form
+and the ball.  du is formed from partial fields that an expression field
+builds once per axis (``forms.ExprField.partial``), so a form's du is not
+re-derived per ball; the y-nodes and weights of the default bump are built
+once per (region, resolution) and shared read-only by every T on that
+region, as its quadrature is; and the closed part's values at the ball's
+nodes take T(du) for every component from one kernel call.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -70,7 +86,10 @@ from .geometry import Ball, Box, Domain, ball_inside
 __all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T",
            "closed_part", "decomposition_residual", "materialize"]
 
-# Gauss-Legendre nodes in t; 16 to 32 move no constant by more than 3.5e-5
+# Gauss-Legendre nodes in t.  16 nodes move lemma_closed_part_bound by a
+# relative 3.7e-5 at the acceptance config (grid 27, ball 9, 12 balls), and
+# at grid resolution 11 they raise bump-1form's decomposition residual to
+# 2.9e-3, above the corpus admission gate of 1e-3
 T_NODES = 32
 
 # FD step per unit diameter for d of fields without exact partials (the
@@ -156,16 +175,18 @@ class _TuEvaluator:
     block.  An ``ExprField`` t-sums each leaf of its split (a maximal
     subexpression of one coordinate) on the leaf's plane and takes the
     (Y, u_i) result to the points, adds and subtracts the integrals of its
-    terms, scales them by constant factors, and t-sums a product of
-    non-constant factors in one fused einsum of the factors expanded to
-    (Y', t, m); a ``LinearCombinationField`` combines the t-integrals of
-    its terms.  Any other field is evaluated at the segment points and
-    t-summed: a ``GridField`` (the spline of a materialized Tu, whose
-    closed part on a ball runs T on its partials) computes its knot
-    intervals and basis values on the planes and gathers them per point,
-    and other fields get the planes expanded into a fresh (n, Y', t, m)
-    buffer whose column-major (Y' t m, n) view is the segment array, points
-    in (y, t, point) order.  Whatever expands to the points runs over parts
+    terms, scales them by constant factors, t-sums a product of two leaves
+    on different coordinates on their (Y', u_a, u_b) pair box when that box
+    has at most 2m cells, and any other product of non-constant factors in
+    one fused einsum of the factors expanded to (Y', t, m); a
+    ``LinearCombinationField`` combines the t-integrals of its terms.  Any
+    other field is evaluated at the segment points and t-summed: a
+    ``GridField`` (the spline of a materialized Tu, whose closed part on a
+    ball runs T on its partials) computes its knot intervals and basis
+    values on the planes and gathers them per point, and other fields get
+    the planes expanded into a fresh (n, Y', t, m) buffer whose
+    column-major (Y' t m, n) view is the segment array, points in
+    (y, t, point) order.  Whatever expands to the points runs over parts
     of Y' consecutive y-nodes whose arrays hold at most
     ``forms.CHUNK_VALUES`` values (at least one y-node).  Each coordinate
     is the sum of the same two rounded products t_j x and (1 - t_j) y
@@ -249,17 +270,15 @@ def _one_point(n: int, name: str, p) -> np.ndarray:
     return p.reshape(1, n)
 
 
-def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
-            resolution: int = 41) -> DifferentialForm:
-    """Tu as a degree-(l-1) form whose coefficients are quadrature sums.
+# The y-rule of the default bump, per region and resolution: built once, as
+# the region's quadrature is, and shared read-only by every T on the region.
+_DEFAULT_Y_RULES = weakref.WeakKeyDictionary()  # region -> {resolution: (ys, ws)}
 
-    The returned form has no exact partials: differentiate it with an
-    explicit finite-difference step (``.d(fd_step=...)``).
-    """
-    if u.degree < 1:
-        raise DegreeError("the averaged operator needs degree >= 1")
-    if bump is None:
-        bump = BumpFunction(region, resolution=resolution)
+
+def _y_rule(region: Domain, bump: BumpFunction, resolution: int):
+    """The y-nodes of T and their weights: the nodes of the region's
+    quadrature where the bump is positive, weighted by quadrature weight
+    times bump and normalized to sum to 1."""
     quad = region.quadrature(resolution)
     w = quad.weights * bump(quad.points)
     keep = w > 0
@@ -269,6 +288,29 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
         raise InvalidInputError(
             "bump support contains no quadrature node; raise the resolution")
     ws = ws / total
+    ys.setflags(write=False)
+    ws.setflags(write=False)
+    return ys, ws
+
+
+def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
+            resolution: int = 41) -> DifferentialForm:
+    """Tu as a degree-(l-1) form whose coefficients are quadrature sums.
+
+    The returned form has no exact partials: differentiate it with an
+    explicit finite-difference step (``.d(fd_step=...)``).  The y-rule of
+    the default bump is built once per (region, resolution) and shared.
+    """
+    if u.degree < 1:
+        raise DegreeError("the averaged operator needs degree >= 1")
+    if bump is None:
+        rules = _DEFAULT_Y_RULES.setdefault(region, {})
+        if resolution not in rules:
+            rules[resolution] = _y_rule(
+                region, BumpFunction(region, resolution=resolution), resolution)
+        ys, ws = rules[resolution]
+    else:
+        ys, ws = _y_rule(region, bump, resolution)
     ev = _TuEvaluator(u, ys, ws)
     comps = tuple(_TuComponent(ev, r) for r in range(num_components(u.dims, u.degree - 1)))
     return DifferentialForm(u.dims, u.degree - 1, comps)
@@ -304,8 +346,9 @@ def _closed_part_values(u: DifferentialForm, u_b: DifferentialForm,
     if u_b is u:
         return values
     # component r of u - T(du) is LinearCombinationField([(1.0, u_r),
-    # (-1.0, T(du)_r)]), which adds the terms to zeros: (0.0 + u_r) - T(du)_r
-    tdu = np.stack([c.terms[1][1](points) for c in u_b.components])
+    # (-1.0, T(du)_r)]), which adds the terms to zeros: (0.0 + u_r) - T(du)_r;
+    # one kernel call gives T(du) for every r
+    tdu = u_b.components[0].terms[1][1].evaluator.coeffs(points)
     return (0.0 + values) - tdu
 
 
@@ -337,8 +380,6 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
     n, l = u.dims, u.degree
     if not 1 <= l <= n - 1:
         raise DegreeError(f"decomposition needs degree in 1..{n - 1}, got {l}")
-    if bump is None:
-        bump = BumpFunction(region, resolution=resolution)
     du = u.d(fd_step=FD_SCALE * region.diameter())
     tu = apply_T(u, region, bump, resolution=resolution)
     tdu = apply_T(du, region, bump, resolution=resolution)

@@ -548,6 +548,51 @@ def test_segment_points_keep_signed_zeros_apart():
     assert ExprField("x1", 2)(seg).tobytes() == want[:, 0].tobytes()
 
 
+# ---------------------------------------------------------------- pair box
+# A product of two one-coordinate leaves on different axes is t-summed on
+# the (Y, u_a, u_b) box of their columns, when the box holds at most twice
+# as many cells as the batch has points, and the box is taken to the
+# points.  It keeps the bits of the t-sum of the two factors expanded to
+# the points.
+
+def _pair_batches(n, axis):
+    """Batches named, with whether the product takes the box: a lattice, a
+    scattered batch, the lattice with coordinate ``axis`` held constant, and
+    one point."""
+    lattice = Box(np.zeros(n), np.ones(n)).quadrature(5).points
+    flat = lattice.copy()
+    flat[:, axis] = 0.3
+    return {"lattice": (lattice, True),
+            "scattered": (np.random.default_rng(n).uniform(0.05, 0.95, (9, n)), False),
+            "width-one": (flat, False),
+            "single-point": (lattice[7:8], False)}
+
+
+PAIR_CASES = [(n, a, b, batch, ynodes) for n in (2, 3)
+              for a, b in itertools.permutations(range(n), 2)
+              for batch in ("lattice", "scattered", "width-one", "single-point")
+              for ynodes in (1, 3)]
+
+
+@pytest.mark.parametrize("dims,a,b,batch,ynodes", PAIR_CASES,
+                         ids=[f"{n}-x{a + 1}x{b + 1}-{batch}-Y{y}"
+                              for n, a, b, batch, y in PAIR_CASES])
+def test_leaf_product_bit_equal_on_the_pair_box_and_expanded(dims, a, b, batch, ynodes):
+    f = ExprField(f"sin(pi*x{a + 1}) * (x{b + 1}^2 + 1)", dims)
+    left, right = f._split.left, f._split.right
+    assert (left.axis, right.axis) == (a, b)
+    pts, on_box = _pair_batches(dims, a)[batch]
+    tj, tw = _t_rule(1)
+    ys = np.random.default_rng(ynodes).uniform(0.0, 1.0, (ynodes, dims))
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    expanded = seg.chunked(
+        lambda part: forms._t_sum(part.tw, left.ev(part), right.ev(part)), seg.m)
+    assert forms._pair_box(left, right, seg) is on_box
+    assert np.array_equal(_t_integral(f, seg), expanded)
+    if min(seg.widths[a], seg.widths[b]) > 1:  # the box on any batch, if forced
+        assert np.array_equal(forms._box_integral(left, right, seg), expanded)
+
+
 # ---------------------------------------------------------------- t-integrals
 # The T kernel asks each field for its t-integral on SegmentPoints.  ExprField
 # and LinearCombinationField integrate themselves over their terms and on the

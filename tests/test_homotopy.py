@@ -280,10 +280,16 @@ def _componentwise_partial(u, k):
 # the reference loop.
 @functools.lru_cache(maxsize=None)
 def _chunk_forms(n):
-    """The kernel forms and the componentwise partial along x_n of each but
-    the closed part; d-materialized-Tu.dn is a spline partial chain."""
-    forms = dict(_kernel_forms(n))
-    for fid, u in _kernel_forms(n).items():
+    """The kernel forms, a 1-form of products of two one-coordinate leaves
+    (on every axis pair, t-summed on their pair box on a lattice batch), and
+    the componentwise partial along x_n of each but the closed part;
+    d-materialized-Tu.dn is a spline partial chain."""
+    products = ("x1*cos(pi*x2)", "sin(x1)*(x2^2 + 1)", "x1*exp(x2)")
+    if n == 3:
+        products = ("x1*cos(pi*x2)", "sin(x3)*(x1^2 + 1)", "x2*exp(x3)")
+    forms = dict(_kernel_forms(n), **{"leaf-products": DifferentialForm(
+        n, 1, products[:n])})
+    for fid, u in list(forms.items()):
         if fid != "closed-part":
             forms[f"{fid}.d{n}"] = _componentwise_partial(u, n)
     return forms

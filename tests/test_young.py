@@ -1,14 +1,18 @@
 """Young functions, Luxemburg norms, and the sandwich-class checks."""
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, YoungFunction, ball_family, check_g_class,
-                         check_phi_dominated, constant_weight, custom_young,
-                         lp_norm, luxemburg_norm, named_form,
-                         oscillation_profile, oscillation_residuals, power,
-                         power_log, young_violations)
+from orliczforms import (Ball, Box, DifferentialForm, YoungFunction, apply_T,
+                         ball_family, check_g_class, check_phi_dominated,
+                         constant_weight, custom_young, lp_norm, luxemburg_norm,
+                         named_form, oscillation_profile, oscillation_residuals,
+                         power, power_log, young_violations)
+from orliczforms import expressions as ex
+from orliczforms import homotopy
 from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
                                 NoConvergenceError)
 from orliczforms.forms import CallableField, ExprField
@@ -84,6 +88,58 @@ def test_ball_lattice_built_once_per_ball_and_resolution(monkeypatch):
     for phi in (power(2.0), power_log(1.5)):
         oscillation_profile(u, balls, phi, ball_resolution=9, residuals=residuals)
     assert sorted(builds) == sorted((id(b), 9) for b in balls)
+
+
+# The per-ball closed parts build only what depends on both the form and the
+# ball: du's derivative fields are built once per field and axis, and the
+# default bump's y-rule once per ball and resolution.
+def _fresh_oneforms():
+    return [DifferentialForm(2, 1, ("x2^3 + x1^2*x2", "x1*cos(pi*x2)")),
+            DifferentialForm(2, 1, ("sin(pi*x2) + x1*x2", "x1^3 - x2"))]
+
+
+def test_closed_parts_differentiate_each_field_once_per_axis(monkeypatch):
+    forms = _fresh_oneforms()
+    roots = {id(f.node) for u in forms for f in u.components}
+    calls = collections.Counter()
+    for cls in (ex.Num, ex.Var, ex.BinOp, ex.Call):
+        def counting(self, var, _diff=cls.diff):
+            if id(self) in roots:
+                calls[id(self), var] += 1
+            return _diff(self, var)
+        monkeypatch.setattr(cls, "diff", counting)
+    balls = ball_family(BOX, 4, expansion=1.1)
+    for u in forms:
+        oscillation_residuals(u, balls, ball_resolution=9)
+    # d of a 1-form on the plane takes d/dx2 of its dx1 and d/dx1 of its dx2
+    want = {(id(u.components[0].node), "x2") for u in forms}
+    want |= {(id(u.components[1].node), "x1") for u in forms}
+    assert dict(calls) == dict.fromkeys(want, 1)
+
+
+def test_default_y_rule_built_once_per_ball_and_resolution(monkeypatch):
+    built = []
+
+    class CountingBump(homotopy.BumpFunction):
+        def __init__(self, region, *args, **kwargs):
+            built.append((id(region), kwargs.get("resolution")))
+            super().__init__(region, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "BumpFunction", CountingBump)
+    balls = ball_family(BOX, 4, expansion=1.1)
+    for u in _fresh_oneforms() + [named_form("corpus:trig-1form", 2)]:
+        for resolution in (7, 9):
+            oscillation_residuals(u, balls, ball_resolution=resolution)
+    assert sorted(built) == sorted((id(b), r) for b in balls for r in (7, 9))
+    # every T on a ball shares its rule, read-only; an explicit bump builds its own
+    a, b = (apply_T(u, balls[0], resolution=9).components[0].evaluator
+            for u in _fresh_oneforms())
+    assert a.ys is b.ys and a.ws is b.ws and not a.ys.flags.writeable
+    own = apply_T(_fresh_oneforms()[0], balls[0],
+                  homotopy.BumpFunction(balls[0], resolution=9),
+                  resolution=9).components[0].evaluator
+    assert own.ys is not a.ys
+    assert np.array_equal(own.ys, a.ys) and np.array_equal(own.ws, a.ws)
 
 
 # u - u_B is formed from one evaluation of u per ball: u_B = u - T(du) takes
