@@ -16,7 +16,7 @@ from .forms import (BumpField, CallableField, ConstantField, DifferentialForm,
                     ExprField, GridField, RadialPowerField, as_field,
                     check_analytic_partials, codifferential, evaluate)
 from .homotopy import (BumpFunction, apply_Ky, apply_T, closed_part,
-                       decomposition_residual, materialize)
+                       closed_part_values, decomposition_residual, materialize)
 from .young import (GClassReport, OscillationNormSpec, OscillationResult,
                     WRHReport, YoungFunction, check_g_class, check_wrh,
                     custom_young, lp_norm, luxemburg_norm, oscillation_norm,

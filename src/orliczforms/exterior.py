@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class MultiIndex:
         return "dx" + "^dx".join(str(i) for i in self.indices)
 
 
-@lru_cache(maxsize=None)
+@cache
 def multi_indices(n: int, l: int) -> tuple[MultiIndex, ...]:
     """All degree-l multi-indices in dimension n, in lexicographic order."""
     if not 0 <= l <= n:
@@ -89,7 +89,7 @@ def multi_indices(n: int, l: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex(n, c) for c in itertools.combinations(range(1, n + 1), l))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _rank_table(n: int, l: int) -> dict[tuple[int, ...], int]:
     return {mi.indices: r for r, mi in enumerate(multi_indices(n, l))}
 
@@ -112,7 +112,7 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
+@cache
 def _wedge_table(n: int, la: int, lb: int) -> tuple:
     """Rows (ia, ib, iout, sign) of the wedge of degrees (la, lb), in
     lexicographic order of (ia, ib)."""
@@ -128,7 +128,7 @@ def _wedge_table(n: int, la: int, lb: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _star_table(n: int, l: int):
     """Permutation and signs such that star(a) = signs * a[src] componentwise."""
     src = np.empty(num_components(n, l), dtype=np.intp)
@@ -142,7 +142,7 @@ def _star_table(n: int, l: int):
     return src, signs
 
 
-@lru_cache(maxsize=None)
+@cache
 def _contraction_table(n: int, l: int) -> tuple:
     """Rows (iout, iin, axis, sign) of the interior product on degree l."""
     out_rank = _rank_table(n, l - 1)

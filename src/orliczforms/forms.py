@@ -70,7 +70,7 @@ from .exterior import (CovectorValue, MultiIndex, _contraction_table, _star_tabl
 __all__ = [
     "ScalarField", "ConstantField", "ExprField", "CallableField", "BumpField",
     "RadialPowerField", "GridField", "DifferentialForm", "as_field",
-    "codifferential", "evaluate", "check_analytic_partials",
+    "codifferential", "evaluate", "check_analytic_partials", "pointwise_modulus",
 ]
 
 
@@ -780,8 +780,7 @@ class DifferentialForm:
 
     def modulus_values(self, points) -> np.ndarray:
         """Pointwise Euclidean modulus at each point, shape (m,)."""
-        coeffs = self.evaluate(points)
-        return np.sqrt(np.sum(coeffs * coeffs, axis=0))
+        return pointwise_modulus(self.evaluate(points))
 
     def _partial_field(self, rank: int, axis: int, fd_step):
         f = self.components[rank]
@@ -845,6 +844,11 @@ class DifferentialForm:
 
     def index_labels(self) -> tuple[str, ...]:
         return tuple(str(mi) for mi in multi_indices(self.dims, self.degree))
+
+
+def pointwise_modulus(coeffs: np.ndarray) -> np.ndarray:
+    """The modulus of each column of a (num_components, m) array, shape (m,)."""
+    return np.sqrt(np.sum(coeffs * coeffs, axis=0))
 
 
 def codifferential(u: DifferentialForm, fd_step: float | None = None) -> DifferentialForm:

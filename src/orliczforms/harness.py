@@ -17,12 +17,13 @@ quadratures double.  Per-ball closed parts take their y-nodes from
 ``ball_res(scale)`` (1 node in the bump support at resolution 9, 16 at 18),
 so there the rerun also changes the operator.
 
-The oscillation seminorms are cached on two levels.  The values |u - u_B| at
-each ball's quadrature nodes depend only on the form, the ball and the scale,
-so they are computed once per (form, scale) and shared by every Young
-function and weight; the per-ball profile ||u - u_B||_{phi,B} is then one
-Luxemburg bisection per ball, cached per (form, phi, weight, scale) and
-shared by the BMO and Lipschitz kinds.
+The context caches values, never a kernel result.  On the domain grid,
+|u|, |u_Omega| and |u - u_Omega| at the nodes are computed once per (entry,
+scale) and shared by the three global verifiers.  On the balls, the values
+|u - u_B| at each ball's quadrature nodes are computed once per (form,
+scale) and shared by every Young function and weight; the per-ball profile
+||u - u_B||_{phi,B} is then one Luxemburg bisection per ball, cached per
+(form, phi, weight, scale) and shared by the BMO and Lipschitz kinds.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import numpy as np
 
 from .corpus import CorpusEntry
 from .errors import InvalidInputError, RejectedPairError
-from .forms import DifferentialForm, codifferential
+from .forms import DifferentialForm, codifferential, pointwise_modulus
 from .geometry import Ball, Box, Domain, ball_family
-from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part, materialize
+from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part_values, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
 from .young import (OscillationNormSpec, YoungFunction, check_g_class,
                     check_wrh, luxemburg_norm, lp_norm, oscillation_norm,
@@ -149,7 +150,7 @@ class HarnessContext:
         self.radius_fraction = radius_fraction
         self._balls: tuple | None = None
         self._tu: dict = {}
-        self._closed: dict = {}
+        self._global: dict = {}
         self._residuals: dict = {}
         self._profiles: dict = {}
         self._g_class: dict = {}
@@ -205,25 +206,30 @@ class HarnessContext:
                                         resolution=self.grid_res(scale))
         return self._tu[key]
 
-    def closed_part_global(self, entry: CorpusEntry, scale: int = 1) -> DifferentialForm:
-        """u_Omega: the mean on the scaled grid for 0-forms, else u - T(du)
-        with the T behind Tu, so one closed part serves both scales."""
-        res = self.grid_res(scale) if entry.degree == 0 else self.grid_resolution
-        key = (entry.id, res)
-        if key not in self._closed:
-            self._closed[key] = closed_part(entry.form, self.domain, resolution=res)
-        return self._closed[key]
+    def global_moduli(self, entry: CorpusEntry, scale: int = 1) -> tuple:
+        """|u|, |u_Omega| and |u - u_Omega| at the nodes of
+        ``domain.quadrature(grid_res(scale))``, from one evaluation of u:
+        u_Omega is the mean over those nodes for 0-forms, else u - T(du)
+        with the T behind Tu (at ``grid_resolution`` on both scales)."""
+        key = (entry.id, scale)
+        if key not in self._global:
+            quad = self.domain.quadrature(self.grid_res(scale))
+            u = entry.form.evaluate(quad.points)
+            u_omega = closed_part_values(entry.form, self.domain, quad, u,
+                                         resolution=self.grid_resolution)
+            self._global[key] = tuple(map(pointwise_modulus, (u, u_omega, u - u_omega)))
+        return self._global[key]
 
     def oscillation(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
                     kind: str, weight: Weight | None = None, scale: int = 1):
         """(value, argmax ball) of the BMO or Lipschitz seminorm over balls().
 
-        Two cache levels: the node values |form - form_B| on every ball are
-        computed once per (form_key, scale), closed parts included, and
-        shared by every Young function and weight; the per-ball profile
-        ||form - form_B||_{phi, B} is cached per (form_key, phi, weight,
-        scale) and shared between the two kinds, so their comparison is
-        exact to rounding.
+        Reads the two per-ball cache levels (the third, the domain values of
+        ``global_moduli``, serves the global verifiers): the node values
+        |form - form_B| on every ball, once per (form_key, scale), closed
+        parts included, shared by every Young function and weight; and the
+        profile ||form - form_B||_{phi, B}, per (form_key, phi, weight,
+        scale), shared by the two kinds, so their comparison is exact.
         """
         balls = list(self.balls())
         rkey = (form_key, scale)
@@ -336,9 +342,9 @@ def verify_lemma_closedpart_bound(ctx: HarnessContext, t: float,
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries():
-        u_omega = ctx.closed_part_global(e, scale)
-        lhs = lp_norm(u_omega, dom, t, resolution=ctx.grid_res(scale))
-        rhs = dom.volume() * lp_norm(e.form, dom, t, resolution=ctx.grid_res(scale))
+        mod_u, mod_omega, _ = ctx.global_moduli(e, scale)
+        lhs = lp_norm(mod_omega, dom, t, resolution=ctx.grid_res(scale))
+        rhs = dom.volume() * lp_norm(mod_u, dom, t, resolution=ctx.grid_res(scale))
         entries.append(_ratio_entry(e.id, lhs, rhs))
     return _collect("lemma_closed_part_bound", ctx.echo(t=t, scale=scale), entries)
 
@@ -357,8 +363,7 @@ def verify_sobolev_poincare(ctx: HarnessContext, t: float,
     for e in ctx.form_entries(max_degree=n - 1):
         du = e.form.d(fd_step=FD_SCALE * dom.diameter())
         rhs = lp_norm(du, dom, t, resolution=ctx.grid_res(scale))
-        diff = e.form - ctx.closed_part_global(e, scale)
-        lhs = lp_norm(diff, dom, s, resolution=ctx.grid_res(scale))
+        lhs = lp_norm(ctx.global_moduli(e, scale)[2], dom, s, resolution=ctx.grid_res(scale))
         entries.append(_ratio_entry(e.id, lhs, rhs))
     return _collect("sobolev_poincare", ctx.echo(t=t, target_exponent=s, scale=scale),
                     entries)
@@ -378,9 +383,7 @@ def verify_oscillation_lower_bound(ctx: HarnessContext, psi: YoungFunction,
     w = quad.weights if weight is None else quad.weights * weight(quad.points)
     entries = []
     for e in ctx.form_entries():
-        mod_u = e.form.modulus_values(quad.points)
-        diff = e.form - ctx.closed_part_global(e, scale)
-        mod_d = diff.modulus_values(quad.points)
+        mod_u, _, mod_d = ctx.global_moduli(e, scale)
         # the hypothesis needs |u - u_Omega| > 0 on positive measure; below
         # the decomposition gate the oscillation is indistinguishable from
         # operator error (closed entries land at exactly 0), so flag it

@@ -32,59 +32,47 @@ reorder it.  This is exact in arithmetic; in floating point it fixes the
 rounding, and the tests pin this order bit for bit against a reference
 loop over y-nodes on fresh segment arrays.
 
-The segment points are held as compressed coordinate planes: coordinate i
-of y + t_j (x - y) depends only on (y_i, t_j, x_i), and a lattice batch of
-m points has far fewer than m distinct values per coordinate, so each
-coordinate is a (Y, t, u_i) plane over its u_i distinct values
-(``forms.SegmentPoints``).  A single-coordinate subexpression is evaluated
-and t-summed on its plane (sin of one coordinate is computed once per
-distinct value and y-node, not once per point), for all y-nodes at once on
-a lattice batch, and only its (Y, u_i) t-integral is taken to the points.
-A product of two such subexpressions on coordinates a != b, such as
-x1 * cos(pi x2), is t-summed on their pair box: the (Y, u_a, u_b) t-sums
-over every pair of distinct values, taken to the points, when the box has
-at most twice as many cells as the batch has points (the lattice batches;
-a scattered batch would square its size).  Each cell adds the same
-products in the same t order as the t-sum at the points, so the bits do
-not change.  What must be expanded to the points (another product or node
-that combines several coordinates, and fields evaluated at the segment
-points) runs over consecutive y-nodes in parts whose expanded arrays hold
-at most ``forms.CHUNK_VALUES`` values, as do the planes, leaf values and
-pair boxes of a part, so that memory grows with the y-nodes only by the
-(., Y, m) blocks.  The
-spline of a materialized Tu (``forms.GridField``) computes its B-spline
-basis once per plane value and combines it per point, in parts of its rows
-bounded the same way; this is the closed part of Tu on each ball.  Other
-fields see the segment array of each part, expanded into a fresh buffer.
-Every t-sum adds its terms in t order whatever the size of the batch or of
-the part, so the kernel is pointwise: a point's value does not depend on
-the other points of its batch (see ``_TuEvaluator``).
+The segment points are held as compressed coordinate planes
+(``forms.SegmentPoints``): coordinate i of y + t_j (x - y) depends only on
+(y_i, t_j, x_i), so a single-coordinate subexpression is evaluated and
+t-summed once per distinct value and y-node, and a product of two of them
+on coordinates a != b on their (Y, u_a, u_b) pair box when the box has at
+most twice as many cells as the batch has points (a lattice batch).  What
+must be expanded to the points, the spline basis of a materialized Tu
+(``forms.GridField``) included, runs over parts of the y-nodes or rows that
+hold at most ``forms.CHUNK_VALUES`` values, so memory grows with the
+y-nodes only by the (., Y, m) blocks.  Every t-sum adds its terms in t
+order whatever the size of the batch or of the part, so the kernel is
+pointwise: a point's value does not depend on the other points of its
+batch (see ``_TuEvaluator``).
 
 The closed part on a ball does only the work that depends on both the form
 and the ball.  du is formed from partial fields that an expression field
 builds once per axis (``forms.ExprField.partial``), so a form's du is not
 re-derived per ball; the y-nodes and weights of the default bump are built
 once per (region, resolution) and shared read-only by every T on that
-region, as its quadrature is; and the closed part's values at the ball's
-nodes take T(du) for every component from one kernel call.
+region, as its quadrature is; and ``closed_part_values``, the one path to
+u_B's values per ball and on the domain, forms them from u's values and
+T(du) for every component from one kernel call.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
 from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
-                    LinearCombinationField, SegmentPoints, _pts, _t_integral)
+                    LinearCombinationField, SegmentPoints, _pts, _t_integral,
+                    pointwise_modulus)
 from .geometry import Ball, Box, Domain, ball_inside
 
-__all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T",
-           "closed_part", "decomposition_residual", "materialize"]
+__all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T", "closed_part",
+           "closed_part_values", "decomposition_residual", "materialize"]
 
 # Gauss-Legendre nodes in t.  16 nodes move lemma_closed_part_bound by a
 # relative 3.7e-5 at the acceptance config (grid 27, ball 9, 12 balls), and
@@ -142,7 +130,7 @@ class BumpFunction:
         return LinearCombinationField([(self.scale, self.profile.partial(k))])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _t_rule(l: int):
     """T_NODES Gauss-Legendre nodes on [0,1] with the t^(l-1) factor folded
     in; built once per degree l and shared read-only."""
@@ -157,9 +145,9 @@ def _t_rule(l: int):
 class _TuEvaluator:
     """Shared evaluation core for all coefficients of Tu.
 
-    Caches the last few coefficient batches keyed by point-set content, so
-    that the components of Tu, which all evaluate one point batch, and the
-    FD stencils of ``decomposition_residual`` do not recompute the y-sum.
+    ``coeffs`` gives every coefficient at a batch of points, running the
+    kernel on each call; the form ``apply_T`` returns evaluates all of its
+    components with one call, and a lone component takes its row of one.
 
     Layout: coordinate i of the segment point y + t_j (x - y) is
     t_j x_i + (1 - t_j) y_i, which depends only on (y_i, t_j, x_i), and the
@@ -212,7 +200,6 @@ class _TuEvaluator:
         self.ys = ys
         self.ws = ws
         self.tj, self.tw = _t_rule(u.degree)
-        self._cache: dict[tuple, np.ndarray] = {}
 
     def coeffs(self, pts: np.ndarray) -> np.ndarray:
         pts = np.ascontiguousarray(pts, dtype=np.float64)
@@ -221,10 +208,6 @@ class _TuEvaluator:
             raise InvalidInputError(
                 f"T of a form on R^{n} takes points of shape (m, {n}), "
                 f"got shape {pts.shape}")
-        key = (pts.shape[0], hashlib.sha1(pts.tobytes()).hexdigest())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         cols = np.ascontiguousarray(pts.T)  # (n, m)
         seg = SegmentPoints(cols, self.ys, self.tj, self.tw)
         a = np.empty((len(self.u.components), self.ys.shape[0], pts.shape[0]))
@@ -234,9 +217,6 @@ class _TuEvaluator:
         out = np.zeros((c.shape[0], pts.shape[0]))
         for k, w in enumerate(self.ws):  # in y order, as one y-node at a time
             out += w * c[:, k]
-        if len(self._cache) >= 16:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = out
         return out
 
 
@@ -245,10 +225,28 @@ class _TuComponent:
         self.evaluator, self.rank = evaluator, rank
 
     def __call__(self, points):
-        return self.evaluator.coeffs(_pts(points))[self.rank].copy()
+        return self.evaluator.coeffs(_pts(points))[self.rank]
 
     def partial(self, k):
         return None
+
+
+class _TuForm(DifferentialForm):
+    """Tu, whose ``evaluate`` runs the kernel once for all components."""
+
+    def evaluate(self, points) -> np.ndarray:
+        return self.components[0].evaluator.coeffs(_pts(points))
+
+
+@dataclass(frozen=True)
+class _ClosedPart(DifferentialForm):
+    """u - T(du) for 1 <= deg u <= n - 1, evaluated with T(du) from one call."""
+
+    u: DifferentialForm
+    tdu: _TuForm
+
+    def evaluate(self, points) -> np.ndarray:
+        return (0.0 + self.u.evaluate(points)) - self.tdu.evaluate(points)
 
 
 def apply_Ky(u: DifferentialForm, y, x):
@@ -313,7 +311,7 @@ def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = Non
         ys, ws = _y_rule(region, bump, resolution)
     ev = _TuEvaluator(u, ys, ws)
     comps = tuple(_TuComponent(ev, r) for r in range(num_components(u.dims, u.degree - 1)))
-    return DifferentialForm(u.dims, u.degree - 1, comps)
+    return _TuForm(u.dims, u.degree - 1, comps)
 
 
 def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
@@ -325,31 +323,28 @@ def closed_part(u: DifferentialForm, region: Domain, bump: BumpFunction | None =
     ``apply_T``, bare callables)."""
     if u.degree == 0:
         quad = region.quadrature(resolution)
-        mean = _mean(quad, u.components[0](quad.points))
+        mean = closed_part_values(u, region, quad, u.evaluate(quad.points))[0, 0]
         return DifferentialForm(u.dims, 0, (ConstantField(mean),))
     if u.degree == u.dims:
         return u
     du = u.d(fd_step=FD_SCALE * region.diameter())
-    return u - apply_T(du, region, bump, resolution=resolution)
+    tdu = apply_T(du, region, bump, resolution=resolution)
+    return _ClosedPart(u.dims, u.degree, (u - tdu).components, u, tdu)
 
 
-def _mean(quad, values: np.ndarray) -> float:
-    """The mean over the region of ``quad`` of the ``values`` at its nodes."""
-    return quad.integrate(values) / float(quad.weights.sum())
-
-
-def _closed_part_values(u: DifferentialForm, u_b: DifferentialForm,
-                        values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``u_b = closed_part(u, ...)`` at ``points`` for u of degree >= 1,
-    given ``values``, the values of u there; the bits of
-    ``u_b.evaluate(points)`` without evaluating u again."""
+def closed_part_values(u: DifferentialForm, region: Domain, quad, values: np.ndarray,
+                       *, resolution: int = 15) -> np.ndarray:
+    """u_B at the nodes of ``quad`` from ``values = u.evaluate(quad.points)``:
+    the mean over ``quad`` for a 0-form, else the bits of ``closed_part(u,
+    region, resolution=resolution).evaluate(quad.points)`` (``values`` for
+    a top-degree form), with T(du) from one kernel call."""
+    if u.degree == 0:
+        return np.full(values.shape, quad.integrate(values[0]) / float(quad.weights.sum()))
+    u_b = closed_part(u, region, resolution=resolution)
     if u_b is u:
         return values
-    # component r of u - T(du) is LinearCombinationField([(1.0, u_r),
-    # (-1.0, T(du)_r)]), which adds the terms to zeros: (0.0 + u_r) - T(du)_r;
-    # one kernel call gives T(du) for every r
-    tdu = u_b.components[0].terms[1][1].evaluator.coeffs(points)
-    return (0.0 + values) - tdu
+    # each component of u - T(du) adds its terms to zeros: (0.0 + u_r) - T(du)_r
+    return (0.0 + values) - u_b.tdu.evaluate(quad.points)
 
 
 def _test_lattice(region: Domain, resolution: int) -> np.ndarray:
@@ -384,9 +379,10 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
     tu = apply_T(u, region, bump, resolution=resolution)
     tdu = apply_T(du, region, bump, resolution=resolution)
     h = RESIDUAL_FD_COEFFICIENT * region.diameter() / resolution
-    recon = tu.d(fd_step=h) + tdu
     pts = _test_lattice(region, RESIDUAL_TEST_RESOLUTION)
-    return float((u - recon).modulus_values(pts).max())
+    # the bits of (u - (tu.d(h) + tdu)).modulus_values(pts), T(du) in one call
+    recon = (0.0 + tu.d(fd_step=h).evaluate(pts)) + tdu.evaluate(pts)
+    return float(pointwise_modulus((0.0 + u.evaluate(pts)) - recon).max())
 
 
 def materialize(u: DifferentialForm, box: Box, resolution: int) -> DifferentialForm:

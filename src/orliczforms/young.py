@@ -29,7 +29,7 @@ from . import homotopy
 from .errors import (DivergedIntegralError, EmptyBallFamilyError, InvalidInputError,
                      NoConvergenceError)
 from .expressions import parse
-from .forms import DifferentialForm
+from .forms import DifferentialForm, pointwise_modulus
 from .geometry import Ball, Domain, ball_family
 
 __all__ = [
@@ -419,21 +419,15 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
 
     u_B is the per-ball closed part.  The values depend on neither the Young
     function nor the weight, so one set serves every (phi, weight) profile.
-    u is evaluated once per ball, and u_B's values are formed from it; the
-    mean of a 0-form is taken from those values, as ``closed_part`` takes it.
+    u is evaluated once per ball (``homotopy.closed_part_values``).
     """
     out = []
     for ball in balls:
         quad = ball.quadrature(ball_resolution)
         values = u.evaluate(quad.points)
-        if u.degree == 0:
-            u_b = homotopy._mean(quad, values[0])
-        else:
-            u_b = homotopy._closed_part_values(
-                u, homotopy.closed_part(u, ball, resolution=ball_resolution),
-                values, quad.points)
-        diff = values - u_b
-        out.append(np.sqrt(np.sum(diff * diff, axis=0)))
+        u_b = homotopy.closed_part_values(u, ball, quad, values,
+                                          resolution=ball_resolution)
+        out.append(pointwise_modulus(values - u_b))
     return out
 
 

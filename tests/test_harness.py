@@ -268,6 +268,37 @@ def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypa
         assert report.to_dict() == run(HarnessContext(DOM, corpus, **kw), i).to_dict()
 
 
+def test_suite_contracts_on_every_T_evaluation_and_reads_u_omega_once(monkeypatch):
+    # no batch cache: every _TuEvaluator.coeffs call runs the contraction,
+    # and the three global verifiers share one evaluation of (u, u_Omega)
+    # per (entry, scale)
+    cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
+                                 "ball_count": 4, "stability_check": True})
+    entries = [e for e in build_corpus(DOM, 2, resolution=11) if e.form is not None]
+    evals, contractions, omegas = [], [], []
+    coeffs, contract = homotopy._TuEvaluator.coeffs, homotopy.contract_coeffs
+    u_omega = orliczforms.harness.closed_part_values
+
+    def counting_coeffs(self, pts):
+        evals.append(pts.shape[0])
+        return coeffs(self, pts)
+
+    def counting_contract(*args):
+        contractions.append(args[2].shape)
+        return contract(*args)
+
+    def counting_global(u, region, quad, values, **kwargs):
+        omegas.append((id(u), quad.points.shape[0]))
+        return u_omega(u, region, quad, values, **kwargs)
+
+    monkeypatch.setattr(homotopy._TuEvaluator, "coeffs", counting_coeffs)
+    monkeypatch.setattr(homotopy, "contract_coeffs", counting_contract)
+    monkeypatch.setattr(orliczforms.harness, "closed_part_values", counting_global)
+    run_suite(cfg)
+    assert evals and len(contractions) == len(evals)
+    assert len(set(omegas)) == len(omegas) == 2 * len(entries)
+
+
 def test_g_class_checked_once_per_context(corpus, monkeypatch):
     # thm_lipschitz and thm_bmo at both scales read one (phi, p, q, c); each
     # context checks it once, and a new context checks it again

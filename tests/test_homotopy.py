@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from orliczforms import (Ball, Box, DifferentialForm, apply_Ky, apply_T,
                          build_corpus, closed_part, decomposition_residual,
-                         materialize, named_form)
+                         homotopy, materialize, named_form)
 from orliczforms.errors import DegreeError, InvalidInputError
 from orliczforms import expressions as ex
 from orliczforms import forms as forms_module
 from orliczforms.exterior import _contraction_table, num_components
 from orliczforms.forms import (ExprField, LinearCombinationField, SegmentPoints,
                                _OnPlane, _t_integral)
-from orliczforms.homotopy import FD_SCALE, BumpFunction, _t_rule, _TuEvaluator
+from orliczforms.homotopy import (FD_SCALE, BumpFunction, _t_rule, _TuEvaluator,
+                                  closed_part_values)
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 BOXES = {2: BOX, 3: Box(np.zeros(3), np.ones(3))}
@@ -313,7 +314,6 @@ def test_T_kernel_bit_equal_for_any_chunk_budget(dims, fid, batch, monkeypatch):
     assert ev.ys.shape[0] > 1
     for budget in (1, whole):
         monkeypatch.setattr(forms_module, "CHUNK_VALUES", budget)
-        ev._cache.clear()
         assert np.array_equal(ev.coeffs(pts), ref), budget
 
 
@@ -514,6 +514,43 @@ def test_closed_part_matches_d_of_T(dims, eid):
     got = closed_part(u, ball, resolution=11).evaluate(pts)
     want = ref.evaluate(pts)
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+# closed_part_values forms u_B from u's values at the nodes; in every degree
+# and region it gives the bytes of the closed part's components
+CLOSED_VALUE_CASES = [(n, kind, e.id) for n in (2, 3) for kind in ("box", "ball")
+                      for e in build_corpus(dims=n, admit=False) if e.form is not None]
+
+
+@pytest.mark.parametrize("dims,kind,eid", CLOSED_VALUE_CASES,
+                         ids=[f"{n}-{k}-{eid}" for n, k, eid in CLOSED_VALUE_CASES])
+def test_closed_part_values_bit_equal_to_closed_part(dims, kind, eid):
+    u = named_form(f"corpus:{eid}", dims)
+    region = _kernel_regions(dims)[kind]
+    quad = region.quadrature(9)
+    got = closed_part_values(u, region, quad, u.evaluate(quad.points), resolution=9)
+    u_b = closed_part(u, region, resolution=9)
+    for want in (u_b.evaluate(quad.points),
+                 np.stack([f(quad.points) for f in u_b.components])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_closed_part_values_cover_every_degree():
+    degrees = {(n, named_form(f"corpus:{eid}", n).degree)
+               for n, _, eid in CLOSED_VALUE_CASES}
+    assert degrees == {(n, l) for n in (2, 3) for l in range(n + 1)}
+
+
+def test_decomposition_residual_is_u_minus_the_reconstruction():
+    # T(du) comes from one kernel call; the residual keeps the bits of the
+    # form expression it stands for, here on a 3-D 2-form
+    u, region, res = named_form("corpus:poly-2form", 3), BOXES[3], 11
+    tu = apply_T(u, region, resolution=res)
+    tdu = apply_T(u.d(fd_step=FD_SCALE * region.diameter()), region, resolution=res)
+    h = homotopy.RESIDUAL_FD_COEFFICIENT * region.diameter() / res
+    pts = homotopy._test_lattice(region, homotopy.RESIDUAL_TEST_RESOLUTION)
+    want = float((u - (tu.d(fd_step=h) + tdu)).modulus_values(pts).max())
+    assert decomposition_residual(u, region, resolution=res) == want
 
 
 def test_closed_part_of_scalar_is_the_mean():
