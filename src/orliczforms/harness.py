@@ -17,8 +17,8 @@ quadratures double.  Per-ball closed parts take their y-nodes from
 ``ball_res(scale)`` (1 node in the bump support at resolution 9, 16 at 18),
 so there the rerun also changes the operator.
 
-The context caches values, never a kernel result.  On the domain grid,
-|u|, |u_Omega| and |u - u_Omega| at the nodes are computed once per (entry,
+Besides the materialized Tu, the context caches node values.  On the
+domain grid, |u|, |u_Omega| and |u - u_Omega| are computed once per (entry,
 scale) and shared by the three global verifiers.  On the balls, the values
 |u - u_B| at each ball's quadrature nodes are computed once per (form,
 scale) and shared by every Young function and weight; the per-ball profile
@@ -229,7 +229,8 @@ class HarnessContext:
         |form - form_B| on every ball, once per (form_key, scale), closed
         parts included, shared by every Young function and weight; and the
         profile ||form - form_B||_{phi, B}, per (form_key, phi, weight,
-        scale), shared by the two kinds, so their comparison is exact.
+        scale), shared by the two kinds, so their comparison is exact to
+        rounding.
         """
         balls = list(self.balls())
         rkey = (form_key, scale)
