@@ -175,7 +175,7 @@ class RunConfig:
 def _validate(cfg: dict) -> list:
     e: list = []
     dims = cfg["dims"]
-    if dims not in (2, 3):
+    if type(dims) is not int or dims not in (2, 3):
         e.append(f"dims must be 2 or 3 (corpus presets exist for those), got {dims!r}")
         dims = 2  # keep later checks meaningful
 
@@ -196,6 +196,8 @@ def _validate(cfg: dict) -> list:
             if (not isinstance(c, list) or len(c) != dims
                     or not all(_is_num(a) for a in c) or not _is_num(r) or r <= 0):
                 e.append(f"domain: ball needs a length-{dims} center and radius > 0")
+
+    geometry_ok = not e  # dims and the domain are all that is checked so far
 
     for key, low in (("grid_resolution", 5), ("ball_resolution", 5),
                      ("ball_count", 1)):
@@ -284,6 +286,8 @@ def _validate(cfg: dict) -> list:
         if row.name in requested:
             try:
                 e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims))
+                if geometry_ok:  # else the raw dims or domain may be huge
+                    e.extend(f"{row.name}: {m}" for m in row.domain_gate(run_cfg))
             except (TypeError, KeyError, OrliczFormsError) as exc:
                 if clean:  # a failure no check above explains
                     e.append(f"{row.name}: {exc}")

@@ -65,7 +65,7 @@ import numpy as np
 from . import expressions as ex
 from .errors import DegreeError, ExpressionError, InvalidInputError, OutOfDomainError
 from .exterior import (CovectorValue, MultiIndex, _contraction_table, _star_table,
-                       index_rank, multi_indices, num_components)
+                       index_rank, num_components)
 
 __all__ = [
     "ScalarField", "ConstantField", "ExprField", "CallableField", "BumpField",
@@ -841,9 +841,6 @@ class DifferentialForm:
         comps = tuple(LinearCombinationField([(float(signs[j]), self.components[int(src[j])])])
                       for j in range(num_components(n, n - l)))
         return DifferentialForm(n, n - l, comps)
-
-    def index_labels(self) -> tuple[str, ...]:
-        return tuple(str(mi) for mi in multi_indices(self.dims, self.degree))
 
 
 def pointwise_modulus(coeffs: np.ndarray) -> np.ndarray:

@@ -584,15 +584,18 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
 
 @dataclass(frozen=True)
 class Verifier:
-    """One verifier: ``gate(config, dims)`` lists its parameter violations,
-    which ``load_config`` reports when it is requested; ``run(ctx, config,
-    scale)`` returns its reports.  Runners look ``verify_*`` up in this module
-    at call time, so rebinding the module attribute reaches ``run_suite``."""
+    """One verifier: ``gate(config, dims)`` lists its parameter violations
+    and ``domain_gate(config)`` those found on the config's domain;
+    ``load_config`` reports both when the verifier is requested, the second
+    only when dims and the domain are valid.  ``run(ctx, config, scale)``
+    returns its reports.  Runners look ``verify_*`` up in this module at call
+    time, so rebinding the module attribute reaches ``run_suite``."""
 
     name: str
     needs_box: bool  # reads the materialized Tu, a spline on the box grid
     gate: Callable[[object, int], list]
     run: Callable[[HarnessContext, object, int], list]
+    domain_gate: Callable[[object], list] = lambda c: []
 
 
 VERIFIERS = (
@@ -626,12 +629,13 @@ VERIFIERS = (
     Verifier("weighted_lipschitz", False,
              lambda c, n: _weighted_gate(
                  c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
-                 c.weighted["alpha"], c.weighted["s"])
-             + _weights_gate(c.build_weights(), c.build_domain(), c.grid_resolution),
+                 c.weighted["alpha"], c.weighted["s"]),
              lambda ctx, c, sc: [verify_weighted_lipschitz(
                  ctx, c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"], w, sc)
-                 for w in c.build_weights()]),
+                 for w in c.build_weights()],
+             lambda c: _weights_gate(c.build_weights(), c.build_domain(),
+                                     c.grid_resolution)),
 )
 VERIFIER_NAMES = tuple(v.name for v in VERIFIERS)
 

@@ -10,8 +10,9 @@ Then u = d(Tu) + T(du), and the closed part is u_B = u - T(du) = d(Tu) (the
 mean, for 0-forms), so closed forms (du = 0) give u_B = u exactly.
 
 Numerical scheme and its one essential property: the y-integral is the
-region's quadrature restricted to the bump's support, with the discrete
-weights renormalized to sum exactly to 1.  Under that normalization the
+bump's own rule (``BumpFunction.ys``, ``.ws``), the nodes of its region's
+quadrature inside the bump's support, weighted by quadrature weight times
+bump and renormalized to sum exactly to 1.  Under that normalization the
 discrete decomposition d(T^ u) + T^(du) = u holds *identically* in the
 y-weights; the residual that ``decomposition_residual`` observes comes only
 from the t-quadrature (a fixed ``T_NODES`` = 32-node Gauss-Legendre rule,
@@ -49,7 +50,7 @@ batch (see ``_TuEvaluator``).
 The closed part on a ball does only the work that depends on both the form
 and the ball.  du is formed from partial fields that an expression field
 builds once per axis (``forms.ExprField.partial``), so a form's du is not
-re-derived per ball; the y-nodes and weights of the default bump are built
+re-derived per ball; the default bump, and with it its y-rule, is built
 once per (region, resolution) and shared read-only by every T on that
 region, as its quadrature is; and ``closed_part_values``, the one path to
 u_B's values per ball and on the domain, forms them from u's values and
@@ -66,9 +67,8 @@ import numpy as np
 
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
-from .forms import (BumpField, ConstantField, DifferentialForm, GridField,
-                    LinearCombinationField, SegmentPoints, _pts, _t_integral,
-                    pointwise_modulus)
+from .forms import (BumpField, ConstantField, DifferentialForm, GridField, SegmentPoints,
+                    _pts, _t_integral, pointwise_modulus)
 from .geometry import Ball, Box, Domain, ball_inside
 
 __all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T", "closed_part",
@@ -91,43 +91,41 @@ RESIDUAL_FD_COEFFICIENT = 0.05
 
 
 class BumpFunction:
-    """Smooth nonnegative profile supported strictly inside a region, mass 1.
+    """Smooth nonnegative profile supported strictly inside a region, mass 1,
+    and the y-rule that T averages against it.
 
     The profile is exp(-1/(1-|z|^2)) on a support ball (default: centered at
     the region's centroid with radius a quarter of the inradius), scaled so
-    its integral over the region's quadrature grid is exactly 1.
+    its integral over the region's quadrature grid is exactly 1.  The
+    profile is evaluated once, on the nodes of ``region.quadrature
+    (resolution)``; the nodes where quadrature weight times bump is positive
+    are the y-nodes ``ys`` of T, and those products, normalized to sum to 1,
+    are their weights ``ws`` (both read-only).
     """
 
     def __init__(self, region: Domain, center=None, radius: float | None = None,
                  resolution: int = 41):
         center = region.centroid() if center is None else np.asarray(center, float)
         radius = 0.25 * region.inradius() if radius is None else float(radius)
-        if not radius > 0:
-            raise InvalidInputError(f"bump radius must be positive, got {radius}")
-        if not ball_inside(region, Ball(center, radius)):
-            raise InvalidInputError("bump support must lie strictly inside the region")
-        self.region = region
         self.profile = BumpField(center, radius)
+        self.support = Ball(center, radius)
+        if not ball_inside(region, self.support):
+            raise InvalidInputError("bump support must lie strictly inside the region")
         quad = region.quadrature(resolution)
-        mass = quad.integrate(self.profile(quad.points))
+        values = self.profile(quad.points)
+        mass = quad.integrate(values)
         if mass <= 0:
             raise InvalidInputError(
                 "bump support contains no quadrature node; raise the resolution")
         self.scale = 1.0 / mass
-
-    @property
-    def center(self):
-        return self.profile.center
-
-    @property
-    def radius(self):
-        return self.profile.radius
+        w = quad.weights * (self.scale * values)
+        keep = w > 0
+        self.ys, self.ws = quad.points[keep], w[keep] / w[keep].sum()
+        self.ys.setflags(write=False)
+        self.ws.setflags(write=False)
 
     def __call__(self, points):
         return self.scale * self.profile(points)
-
-    def partial(self, k):
-        return LinearCombinationField([(self.scale, self.profile.partial(k))])
 
 
 @functools.cache
@@ -268,48 +266,33 @@ def _one_point(n: int, name: str, p) -> np.ndarray:
     return p.reshape(1, n)
 
 
-# The y-rule of the default bump, per region and resolution: built once, as
-# the region's quadrature is, and shared read-only by every T on the region.
-_DEFAULT_Y_RULES = weakref.WeakKeyDictionary()  # region -> {resolution: (ys, ws)}
-
-
-def _y_rule(region: Domain, bump: BumpFunction, resolution: int):
-    """The y-nodes of T and their weights: the nodes of the region's
-    quadrature where the bump is positive, weighted by quadrature weight
-    times bump and normalized to sum to 1."""
-    quad = region.quadrature(resolution)
-    w = quad.weights * bump(quad.points)
-    keep = w > 0
-    ys, ws = quad.points[keep], w[keep]
-    total = ws.sum()
-    if not total > 0:
-        raise InvalidInputError(
-            "bump support contains no quadrature node; raise the resolution")
-    ws = ws / total
-    ys.setflags(write=False)
-    ws.setflags(write=False)
-    return ys, ws
+# The default bump per region and resolution: built once, as the region's
+# quadrature is, and its y-rule shared read-only by every T on the region.
+_DEFAULT_BUMPS = weakref.WeakKeyDictionary()  # region -> {resolution: BumpFunction}
 
 
 def apply_T(u: DifferentialForm, region: Domain, bump: BumpFunction | None = None,
             resolution: int = 41) -> DifferentialForm:
     """Tu as a degree-(l-1) form whose coefficients are quadrature sums.
 
-    The returned form has no exact partials: differentiate it with an
-    explicit finite-difference step (``.d(fd_step=...)``).  The y-rule of
-    the default bump is built once per (region, resolution) and shared.
+    The y-integral is the bump's rule, ``bump.ys`` and ``bump.ws``.
+    ``resolution`` only selects the default bump (``BumpFunction(region,
+    resolution=resolution)``), which is built once per (region, resolution)
+    and shared; an explicit ``bump`` keeps its own rule, and its support
+    must lie inside ``region``.  The returned form has no exact partials:
+    differentiate it with an explicit finite-difference step
+    (``.d(fd_step=...)``).
     """
     if u.degree < 1:
         raise DegreeError("the averaged operator needs degree >= 1")
     if bump is None:
-        rules = _DEFAULT_Y_RULES.setdefault(region, {})
-        if resolution not in rules:
-            rules[resolution] = _y_rule(
-                region, BumpFunction(region, resolution=resolution), resolution)
-        ys, ws = rules[resolution]
-    else:
-        ys, ws = _y_rule(region, bump, resolution)
-    ev = _TuEvaluator(u, ys, ws)
+        bumps = _DEFAULT_BUMPS.setdefault(region, {})
+        if resolution not in bumps:
+            bumps[resolution] = BumpFunction(region, resolution=resolution)
+        bump = bumps[resolution]
+    elif not ball_inside(region, bump.support):
+        raise InvalidInputError("bump support must lie strictly inside the region")
+    ev = _TuEvaluator(u, bump.ys, bump.ws)
     comps = tuple(_TuComponent(ev, r) for r in range(num_components(u.dims, u.degree - 1)))
     return _TuForm(u.dims, u.degree - 1, comps)
 

@@ -98,11 +98,6 @@ class AClassReport:
     def finite(self) -> bool:
         return self.flagged == 0 and math.isfinite(self.supremum)
 
-    def to_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "supremum": self.supremum, "argmax_index": self.argmax_index,
-                "flagged": self.flagged, "entries": self.entries}
-
 
 def check_a_class(weight: Weight, alpha: float, beta: float, gamma: float,
                   balls: list[Ball], resolution: int = 21) -> AClassReport:
@@ -142,10 +137,6 @@ class PhiDominatedReport:
     ok: bool
     worst_t: float
     worst_ratio: float
-
-    def to_dict(self):
-        return {"p": self.p, "ok": self.ok, "worst_t": self.worst_t,
-                "worst_ratio": self.worst_ratio}
 
 
 def check_phi_dominated(phi: YoungFunction, p: float) -> PhiDominatedReport:

@@ -178,15 +178,6 @@ class GClassReport:
     power_p_bounds: tuple[float, float] = (math.nan, math.nan)
     power_q_bounds: tuple[float, float] = (math.nan, math.nan)
 
-    def to_dict(self):
-        return {
-            "p": self.p, "q": self.q, "c": self.c, "member": self.member,
-            "violations": list(self.violations),
-            "ratio_g": list(self.ratio_g), "ratio_h": list(self.ratio_h),
-            "power_p_bounds": list(self.power_p_bounds),
-            "power_q_bounds": list(self.power_q_bounds),
-        }
-
 
 def check_g_class(phi: YoungFunction, p: float, q: float,
                   c: float | None = None) -> GClassReport:
@@ -495,11 +486,6 @@ class WRHReport:
     @property
     def ok(self) -> bool:
         return self.degenerate == 0 and math.isfinite(self.constant)
-
-    def to_dict(self):
-        return {"s": self.s, "t": self.t, "rho": self.rho,
-                "constant": self.constant, "argmax_index": self.argmax_index,
-                "degenerate": self.degenerate, "entries": self.entries}
 
 
 def check_wrh(u: DifferentialForm, domain: Domain, s: float, t: float, rho: float,

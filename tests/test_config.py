@@ -1,5 +1,6 @@
 """Config loading: deep-merged defaults, aggregated validation, builders."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,24 @@ def test_violations_are_aggregated():
         load_config(overrides={"dims": 4, "sigma": 0.5,
                                "conjugate": {"p": 2.0, "q": 3.0}})
     assert len(exc.value.violations) == 3
+
+
+@pytest.mark.parametrize("bad", [{"dims": 4}, {"dims": 2.0},
+                                 {"domain": {"kind": "box", "lo": [0.0] * 5,
+                                             "hi": [1.0] * 5}}])
+def test_invalid_geometry_builds_no_domain(bad):
+    # the weights gate samples the domain at grid_resolution; with a bad dims
+    # or domain it would sample a 51^dims grid, so it does not run (and a
+    # float dims would pass to Box([0.0] * dims) and fail in run_suite)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides=bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.split(":")[0].split(" ")[0] for v in exc.value.violations] == [*bad]
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------- gates

@@ -432,6 +432,69 @@ def test_bump_is_normalized_and_supported_inside():
     np.testing.assert_allclose(psi(edge), 0.0, atol=1e-12)
 
 
+def _reference_y_rule(region, bump, resolution):
+    """T's y-rule as separate arithmetic: quadrature weight times the bump on
+    the region's nodes, restricted to where it is positive, normalized."""
+    quad = region.quadrature(resolution)
+    w = quad.weights * bump(quad.points)
+    keep = w > 0
+    ws = w[keep]
+    return quad.points[keep], ws / ws.sum()
+
+
+@pytest.mark.parametrize("resolution", [7, 9, 15, 27])
+@pytest.mark.parametrize("region", [BOX, BOXES[3], Ball([0.4, 0.6], 0.3),
+                                    Ball([0.5, 0.5, 0.5], 0.4)],
+                         ids=["box2", "box3", "ball2", "ball3"])
+def test_bump_y_rule_bit_equal_to_reference(region, resolution):
+    psi = BumpFunction(region, resolution=resolution)
+    ys, ws = _reference_y_rule(region, psi, resolution)
+    assert np.array_equal(psi.ys, ys) and np.array_equal(psi.ws, ws)
+    for arr in (psi.ys, psi.ws):
+        assert not arr.flags.writeable
+
+
+def test_bump_profile_evaluated_once_per_bump(monkeypatch):
+    calls = []
+    call = forms_module.BumpField.__call__
+
+    def counting(self, points):
+        calls.append(len(points))
+        return call(self, points)
+
+    monkeypatch.setattr(forms_module.BumpField, "__call__", counting)
+    ball = Ball([0.5, 0.5], 0.4)
+    u = named_form("corpus:poly-1form", 2)
+    psi = BumpFunction(ball, resolution=15)
+    apply_T(u, ball, bump=psi)
+    for _ in range(2):  # the default bump is built on the first call only
+        apply_T(u, ball, resolution=9)
+    assert calls == [len(ball.quadrature(15).points), len(ball.quadrature(9).points)]
+
+
+def test_explicit_bump_keeps_its_own_rule():
+    psi = BumpFunction(BOX, resolution=15)
+    u = named_form("corpus:poly-1form", 2)
+    for resolution in (9, 15, 27):
+        ev = apply_T(u, BOX, bump=psi, resolution=resolution).components[0].evaluator
+        assert ev.ys is psi.ys and ev.ws is psi.ws
+
+
+def test_explicit_bump_must_lie_inside_the_region():
+    ball = Ball([0.45, 0.45], 0.15)
+    # built on the box, its support (radius 0.125 about the centre) is partly
+    # outside the ball
+    psi = BumpFunction(BOX, resolution=15)
+    inner = BumpFunction(BOX, center=[0.5, 0.5], radius=0.05, resolution=15)
+    u = named_form("corpus:poly-1form", 2)
+    with pytest.raises(InvalidInputError):
+        apply_T(u, ball, bump=psi, resolution=15)
+    with pytest.raises(InvalidInputError):
+        closed_part(u, ball, psi, resolution=15)
+    ev = apply_T(u, ball, bump=inner).components[0].evaluator
+    assert ev.ys is inner.ys
+
+
 def test_apply_T_lowers_degree():
     u = named_form("corpus:poly-1form", 2)
     assert apply_T(u, BOX, resolution=11).degree == 0
