@@ -14,7 +14,7 @@ Schema (all keys optional, defaults shown):
   "k": 0.5,
   "radius_fraction": 0.25,
   "young": {"name": "power", "p": 2.0},           // or power_log / custom
-  "g_class": {"p": 1.5, "q": 3.0, "c": 1.0},
+  "g_class": {"p": 1.5, "q": 3.0},  // young must lie in G(p, q)
   "conjugate": {"p": 2.0, "q": 2.0},
   "weighted": {"p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
                "young": {"name": "power", "p": 1.2}},
@@ -27,6 +27,9 @@ Schema (all keys optional, defaults shown):
   "verifiers": ["all"],
   "stability_check": true
 }
+
+``grid_resolution ** dims`` and ``ball_resolution ** dims`` may not exceed
+``NODE_BUDGET`` (10^6 nodes), so no gate samples a grid larger than that.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ DEFAULT_CONFIG: dict = {
     "k": 0.5,
     "radius_fraction": 0.25,
     "young": {"name": "power", "p": 2.0},
-    "g_class": {"p": 1.5, "q": 3.0, "c": 1.0},
+    "g_class": {"p": 1.5, "q": 3.0},
     "conjugate": {"p": 2.0, "q": 2.0},
     "weighted": {"p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
                  "young": {"name": "power", "p": 1.2}},
@@ -68,6 +71,9 @@ DEFAULT_CONFIG: dict = {
     "verifiers": ["all"],
     "stability_check": True,
 }
+
+NODE_BUDGET = 10 ** 6  # most nodes a grid or ball quadrature may have
+
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -197,13 +203,17 @@ def _validate(cfg: dict) -> list:
                     or not all(_is_num(a) for a in c) or not _is_num(r) or r <= 0):
                 e.append(f"domain: ball needs a length-{dims} center and radius > 0")
 
-    geometry_ok = not e  # dims and the domain are all that is checked so far
-
     for key, low in (("grid_resolution", 5), ("ball_resolution", 5),
                      ("ball_count", 1)):
         v = cfg[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             e.append(f"{key} must be an integer >= {low}, got {v!r}")
+        elif key != "ball_count" and v ** dims > NODE_BUDGET:
+            e.append(f"{key} = {v} gives {v ** dims} nodes in {dims} dimensions, "
+                     f"above the budget of {NODE_BUDGET}")
+
+    # dims, the domain and the resolutions are all that is checked so far
+    geometry_ok = not e
 
     if not (_is_num(cfg["sigma"]) and cfg["sigma"] > 1):
         e.append(f"sigma must be > 1, got {cfg['sigma']!r}")
@@ -217,13 +227,12 @@ def _validate(cfg: dict) -> list:
     _check_young_spec(cfg["young"], "young", e)
 
     g = cfg["g_class"]
+    if isinstance(g, dict):
+        e.extend(f"g_class: unknown key {k!r}" for k in g if k not in ("p", "q"))
     if not isinstance(g, dict) or not all(_is_num(g.get(x)) for x in ("p", "q")):
         e.append("g_class: needs numeric p and q")
-    else:
-        if not 1 <= g["p"] < g["q"]:
-            e.append(f"g_class: needs 1 <= p < q, got p={g['p']}, q={g['q']}")
-        if g.get("c") is not None and not (_is_num(g["c"]) and g["c"] >= 1):
-            e.append(f"g_class: c must be null or >= 1, got {g.get('c')!r}")
+    elif not 1 <= g["p"] < g["q"]:
+        e.append(f"g_class: needs 1 <= p < q, got p={g['p']}, q={g['q']}")
 
     cj = cfg["conjugate"]
     if not isinstance(cj, dict) or not all(_is_num(cj.get(x)) for x in ("p", "q")):

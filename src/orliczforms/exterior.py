@@ -222,21 +222,6 @@ class CovectorValue:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zero(cls, n: int, l: int) -> "CovectorValue":
-        return cls(n, l, np.zeros(num_components(n, l)))
-
-    @classmethod
-    def from_dict(cls, n: int, l: int, entries: dict) -> "CovectorValue":
-        """Build from a {MultiIndex or index-tuple: scalar} mapping; absent keys are 0."""
-        c = np.zeros(num_components(n, l))
-        for key, val in entries.items():
-            mi = key if isinstance(key, MultiIndex) else MultiIndex(n, tuple(key))
-            if mi.degree != l or mi.dims != n:
-                raise InvalidInputError(f"key {key} does not match degree {l} in dimension {n}")
-            c[index_rank(mi)] = val
-        return cls(n, l, c)
-
-    @classmethod
     def scalar(cls, n: int, value: float) -> "CovectorValue":
         return cls(n, 0, np.array([value]))
 

@@ -178,11 +178,11 @@ class HarnessContext:
         base.update(extra)
         return base
 
-    def g_class(self, phi: YoungFunction, p: float, q: float, c: float | None):
-        """``check_g_class(phi, p, q, c)``, run once per (phi, p, q, c)."""
-        key = (phi.describe(), p, q, c)
+    def g_class(self, phi: YoungFunction, p: float, q: float):
+        """``check_g_class(phi, p, q)``, run once per (phi, p, q)."""
+        key = (phi.describe(), p, q)
         if key not in self._g_class:
-            self._g_class[key] = check_g_class(phi, p, q, c)
+            self._g_class[key] = check_g_class(phi, p, q)
         return self._g_class[key]
 
     # -- cached fields ----------------------------------------------------
@@ -266,7 +266,8 @@ def _ratio_entry(eid: str, lhs: float, rhs: float, **extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # verifiers and their parameter gates (verify_* raises on a gate, load_config
-# reports it)
+# reports it).  The G(p, q) gates take ``membership``: ``check_g_class`` at
+# load time, the context's cached ``g_class`` in a verifier.
 
 
 def _raise_on(violations: list) -> None:
@@ -282,17 +283,42 @@ def _sobolev_gate(n: int, t: float) -> list:
     return [] if 1 < t < n else [f"need 1 < t < dims={n}, got t={t}"]
 
 
-def _thm_bmo_gate(n: int, p: float, q: float) -> list:
+def _g_class_gate(membership: Callable, phi: YoungFunction, p: float,
+                  q: float) -> list:
+    """phi in G(p, q); callers first make sure that 1 <= p < q, since
+    ``check_g_class`` raises otherwise."""
+    rep = membership(phi, p, q)
+    if rep.member:
+        return []
+    return ["Young function fails the G(p,q) sandwich: " + "; ".join(rep.violations)]
+
+
+def _thm_lipschitz_gate(membership: Callable, phi: YoungFunction, p: float,
+                        q: float) -> list:
+    if not 1 <= p < q:
+        return [f"need 1 <= p < q, got p={p}, q={q}"]
+    return _g_class_gate(membership, phi, p, q)
+
+
+def _thm_bmo_gate(membership: Callable, phi: YoungFunction, n: int, p: float,
+                  q: float) -> list:
     out = [] if 1 < p < q else [f"need 1 < p < q, got p={p}, q={q}"]
     if not q * (n - p) < n * p:
         out.append(f"exponent gate q(n-p) < np fails: {q}*({n}-{p}) = "
                    f"{q * (n - p)} >= {n * p}")
+    if 1 < p < q:
+        out += _g_class_gate(membership, phi, p, q)
     return out
 
 
-def _conjugate_gate(p: float, q: float) -> list:
+def _conjugate_gate(membership: Callable, phi: YoungFunction, p: float,
+                    q: float) -> list:
     ok = p > 0 and q > 0 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
-    return [] if ok else [f"conjugate exponents need 1/p + 1/q = 1, got p={p}, q={q}"]
+    if not ok:
+        return [f"conjugate exponents need 1/p + 1/q = 1, got p={p}, q={q}"]
+    # conjugate p < q means 1 < p < 2 < q; G(p, q) needs p < q, so
+    # p = q = 2 and p > q skip membership
+    return _g_class_gate(membership, phi, p, q) if p < q else []
 
 
 def _weighted_gate(phi: YoungFunction, p: float, q: float, alpha: float, s: float) -> list:
@@ -403,21 +429,11 @@ def verify_oscillation_lower_bound(ctx: HarnessContext, psi: YoungFunction,
                              weight=wdesc, scale=scale), entries)
 
 
-def _require_g_class(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
-                     c: float | None):
-    rep = ctx.g_class(phi, p, q, c)
-    if not rep.member:
-        raise InvalidInputError(
-            "Young function fails the G(p,q,c) sandwich: " + "; ".join(rep.violations))
-    return rep
-
-
 def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
-                         q: float, c: float | None = None,
-                         scale: int = 1) -> VerificationReport:
-    """||Tu||_{phi locLip_k} <= C ||u||_phi for entries passing the weak
-    reverse Hoelder check with s=q, t=p on rho-dilated balls."""
-    _require_g_class(ctx, phi, p, q, c)
+                         q: float, scale: int = 1) -> VerificationReport:
+    """||Tu||_{phi locLip_k} <= C ||u||_phi for phi in G(p, q) and entries
+    passing the weak reverse Hoelder check with s=q, t=p on rho-dilated balls."""
+    _raise_on(_thm_lipschitz_gate(ctx.g_class, phi, p, q))
     dom = ctx.domain
     wrh_balls = list(ctx.balls()) if ctx.rho == ctx.sigma else None
     entries = []
@@ -436,19 +452,18 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
             entry["ratio"] = math.nan
         entries.append(entry)
     return _collect("thm_lipschitz",
-                    ctx.echo(phi=phi.describe(), p=p, q=q, c=c, scale=scale),
-                    entries)
+                    ctx.echo(phi=phi.describe(), p=p, q=q, scale=scale), entries)
 
 
 def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
-                   c: float | None = None, scale: int = 1) -> VerificationReport:
-    """||Tu||_{phi*} <= C ||u||_phi under the exponent gate q(n-p) < np.
+                   scale: int = 1) -> VerificationReport:
+    """||Tu||_{phi*} <= C ||u||_phi for phi in G(p, q) under the exponent gate
+    q(n-p) < np.
 
     No reverse-Hoelder hypothesis here; the gate on (p, q) replaces it.
     """
     n = ctx.dims
-    _raise_on(_thm_bmo_gate(n, p, q))
-    _require_g_class(ctx, phi, p, q, c)
+    _raise_on(_thm_bmo_gate(ctx.g_class, phi, n, p, q))
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
@@ -456,7 +471,7 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
                                    scale=scale)
         rhs = luxemburg_norm(e.form, dom, phi, resolution=ctx.grid_res(scale))
         entries.append(_ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg)))
-    return _collect("thm_bmo", ctx.echo(phi=phi.describe(), p=p, q=q, c=c,
+    return _collect("thm_bmo", ctx.echo(phi=phi.describe(), p=p, q=q,
                                         gate=f"{q}*({n}-{p}) < {n}*{p}",
                                         scale=scale), entries)
 
@@ -491,8 +506,9 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
                           q: float, A=None, scale: int = 1) -> VerificationReport:
     """BMO comparison for a conjugate pair: ||u||_{phi*} vs |B|^beta ||v||_{phi*}.
 
-    Structural gate: A(du) must equal the codifferential of v on the grid
-    (residual <= 1e-4, else the pair is rejected); the pointwise bound
+    phi must lie in G(p, q) when p < q.  Structural gate: A(du) must equal the
+    codifferential of v on the grid (residual <= 1e-4, else the pair is
+    rejected); the pointwise bound
     |du|^q <= |d star v|^p must hold at every quadrature node.  The |B|^beta
     factor is reported per ball in the family, max over balls.
 
@@ -503,11 +519,7 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
     identically whenever v has top degree (every top form is its own closed
     part), which would make the comparison vacuous.
     """
-    _raise_on(_conjugate_gate(p, q))
-    # conjugacy forces p <= 2 <= q; the sandwich class is defined for p < q
-    # only, so the boundary case p = q = 2 skips the membership gate
-    if p < q:
-        _require_g_class(ctx, phi, p, q, None)
+    _raise_on(_conjugate_gate(ctx.g_class, phi, p, q))
     beta = 1.0 + 1.0 / ctx.dims - p / (ctx.dims * q)
     quad = ctx.domain.quadrature(ctx.grid_res(scale))
     entries = []
@@ -584,10 +596,12 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
 
 @dataclass(frozen=True)
 class Verifier:
-    """One verifier: ``gate(config, dims)`` lists its parameter violations
-    and ``domain_gate(config)`` those found on the config's domain;
+    """One verifier: ``gate(config, dims)`` lists its parameter violations,
+    G(p, q) membership of the config's Young function included, and
+    ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
-    only when dims and the domain are valid.  ``run(ctx, config, scale)``
+    only when dims, the domain and the resolutions are valid.
+    ``run(ctx, config, scale)``
     returns its reports.  Runners look ``verify_*`` up in this module at call
     time, so rebinding the module attribute reaches ``run_suite``."""
 
@@ -611,19 +625,21 @@ VERIFIERS = (
     Verifier("oscillation_lower_bound", False, lambda c, n: [],
              lambda ctx, c, sc: [verify_oscillation_lower_bound(
                  ctx, c.build_young(), tuple(c.osc_a_values), None, sc)]),
-    Verifier("thm_lipschitz", True, lambda c, n: [],
+    Verifier("thm_lipschitz", True,
+             lambda c, n: _thm_lipschitz_gate(
+                 check_g_class, c.build_young(), c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_lipschitz(
-                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"],
-                 c.g_class.get("c"), sc)]),
+                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo", True,
-             lambda c, n: _thm_bmo_gate(n, c.g_class["p"], c.g_class["q"]),
+             lambda c, n: _thm_bmo_gate(
+                 check_g_class, c.build_young(), n, c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_bmo(
-                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"],
-                 c.g_class.get("c"), sc)]),
+                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo_le_lip", False, lambda c, n: [],
              lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.build_young(), sc)]),
     Verifier("conjugate_pair", False,
-             lambda c, n: _conjugate_gate(c.conjugate["p"], c.conjugate["q"]),
+             lambda c, n: _conjugate_gate(check_g_class, c.build_young(),
+                                          c.conjugate["p"], c.conjugate["q"]),
              lambda ctx, c, sc: [verify_conjugate_pair(
                  ctx, c.build_young(), c.conjugate["p"], c.conjugate["q"], None, sc)]),
     Verifier("weighted_lipschitz", False,

@@ -44,28 +44,15 @@ LUX_REL_TOL = 1e-10  # relative bracket width that ends luxemburg_norm's bisecti
 
 
 class YoungFunction:
-    """Convex increasing phi with phi(0) = 0, evaluated vectorized.
+    """Convex increasing phi with phi(0) = 0, evaluated vectorized."""
 
-    ``witness_factory(p, q)``, when present, returns a triple ``(g, h, c)``
-    of comparison profiles used by the G(p,q,c)-class check.
-    """
-
-    def __init__(self, fn, name: str, params: dict | None = None, witness_factory=None):
+    def __init__(self, fn, name: str, params: dict | None = None):
         self.fn = fn
         self.name = name
         self.params = dict(params or {})
-        self._witness_factory = witness_factory
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=np.float64))
-
-    def witnesses(self, p: float, q: float):
-        """(g, h, c) for the G(p,q,c) check; defaults to the tautological pair."""
-        if self._witness_factory is not None:
-            return self._witness_factory(p, q)
-        return (lambda t: self(np.asarray(t) ** (1.0 / p)),
-                lambda t: self(np.asarray(t) ** (1.0 / q)),
-                1.0)
 
     def describe(self) -> str:
         if self.params:
@@ -82,14 +69,7 @@ def power(p: float) -> YoungFunction:
     if p < 1:
         raise InvalidInputError(f"power exponent must be >= 1, got {p}")
     s = float(p)
-
-    def factory(pp, qq):
-        # phi(t^(1/pp)) = t^(s/pp) convex for s >= pp; phi(t^(1/qq)) concave for s <= qq
-        return (lambda t: np.asarray(t) ** (s / pp),
-                lambda t: np.asarray(t) ** (s / qq),
-                1.0)
-
-    return YoungFunction(lambda t: t ** s, "power", {"p": s}, factory)
+    return YoungFunction(lambda t: t ** s, "power", {"p": s})
 
 
 def power_log(p: float) -> YoungFunction:
@@ -97,22 +77,7 @@ def power_log(p: float) -> YoungFunction:
     if p < 1:
         raise InvalidInputError(f"power_log exponent must be >= 1, got {p}")
     s = float(p)
-
-    def fn(t):
-        return t ** s * np.log(math.e + t)
-
-    def factory(pp, qq):
-        def g(t):
-            t = np.asarray(t, dtype=np.float64)
-            return t ** (s / pp) * np.log(math.e + t ** (1.0 / pp))
-
-        def h(t):
-            t = np.asarray(t, dtype=np.float64)
-            return t ** (s / qq) * np.log(math.e + t ** (1.0 / qq))
-
-        return g, h, 1.0
-
-    return YoungFunction(fn, "power_log", {"p": s}, factory)
+    return YoungFunction(lambda t: t ** s * np.log(math.e + t), "power_log", {"p": s})
 
 
 def custom_young(text: str) -> YoungFunction:
@@ -152,96 +117,52 @@ def young_violations(phi) -> list[str]:
     return out
 
 
-def _monotone_inverse_grid(fn, targets: np.ndarray) -> np.ndarray:
-    """Solve fn(s) = y for each y in targets; fn increasing on (0, inf)."""
-    y = np.asarray(targets, dtype=np.float64)
-    lo = np.full(y.shape, 1e-30)
-    hi = np.full(y.shape, 1e30)
-    # 200 halvings in log space pin s to ~1e-16 relative
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        below = fn(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.sqrt(lo * hi)
-
-
 @dataclass
 class GClassReport:
     p: float
     q: float
-    c: float
     member: bool
     violations: list[str] = field(default_factory=list)
-    ratio_g: tuple[float, float] = (math.nan, math.nan)
-    ratio_h: tuple[float, float] = (math.nan, math.nan)
-    power_p_bounds: tuple[float, float] = (math.nan, math.nan)
-    power_q_bounds: tuple[float, float] = (math.nan, math.nan)
 
 
-def check_g_class(phi: YoungFunction, p: float, q: float,
-                  c: float | None = None) -> GClassReport:
-    """Sampled membership check for the G(p, q, c) growth class.
+def check_g_class(phi: YoungFunction, p: float, q: float) -> GClassReport:
+    """Sampled membership check for the growth class G(p, q, C).
 
-    Verifies, on ``LOG_GRID``, the two ratio sandwiches against the witnesses
-    (g convex increasing, h concave increasing) and the derived power bounds
-    c1 t^p <= g^-1(phi(t)) <= c2 t^p and likewise with (h, q).  This certifies
-    the sampled grid only; it is a report, not a proof.
+    phi lies in G(p, q, C) when phi(t^(1/p)) / g(t) and phi(t^(1/q)) / h(t)
+    stay in [1/C, C] for some convex increasing g and concave increasing h.
+    The witnesses g(t) = phi(t^(1/p)) and h(t) = phi(t^(1/q)) meet that
+    sandwich with C = 1, so membership is two shape tests: g increasing and
+    midpoint-convex, h increasing and midpoint-concave, on ``LOG_GRID`` and
+    10,000 seeded pairs of its points.  This certifies the sampled grid only;
+    it is a report, not a proof.
     """
     if not 1 <= p < q:
         raise InvalidInputError(f"need 1 <= p < q, got p={p}, q={q}")
-    g, h, c_wit = phi.witnesses(p, q)
-    c_eff = float(c if c is not None else c_wit)
-    if c_eff < 1:
-        raise InvalidInputError(f"c must be >= 1, got {c_eff}")
-    report = GClassReport(p=float(p), q=float(q), c=c_eff, member=True)
+
+    def g(t):
+        return phi(t ** (1.0 / p))
+
+    def h(t):
+        return phi(t ** (1.0 / q))
+
+    violations = []
+    if np.any(np.diff(g(LOG_GRID)) <= 0):
+        violations.append("witness g is not increasing on the grid")
+    if np.any(np.diff(h(LOG_GRID)) <= 0):
+        violations.append("witness h is not increasing on the grid")
 
     tol = 1e-12
-
-    def record(msg):
-        report.violations.append(msg)
-        report.member = False
-
-    gv, hv = np.asarray(g(LOG_GRID)), np.asarray(h(LOG_GRID))
-    if np.any(np.diff(gv) <= 0):
-        record("witness g is not increasing on the grid")
-    if np.any(np.diff(hv) <= 0):
-        record("witness h is not increasing on the grid")
-
     rng = np.random.default_rng(0)
     si = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
     ti = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
-    mid_g, avg_g = np.asarray(g((si + ti) / 2)), (np.asarray(g(si)) + np.asarray(g(ti))) / 2
+    mid_g, avg_g = g((si + ti) / 2), (g(si) + g(ti)) / 2
     if not np.all(mid_g <= avg_g + tol * np.maximum(1.0, np.abs(avg_g))):
-        record("witness g fails midpoint convexity")
-    mid_h, avg_h = np.asarray(h((si + ti) / 2)), (np.asarray(h(si)) + np.asarray(h(ti))) / 2
+        violations.append("witness g fails midpoint convexity")
+    mid_h, avg_h = h((si + ti) / 2), (h(si) + h(ti)) / 2
     if not np.all(mid_h >= avg_h - tol * np.maximum(1.0, np.abs(avg_h))):
-        record("witness h fails midpoint concavity")
-
-    rg = phi(LOG_GRID ** (1.0 / p)) / gv
-    rh = phi(LOG_GRID ** (1.0 / q)) / hv
-    report.ratio_g = (float(rg.min()), float(rg.max()))
-    report.ratio_h = (float(rh.min()), float(rh.max()))
-    slack = 1 + 1e-9
-    if rg.max() > c_eff * slack or rg.min() < 1 / (c_eff * slack):
-        record(f"ratio phi(t^(1/p))/g(t) leaves [1/c, c]: range {report.ratio_g}")
-    if rh.max() > c_eff * slack or rh.min() < 1 / (c_eff * slack):
-        record(f"ratio phi(t^(1/q))/h(t) leaves [1/c, c]: range {report.ratio_h}")
-
-    # derived doubling consequences: g^-1(phi(t)) ~ t^p and h^-1(phi(t)) ~ t^q
-    sub = LOG_GRID[::10]
-    phis = phi(sub)
-    ginv = _monotone_inverse_grid(g, phis)
-    hinv = _monotone_inverse_grid(h, phis)
-    rp = ginv / sub ** p
-    rq = hinv / sub ** q
-    report.power_p_bounds = (float(rp.min()), float(rp.max()))
-    report.power_q_bounds = (float(rq.min()), float(rq.max()))
-    if not (np.all(np.isfinite(rp)) and rp.min() > 0):
-        record("derived bound g^-1(phi(t)) ~ t^p degenerates on the grid")
-    if not (np.all(np.isfinite(rq)) and rq.min() > 0):
-        record("derived bound h^-1(phi(t)) ~ t^q degenerates on the grid")
-    return report
+        violations.append("witness h fails midpoint concavity")
+    return GClassReport(p=float(p), q=float(q), member=not violations,
+                        violations=violations)
 
 
 # --- norms -------------------------------------------------------------------
@@ -395,8 +316,6 @@ class OscillationResult:
     value: float
     argmax_ball: Ball
     per_ball: list[float]
-    profile: list[float]
-    balls: list[Ball]
 
     def to_dict(self):
         return {"value": self.value, "per_ball": list(self.per_ball),
@@ -460,8 +379,7 @@ def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
     e = spec.exponent(domain.dims)
     per = [b.volume() ** e * v for b, v in zip(balls, profile)]
     return OscillationResult(value=float(max(per)),
-                             argmax_ball=balls[int(np.argmax(per))], per_ball=per,
-                             profile=list(profile), balls=list(balls))
+                             argmax_ball=balls[int(np.argmax(per))], per_ball=per)
 
 
 def _check_per_ball(name: str, values, balls) -> None:

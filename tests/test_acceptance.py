@@ -274,7 +274,7 @@ def test_criterion_7_boundedness_reports(capfd):
     # parameter gates: the run above is the admitted configuration for all
     # three; each must also reject a bad configuration
     rejected = 0
-    for bad in ({"dims": 3, "g_class": {"p": 1.2, "q": 4.0, "c": 1.0}},
+    for bad in ({"dims": 3, "g_class": {"p": 1.2, "q": 4.0}},
                 {"weighted": {"p": 2.0, "q": 2.0, "alpha": 2.0, "s": 1.2,
                               "young": {"name": "power", "p": 1.2}}},
                 {"conjugate": {"p": 2.0, "q": 3.0}}):

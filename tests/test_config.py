@@ -1,11 +1,13 @@
 """Config loading: deep-merged defaults, aggregated validation, builders."""
+import copy
 import json
 import tracemalloc
 
 import pytest
 
-from orliczforms import ConfigError, load_config
-from orliczforms.config import DEFAULT_CONFIG, RunConfig
+from orliczforms import ConfigError, HarnessContext, default_domain, load_config
+from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
+from orliczforms.errors import InvalidInputError
 from orliczforms.geometry import Box
 from orliczforms.harness import VERIFIERS
 
@@ -82,6 +84,30 @@ def test_invalid_geometry_builds_no_domain(bad):
     assert peak < 4e6
 
 
+@pytest.mark.parametrize("key", ["grid_resolution", "ball_resolution"])
+def test_resolution_budget_checked_before_any_grid(key):
+    # 101^3 = 1,030,301 nodes; the weights gate would sample the domain grid
+    assert 101 ** 3 > NODE_BUDGET >= 51 ** 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"dims": 3, "g_class": {"p": 1.5, "q": 2.5},
+                                   key: 101})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.split(" ")[0] for v in exc.value.violations] == [key]
+    assert peak < 4e6
+
+
+def test_g_class_takes_only_p_and_q():
+    # the witnesses meet the G(p, q, C) sandwich with C = 1, so no C is read
+    assert set(DEFAULT_CONFIG["g_class"]) == {"p", "q"}
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"g_class": {"p": 1.5, "q": 3.0, "c": 1.0}})
+    assert exc.value.violations == ["g_class: unknown key 'c'"]
+
+
 # ---------------------------------------------------------------- gates
 
 def test_conjugate_exponents_must_be_dual():
@@ -117,18 +143,31 @@ def test_weighted_growth_gate():
 
 @pytest.mark.parametrize("name, section", [
     # thm_bmo needs 1 < p, not only the G-class bound 1 <= p
-    ("thm_bmo", {"g_class": {"p": 1.0, "q": 1.5, "c": 1.0}}),
+    ("thm_bmo", {"g_class": {"p": 1.0, "q": 1.5}}),
     # 1/p + 1/q misses 1 by about 1e-10
     ("conjugate_pair", {"conjugate": {"p": 2.5, "q": 1.6666666667}}),
     # phi = t^2 is not dominated by t^s with s = 1.2
     ("weighted_lipschitz", {"weighted": {
         "p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
         "young": {"name": "power", "p": 2.0}}}),
+    # t^5 lies outside G(1.5, 3): h(t) = t^(5/3) is not concave
+    ("thm_lipschitz", {"young": {"name": "power", "p": 5.0}}),
+    ("thm_bmo", {"young": {"name": "power", "p": 5.0}}),
+    # t^1.2 lies outside G(1.5, 3): g(t) = t^(1.2/1.5) is not convex
+    ("conjugate_pair", {"conjugate": {"p": 1.5, "q": 3.0},
+                        "young": {"name": "power", "p": 1.2}}),
 ])
 def test_load_rejects_what_the_verifier_would(name, section):
     with pytest.raises(ConfigError) as exc:
         load_config(overrides={**section, "verifiers": [name]})
     assert all(v.startswith(f"{name}: ") for v in exc.value.violations)
+    # the verifier raises the same text before it reads the corpus
+    row = next(v for v in VERIFIERS if v.name == name)
+    cfg = RunConfig({**copy.deepcopy(DEFAULT_CONFIG), **section})
+    with pytest.raises(InvalidInputError) as direct:
+        row.run(HarnessContext(default_domain(2), []), cfg, 1)
+    assert str(direct.value) == "; ".join(v.removeprefix(f"{name}: ")
+                                          for v in exc.value.violations)
 
 
 def test_gates_apply_only_to_requested_verifiers():

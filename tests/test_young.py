@@ -251,7 +251,6 @@ def test_g_class_membership_of_power_between_exponents():
     report = check_g_class(power(2.0), 1.5, 3.0)
     assert report.member
     assert report.violations == []
-    assert report.c >= 1.0
 
 
 def test_g_class_membership_of_power_log():
@@ -262,6 +261,13 @@ def test_g_class_rejects_power_outside_band():
     report = check_g_class(power(4.0), 1.5, 3.0)
     assert not report.member
     assert report.violations
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (1.5, 3.0), (1.2, 4.0), (2.5, 5.5)])
+def test_g_class_holds_power_exactly_between_exponents(p, q):
+    # t^s in G(p, q) iff t^(s/p) is convex and t^(s/q) concave: p <= s <= q
+    for s in np.round(np.arange(10, 61) / 10.0, 1):
+        assert check_g_class(power(s), p, q).member == (p <= s <= q), s
 
 
 def test_g_class_requires_ordered_exponents():
