@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, OrliczFormsError
 from .geometry import Ball, Box, Domain
-from .harness import VERIFIER_NAMES, VERIFIERS
+from .harness import VERIFIER_NAMES, VERIFIERS, g_class_memo
 from .weights import constant_weight, custom_weight, power_weight
 from .young import YoungFunction, custom_young, power, power_log
 
@@ -74,9 +74,28 @@ DEFAULT_CONFIG: dict = {
 
 NODE_BUDGET = 10 ** 6  # most nodes a grid or ball quadrature may have
 
+# the keys each nested section may hold; a Young function spec and a weight
+# by their "name", a domain by its "kind"
+_SECTION_KEYS = {
+    "g_class": ("p", "q"),
+    "conjugate": ("p", "q"),
+    "weighted": ("p", "q", "alpha", "s", "young"),
+    "young": {"power": ("name", "p"), "power_log": ("name", "p"),
+              "custom": ("name", "expression")},
+    "weights": {"constant": ("name", "value"),
+                "power": ("name", "exponent", "center"),
+                "custom": ("name", "expression")},
+    "domain": {"box": ("kind", "lo", "hi"), "ball": ("kind", "center", "radius")},
+}
+
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_keys(spec, allowed: tuple, where: str, errors: list):
+    if isinstance(spec, dict):  # else the section's own check reports it
+        errors.extend(f"{where}: unknown key {k!r}" for k in spec if k not in allowed)
 
 
 def _check_young_spec(spec, where: str, errors: list):
@@ -85,10 +104,12 @@ def _check_young_spec(spec, where: str, errors: list):
         return
     name = spec["name"]
     if name in ("power", "power_log"):
+        _check_keys(spec, _SECTION_KEYS["young"][name], where, errors)
         p = spec.get("p")
         if not (_is_num(p) and p >= 1):
             errors.append(f"{where}: {name} needs p >= 1, got {p!r}")
     elif name == "custom":
+        _check_keys(spec, _SECTION_KEYS["young"]["custom"], where, errors)
         if not isinstance(spec.get("expression"), str):
             errors.append(f"{where}: custom needs an 'expression' string in t")
             return
@@ -190,6 +211,7 @@ def _validate(cfg: dict) -> list:
         if not isinstance(dom, dict) or dom.get("kind") not in ("box", "ball"):
             e.append("domain: expected {'kind': 'box'|'ball', ...}")
         elif dom["kind"] == "box":
+            _check_keys(dom, _SECTION_KEYS["domain"]["box"], "domain", e)
             lo, hi = dom.get("lo"), dom.get("hi")
             if (not isinstance(lo, list) or not isinstance(hi, list)
                     or len(lo) != dims or len(hi) != dims
@@ -198,6 +220,7 @@ def _validate(cfg: dict) -> list:
             elif not all(a < b for a, b in zip(lo, hi)):
                 e.append("domain: box needs lo < hi per axis")
         else:
+            _check_keys(dom, _SECTION_KEYS["domain"]["ball"], "domain", e)
             c, r = dom.get("center"), dom.get("radius")
             if (not isinstance(c, list) or len(c) != dims
                     or not all(_is_num(a) for a in c) or not _is_num(r) or r <= 0):
@@ -227,18 +250,19 @@ def _validate(cfg: dict) -> list:
     _check_young_spec(cfg["young"], "young", e)
 
     g = cfg["g_class"]
-    if isinstance(g, dict):
-        e.extend(f"g_class: unknown key {k!r}" for k in g if k not in ("p", "q"))
+    _check_keys(g, _SECTION_KEYS["g_class"], "g_class", e)
     if not isinstance(g, dict) or not all(_is_num(g.get(x)) for x in ("p", "q")):
         e.append("g_class: needs numeric p and q")
     elif not 1 <= g["p"] < g["q"]:
         e.append(f"g_class: needs 1 <= p < q, got p={g['p']}, q={g['q']}")
 
     cj = cfg["conjugate"]
+    _check_keys(cj, _SECTION_KEYS["conjugate"], "conjugate", e)
     if not isinstance(cj, dict) or not all(_is_num(cj.get(x)) for x in ("p", "q")):
         e.append("conjugate: needs numeric p and q")
 
     w = cfg["weighted"]
+    _check_keys(w, _SECTION_KEYS["weighted"], "weighted", e)
     if not isinstance(w, dict) or not all(_is_num(w.get(x)) for x in ("p", "q", "alpha", "s")):
         e.append("weighted: needs numeric p, q, alpha, s")
     else:
@@ -252,9 +276,11 @@ def _validate(cfg: dict) -> list:
             if not isinstance(spec, dict) or "name" not in spec:
                 e.append(f"{where}: expected an object with a 'name' key")
             elif spec["name"] == "constant":
+                _check_keys(spec, _SECTION_KEYS["weights"]["constant"], where, e)
                 if not (_is_num(spec.get("value")) and spec["value"] > 0):
                     e.append(f"{where}: constant needs value > 0")
             elif spec["name"] == "power":
+                _check_keys(spec, _SECTION_KEYS["weights"]["power"], where, e)
                 if not _is_num(spec.get("exponent")):
                     e.append(f"{where}: power needs a numeric exponent")
                 c = spec.get("center")
@@ -262,6 +288,7 @@ def _validate(cfg: dict) -> list:
                                       or not all(_is_num(a) for a in c)):
                     e.append(f"{where}: center must be a length-{dims} point")
             elif spec["name"] == "custom":
+                _check_keys(spec, _SECTION_KEYS["weights"]["custom"], where, e)
                 if not isinstance(spec.get("expression"), str):
                     e.append(f"{where}: custom needs an 'expression' string")
                 else:
@@ -291,10 +318,11 @@ def _validate(cfg: dict) -> list:
     run_cfg = RunConfig(cfg)
     requested = run_cfg.enabled_verifiers()
     clean = not e  # else a gate may trip over a malformed value reported above
+    membership = g_class_memo()  # thm_lipschitz and thm_bmo share (phi, p, q)
     for row in VERIFIERS:
         if row.name in requested:
             try:
-                e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims))
+                e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims, membership))
                 if geometry_ok:  # else the raw dims or domain may be huge
                     e.extend(f"{row.name}: {m}" for m in row.domain_gate(run_cfg))
             except (TypeError, KeyError, OrliczFormsError) as exc:

@@ -1,13 +1,14 @@
 """A small arithmetic-expression language for user-defined formulas.
 
-Grammar (recursive descent, ``^`` is right-associative and binds tighter
-than unary minus)::
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-') factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+The grammar is a subset of Python expression syntax with ``^`` for powers,
+enforced as a whitelist over Python's own expression parser (``ast``):
+decimal numbers (``2``, ``.5``, ``1.``, ``1e-3``), names, ``+ - * / ^``,
+unary ``+`` and ``-``, parentheses, and calls of a known function on one
+argument.  ``^`` is right-associative and binds tighter than unary minus, so
+``-x1^2`` is ``-(x1^2)``.  Anything else fails at parse, among it ``**``,
+names that are Python keywords (``not``, ``lambda``, ``None``, ...),
+comparisons, attributes, keyword arguments, and hexadecimal, underscored or
+complex literals.  Nothing is evaluated or compiled by Python.
 
 Known functions: ``log`` (natural), ``exp``, ``sin``, ``cos``, ``sqrt``,
 ``abs``, ``sign``.  Known constants: ``e``, ``pi``.  The unicode operator
@@ -19,6 +20,7 @@ differentiation (powers must have constant exponents to be differentiable).
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -38,31 +40,6 @@ _FUNCTIONS = {
 }
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-def _tokenize(text: str) -> list[str]:
-    text = text.replace("×", "*").replace("÷", "/").replace("−", "-")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        if m.group("num") is not None:
-            tokens.append(m.group(0).strip())
-        else:
-            tokens.append(m.group("name") or m.group("op"))
-        pos = m.end()
-    return tokens
-
 
 # --- AST -------------------------------------------------------------------
 
@@ -192,79 +169,56 @@ def _bin(op, left, right):
     return BinOp(op, left, right)
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ExpressionError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            node = _bin(self.take(), node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            node = _bin(self.take(), node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() in ("+", "-"):
-            op = self.take()
-            inner = self.factor()
-            return inner if op == "+" else _bin("*", Num(-1.0), inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return _bin("^", base, self.factor())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if tok == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        self.take()
-        if re.match(r"^[\d.]", tok):
-            return Num(float(tok))
-        if tok in _FUNCTIONS:
-            self.take("(")
-            arg = self.expr()
-            self.take(")")
-            return Call(tok, arg)
-        if tok in _CONSTANTS:
-            return Num(_CONSTANTS[tok])
-        return Var(tok)
+# the grammar's number literals; Python's parser also reads 0x1F, 1_0 and 1j
+_NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse(text: str):
     """Parse ``text`` into an AST node; raise ExpressionError on bad input."""
-    tokens = _tokenize(text)
-    if not tokens:
+    text = text.replace("×", "*").replace("÷", "/").replace("−", "-")
+    text = " ".join(text.split())  # Python's parser rejects newlines and indents
+    if not text:
         raise ExpressionError("empty expression")
-    parser = _Parser(tokens)
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(f"trailing input starting at {parser.peek()!r}")
-    return node
+    # "**" would pass as a power, and Python's tokenizer drops a comment and
+    # a trailing comma in a call without leaving a node to reject
+    for bad in ("**", "#", ","):
+        if bad in text:
+            raise ExpressionError(f"unexpected {bad!r}")
+    text = text.replace("^", "**")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:  # older Pythons: ValueError on a null byte
+        raise ExpressionError(f"invalid expression: {getattr(exc, 'msg', exc)}") from None
+    return _convert(tree.body, text.encode())
+
+
+def _convert(node, source: bytes):
+    """The expression node for ``node`` of Python's parse tree of the
+    one-line UTF-8 ``source``, if it is in the grammar; raises
+    ExpressionError otherwise."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _bin(_BINOPS[type(node.op)], _convert(node.left, source),
+                    _convert(node.right, source))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = _convert(node.operand, source)
+        return inner if isinstance(node.op, ast.UAdd) else _bin("*", Num(-1.0), inner)
+    # the node's slice of the one-line source is what ast.get_source_segment
+    # returns, which costs more as it splits lines per call.  Python
+    # NFKC-normalises identifiers ("ｘ1" parses as x1), so a name must be its
+    # own source text, and a call must start with its function's name, which
+    # also rules out "(sin)(x1)"
+    src = source[node.col_offset:node.end_col_offset].decode()
+    if isinstance(node, ast.Call):
+        fn = node.func
+        if (isinstance(fn, ast.Name) and fn.id in _FUNCTIONS and src.startswith(fn.id)
+                and len(node.args) == 1 and not node.keywords):
+            return Call(fn.id, _convert(node.args[0], source))
+    elif isinstance(node, ast.Name) and src == node.id and node.id not in _FUNCTIONS:
+        return Num(_CONSTANTS[node.id]) if node.id in _CONSTANTS else Var(node.id)
+    elif isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(src):
+        return Num(float(src))
+    raise ExpressionError(f"unsupported expression {src!r}")
 
 
 def evaluate(node, env) -> np.ndarray:

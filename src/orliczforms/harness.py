@@ -43,9 +43,9 @@ from .forms import DifferentialForm, codifferential, pointwise_modulus
 from .geometry import Ball, Box, Domain, ball_family
 from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part_values, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
-from .young import (OscillationNormSpec, YoungFunction, check_g_class,
-                    check_wrh, luxemburg_norm, lp_norm, oscillation_norm,
-                    oscillation_profile, oscillation_residuals)
+from .young import (OscillationNormSpec, YoungFunction, _node_measure,
+                    check_g_class, check_wrh, luxemburg_norm, lp_norm,
+                    oscillation_norm, oscillation_profile, oscillation_residuals)
 
 __all__ = [
     "HarnessContext", "VerificationReport", "Verifier", "VERIFIERS", "VERIFIER_NAMES",
@@ -153,7 +153,7 @@ class HarnessContext:
         self._global: dict = {}
         self._residuals: dict = {}
         self._profiles: dict = {}
-        self._g_class: dict = {}
+        self.g_class = g_class_memo()  # check_g_class, once per (phi, p, q)
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
@@ -177,13 +177,6 @@ class HarnessContext:
                 "radius_fraction": self.radius_fraction}
         base.update(extra)
         return base
-
-    def g_class(self, phi: YoungFunction, p: float, q: float):
-        """``check_g_class(phi, p, q)``, run once per (phi, p, q)."""
-        key = (phi.describe(), p, q)
-        if key not in self._g_class:
-            self._g_class[key] = check_g_class(phi, p, q)
-        return self._g_class[key]
 
     # -- cached fields ----------------------------------------------------
     def form_entries(self, min_degree: int = 0, max_degree: int | None = None) -> list:
@@ -266,8 +259,21 @@ def _ratio_entry(eid: str, lhs: float, rhs: float, **extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # verifiers and their parameter gates (verify_* raises on a gate, load_config
-# reports it).  The G(p, q) gates take ``membership``: ``check_g_class`` at
-# load time, the context's cached ``g_class`` in a verifier.
+# reports it).  The G(p, q) gates take ``membership``, a ``g_class_memo``:
+# one per load_config, the context's ``g_class`` in a verifier.
+
+
+def g_class_memo() -> Callable:
+    """``check_g_class(phi, p, q)``, run once per (phi, p, q) it is called
+    with; phi is told apart by ``describe()``."""
+    reports: dict = {}
+
+    def membership(phi: YoungFunction, p: float, q: float):
+        key = (phi.describe(), p, q)
+        if key not in reports:
+            reports[key] = check_g_class(phi, p, q)
+        return reports[key]
+    return membership
 
 
 def _raise_on(violations: list) -> None:
@@ -407,7 +413,7 @@ def verify_oscillation_lower_bound(ctx: HarnessContext, psi: YoungFunction,
     """
     dom = ctx.domain
     quad = dom.quadrature(ctx.grid_res(scale))
-    w = quad.weights if weight is None else quad.weights * weight(quad.points)
+    w = _node_measure(quad, weight)
     entries = []
     for e in ctx.form_entries():
         mod_u, _, mod_d = ctx.global_moduli(e, scale)
@@ -596,8 +602,9 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
 
 @dataclass(frozen=True)
 class Verifier:
-    """One verifier: ``gate(config, dims)`` lists its parameter violations,
-    G(p, q) membership of the config's Young function included, and
+    """One verifier: ``gate(config, dims, membership)`` lists its parameter
+    violations, G(p, q) membership of the config's Young function (through
+    the ``g_class_memo`` ``membership``) included, and
     ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
     only when dims, the domain and the resolutions are valid.
@@ -607,43 +614,43 @@ class Verifier:
 
     name: str
     needs_box: bool  # reads the materialized Tu, a spline on the box grid
-    gate: Callable[[object, int], list]
+    gate: Callable[[object, int, Callable], list]
     run: Callable[[HarnessContext, object, int], list]
     domain_gate: Callable[[object], list] = lambda c: []
 
 
 VERIFIERS = (
     Verifier("lemma_T_bound", True,
-             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
+             lambda c, n, m: _exponent_t_gate(c.lemma_exponent_t),
              lambda ctx, c, sc: [verify_lemma_T_bound(ctx, c.lemma_exponent_t, sc)]),
     Verifier("lemma_closed_part_bound", False,
-             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
+             lambda c, n, m: _exponent_t_gate(c.lemma_exponent_t),
              lambda ctx, c, sc: [verify_lemma_closedpart_bound(ctx, c.lemma_exponent_t, sc)]),
     Verifier("sobolev_poincare", False,
-             lambda c, n: _sobolev_gate(n, c.sobolev_t),
+             lambda c, n, m: _sobolev_gate(n, c.sobolev_t),
              lambda ctx, c, sc: [verify_sobolev_poincare(ctx, c.sobolev_t, sc)]),
-    Verifier("oscillation_lower_bound", False, lambda c, n: [],
+    Verifier("oscillation_lower_bound", False, lambda c, n, m: [],
              lambda ctx, c, sc: [verify_oscillation_lower_bound(
                  ctx, c.build_young(), tuple(c.osc_a_values), None, sc)]),
     Verifier("thm_lipschitz", True,
-             lambda c, n: _thm_lipschitz_gate(
-                 check_g_class, c.build_young(), c.g_class["p"], c.g_class["q"]),
+             lambda c, n, m: _thm_lipschitz_gate(
+                 m, c.build_young(), c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_lipschitz(
                  ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo", True,
-             lambda c, n: _thm_bmo_gate(
-                 check_g_class, c.build_young(), n, c.g_class["p"], c.g_class["q"]),
+             lambda c, n, m: _thm_bmo_gate(
+                 m, c.build_young(), n, c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_bmo(
                  ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
-    Verifier("thm_bmo_le_lip", False, lambda c, n: [],
+    Verifier("thm_bmo_le_lip", False, lambda c, n, m: [],
              lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.build_young(), sc)]),
     Verifier("conjugate_pair", False,
-             lambda c, n: _conjugate_gate(check_g_class, c.build_young(),
-                                          c.conjugate["p"], c.conjugate["q"]),
+             lambda c, n, m: _conjugate_gate(m, c.build_young(),
+                                             c.conjugate["p"], c.conjugate["q"]),
              lambda ctx, c, sc: [verify_conjugate_pair(
                  ctx, c.build_young(), c.conjugate["p"], c.conjugate["q"], None, sc)]),
     Verifier("weighted_lipschitz", False,
-             lambda c, n: _weighted_gate(
+             lambda c, n, m: _weighted_gate(
                  c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"]),
              lambda ctx, c, sc: [verify_weighted_lipschitz(

@@ -106,15 +106,22 @@ def young_violations(phi) -> list[str]:
         out.append("phi not finite on the sample grid")
     elif not np.all(np.diff(vals) > 0):
         out.append("phi not strictly increasing on the sample grid")
+    convex, finite = _midpoint_convex(phi)
+    if finite and not convex:
+        out.append("midpoint convexity fails on sampled pairs")
+    return out
+
+
+def _midpoint_convex(f) -> tuple[bool, bool]:
+    """Whether f((s + t)/2) <= (f(s) + f(t))/2, up to a relative 1e-12 of
+    max(1, |(f(s) + f(t))/2|), on 10,000 seeded pairs (s, t) of ``LOG_GRID``
+    points, and whether every (f(s) + f(t))/2 is finite."""
     rng = np.random.default_rng(0)
     s = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
     t = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
-    lhs = phi((s + t) / 2.0)
-    rhs = (phi(s) + phi(t)) / 2.0
-    slack = 1e-12 * np.maximum(1.0, np.abs(rhs))
-    if np.isfinite(rhs).all() and not np.all(lhs <= rhs + slack):
-        out.append("midpoint convexity fails on sampled pairs")
-    return out
+    mid, avg = f((s + t) / 2.0), (f(s) + f(t)) / 2.0
+    convex = np.all(mid <= avg + 1e-12 * np.maximum(1.0, np.abs(avg)))
+    return bool(convex), bool(np.isfinite(avg).all())
 
 
 @dataclass
@@ -150,16 +157,9 @@ def check_g_class(phi: YoungFunction, p: float, q: float) -> GClassReport:
         violations.append("witness g is not increasing on the grid")
     if np.any(np.diff(h(LOG_GRID)) <= 0):
         violations.append("witness h is not increasing on the grid")
-
-    tol = 1e-12
-    rng = np.random.default_rng(0)
-    si = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
-    ti = LOG_GRID[rng.integers(0, LOG_GRID.size, 10000)]
-    mid_g, avg_g = g((si + ti) / 2), (g(si) + g(ti)) / 2
-    if not np.all(mid_g <= avg_g + tol * np.maximum(1.0, np.abs(avg_g))):
+    if not _midpoint_convex(g)[0]:
         violations.append("witness g fails midpoint convexity")
-    mid_h, avg_h = h((si + ti) / 2), (h(si) + h(ti)) / 2
-    if not np.all(mid_h >= avg_h - tol * np.maximum(1.0, np.abs(avg_h))):
+    if not _midpoint_convex(lambda t: -h(t))[0]:  # h concave: -h convex
         violations.append("witness h fails midpoint concavity")
     return GClassReport(p=float(p), q=float(q), member=not violations,
                         violations=violations)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import orliczforms.harness
 from orliczforms import ConfigError, HarnessContext, default_domain, load_config
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
 from orliczforms.errors import InvalidInputError
@@ -106,6 +107,39 @@ def test_g_class_takes_only_p_and_q():
     with pytest.raises(ConfigError) as exc:
         load_config(overrides={"g_class": {"p": 1.5, "q": 3.0, "c": 1.0}})
     assert exc.value.violations == ["g_class: unknown key 'c'"]
+
+
+@pytest.mark.parametrize("section, violation", [
+    ({"conjugate": {"p": 2.0, "q": 2.0, "c": 1.0}}, "conjugate: unknown key 'c'"),
+    ({"young": {"name": "power", "p": 2.0, "q": 3.0}}, "young: unknown key 'q'"),
+    ({"weighted": {**DEFAULT_CONFIG["weighted"], "beta": 1.0}},
+     "weighted: unknown key 'beta'"),
+    ({"weights": [{"name": "constant", "value": 1.0, "exponent": 0.5}]},
+     "weights[0]: unknown key 'exponent'"),
+    ({"domain": {"kind": "box", "lo": [0, 0], "hi": [1, 1], "radius": 1.0}},
+     "domain: unknown key 'radius'"),
+])
+def test_unknown_nested_key_rejected(section, violation):
+    # a misspelt or misplaced key inside a section must not be ignored
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides=section)
+    assert exc.value.violations == [violation]
+
+
+def test_g_class_checked_once_per_load(monkeypatch):
+    # thm_lipschitz and thm_bmo gate the same (young, g_class.p, g_class.q)
+    calls = []
+    original = orliczforms.harness.check_g_class
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orliczforms.harness, "check_g_class", counting)
+    load_config()
+    assert len(calls) == 1
+    load_config()
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- gates

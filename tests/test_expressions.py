@@ -58,8 +58,120 @@ def test_substitute_rescales():
     assert got[0] == pytest.approx(4.0)
 
 
+# str(parse(text)) for every corpus component, the README and test
+# expressions, precedence and literal cases, the operator glyphs and
+# whitespace: the trees every field, partial and report is computed from
+PINNED_TREES = [
+    ("(1 + 2)*3", "9.0"),
+    ("(x1/2)", "(x1 / 2.0)"),
+    ("-x1^2", "(-1.0 * (x1 ^ 2.0))"),
+    ("-x2^2 + e", "((-1.0 * (x2 ^ 2.0)) + 2.718281828459045)"),
+    ("0", "0.0"),
+    ("1 + 2*3", "7.0"),
+    ("10/4", "2.5"),
+    ("2", "2.0"),
+    ("2 - 3 - 4", "-5.0"),
+    ("2*(x1 + x2)", "(2.0 * (x1 + x2))"),
+    ("2*x1*x2", "((2.0 * x1) * x2)"),
+    ("2^3*4", "np.float64(32.0)"),
+    ("3*x1^2*x2", "((3.0 * (x1 ^ 2.0)) * x2)"),
+    ("3*x1^2*x2 - x2", "(((3.0 * (x1 ^ 2.0)) * x2) - x2)"),
+    ("3*x1^2*x2*x3", "(((3.0 * (x1 ^ 2.0)) * x2) * x3)"),
+    ("abs(-3)", "abs(-3.0)"),
+    ("cos(0)", "cos(0.0)"),
+    ("cos(pi*x2)", "cos((3.141592653589793 * x2))"),
+    ("exp(1)", "exp(1.0)"),
+    ("exp(sin(pi*x1) * cos(x2))", "exp((sin((3.141592653589793 * x1)) * cos(x2)))"),
+    ("exp(x1)*x2", "(exp(x1) * x2)"),
+    ("log(1 + sqrt(abs(x1 - 0.5) * x2))", "log((1.0 + sqrt((abs((x1 - 0.5)) * x2))))"),
+    ("pi", "3.141592653589793"),
+    ("pi + 1", "4.141592653589793"),
+    ("pi*cos(pi*x1)*x2", "((3.141592653589793 * cos((3.141592653589793 * x1))) * x2)"),
+    ("sin(pi*x1)", "sin((3.141592653589793 * x1))"),
+    ("sin(pi*x1)*cos(pi*x2)", "(sin((3.141592653589793 * x1)) * cos((3.141592653589793 * x2)))"),
+    ("sin(pi*x1)*cos(pi*x2) + x1", "((sin((3.141592653589793 * x1)) * cos((3.141592653589793 * x2))) + x1)"),
+    ("sin(pi*x1)*x2", "(sin((3.141592653589793 * x1)) * x2)"),
+    ("sin(pi*x1)*x2 + x1^3", "((sin((3.141592653589793 * x1)) * x2) + (x1 ^ 3.0))"),
+    ("sin(pi*x2)", "sin((3.141592653589793 * x2))"),
+    ("sin(pi*x2) + x1*x2", "(sin((3.141592653589793 * x2)) + (x1 * x2))"),
+    ("sin(pi/2)", "sin(1.5707963267948966)"),
+    ("sin(x1)*(x2^2 + 1)", "(sin(x1) * ((x2 ^ 2.0) + 1.0))"),
+    ("sin(x1*x2)", "sin((x1 * x2))"),
+    ("sin(x3)*(x1^2 + 1)", "(sin(x3) * ((x1 ^ 2.0) + 1.0))"),
+    ("sqrt(2)^2", "(sqrt(2.0) ^ 2.0)"),
+    ("sqrt(t)", "sqrt(t)"),
+    ("sqrt(x1)", "sqrt(x1)"),
+    ("t^2", "(t ^ 2.0)"),
+    ("t^2/(1+t)", "((t ^ 2.0) / (1.0 + t))"),
+    ("x1", "x1"),
+    ("x1 + x2", "(x1 + x2)"),
+    ("x1 - 0.5", "(x1 - 0.5)"),
+    ("x1 - 2", "(x1 - 2.0)"),
+    ("x1 / x2", "(x1 / x2)"),
+    ("x1*cos(pi*x2)", "(x1 * cos((3.141592653589793 * x2)))"),
+    ("x1*sin(pi*x2) + x2^2", "((x1 * sin((3.141592653589793 * x2))) + (x2 ^ 2.0))"),
+    ("x1*x1 - x1", "((x1 * x1) - x1)"),
+    ("x1*x2", "(x1 * x2)"),
+    ("x1*x2 + 1", "((x1 * x2) + 1.0)"),
+    ("x1*x2 + sin(x3)", "((x1 * x2) + sin(x3))"),
+    ("x1^1.5", "(x1 ^ 1.5)"),
+    ("x1^2", "(x1 ^ 2.0)"),
+    ("x1^2 + x2", "((x1 ^ 2.0) + x2)"),
+    ("x1^2 - x2^2", "((x1 ^ 2.0) - (x2 ^ 2.0))"),
+    ("x1^2*x2", "((x1 ^ 2.0) * x2)"),
+    ("x1^2*x2 + sin(pi*x1) - x2", "((((x1 ^ 2.0) * x2) + sin((3.141592653589793 * x1))) - x2)"),
+    ("x1^3", "(x1 ^ 3.0)"),
+    ("x1^3 + x2", "((x1 ^ 3.0) + x2)"),
+    ("x1^3 + x2*x3", "((x1 ^ 3.0) + (x2 * x3))"),
+    ("x1^3 + x2^3 - x1*x2", "(((x1 ^ 3.0) + (x2 ^ 3.0)) - (x1 * x2))"),
+    ("x1^3 - x2", "((x1 ^ 3.0) - x2)"),
+    ("x1^3*x2", "((x1 ^ 3.0) * x2)"),
+    ("x1^3*x3", "((x1 ^ 3.0) * x3)"),
+    ("x1^x2", "(x1 ^ x2)"),
+    ("x2", "x2"),
+    ("x2*exp(x3)", "(x2 * exp(x3))"),
+    ("x2*x3", "(x2 * x3)"),
+    ("x2^2", "(x2 ^ 2.0)"),
+    ("x2^2.5 / (1 + x1)", "((x2 ^ 2.5) / (1.0 + x1))"),
+    ("x2^3", "(x2 ^ 3.0)"),
+    ("x2^3 + 1", "((x2 ^ 3.0) + 1.0)"),
+    ("x2^3 + sin(pi*x1)", "((x2 ^ 3.0) + sin((3.141592653589793 * x1)))"),
+    ("x2^3 + x1^2*x2", "((x2 ^ 3.0) + ((x1 ^ 2.0) * x2))"),
+    ("x3 + 1", "(x3 + 1.0)"),
+    ("x3^3", "(x3 ^ 3.0)"),
+    ("2^-1", "np.float64(0.5)"),
+    ("2^3^2", "np.float64(512.0)"),
+    ("-2^2", "np.float64(-4.0)"),
+    ("--x1", "(-1.0 * (-1.0 * x1))"),
+    ("+x1", "x1"),
+    ("x1^x2^2", "(x1 ^ (x2 ^ 2.0))"),
+    ("-x1^-x2", "(-1.0 * (x1 ^ (-1.0 * x2)))"),
+    (".5*x1", "(0.5 * x1)"),
+    ("1.*x1", "x1"),
+    ("1e-3*x1", "(0.001 * x1)"),
+    ("2.5E+3*x1", "(2500.0 * x1)"),
+    ("sin (x1)", "sin(x1)"),
+    ("x1×x2", "(x1 * x2)"),
+    ("x1÷x2", "(x1 / x2)"),
+    ("x1−x2", "(x1 - x2)"),
+    ("x1 +\n  x2", "(x1 + x2)"),
+    ("\tx2^3\n", "(x2 ^ 3.0)"),
+]
+
+
+@pytest.mark.parametrize("text, pinned", PINNED_TREES)
+def test_parse_matches_pinned_tree(text, pinned):
+    assert str(parse(text)) == pinned
+
+
 @pytest.mark.parametrize("bad", [
     "x1 +", "x1 & x2", "sin()", "((x1)", "1..2", "x1 x2", "",
+    "x1**2", "0x1F", "1_0", "1j", "sin + 1", "pi(2)", "sin(x1, x2)", "sin(x=1)",
+    "x1 if x2 else 3", "x1 < 2", "1, 2", "x1.real", "ｘ1",
+    # Python's parser accepts these: it drops a trailing comma or a comment,
+    # it normalises parentheses round a function name and fullwidth letters
+    # away, and it reads keyword names as constants and operators
+    "sin(x1,)", "x1 # c", "(sin)(x1)", "ｓｉｎ(x1)", "True", "not x1", "x1 + ,",
 ])
 def test_malformed_input_rejected(bad):
     with pytest.raises(ExpressionError):
