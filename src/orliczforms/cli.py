@@ -147,7 +147,7 @@ def _battery(dims: int) -> list:
         lux = luxemburg_norm(f, domain, power(p), resolution=21)
         ref = lp_norm(f, domain, p, resolution=21)
         worst_lux = max(worst_lux, abs(lux - ref) / ref)
-    rows.append(("Luxemburg/Lp agreement", worst_lux, 1e-6))
+    rows.append(("Luxemburg/Lp agreement", worst_lux, 1e-12))
     return rows
 
 

@@ -98,7 +98,9 @@ def _check_keys(spec, allowed: tuple, where: str, errors: list):
         errors.extend(f"{where}: unknown key {k!r}" for k in spec if k not in allowed)
 
 
-def _check_young_spec(spec, where: str, errors: list):
+def _check_young_spec(spec, where: str, errors: list, build):
+    """Check a Young function spec; ``build`` is the config's
+    ``_build_young``, so a custom spec built here is not built again."""
     if not isinstance(spec, dict) or "name" not in spec:
         errors.append(f"{where}: expected an object with a 'name' key")
         return
@@ -114,24 +116,19 @@ def _check_young_spec(spec, where: str, errors: list):
             errors.append(f"{where}: custom needs an 'expression' string in t")
             return
         try:  # parse it and sample the Young-function axioms now, not in run_suite
-            custom_young(spec["expression"])
+            build(spec)
         except OrliczFormsError as exc:
             errors.append(f"{where}: {exc}")
     else:
         errors.append(f"{where}: unknown Young function {name!r}")
 
 
-def _build_young_spec(spec: dict) -> YoungFunction:
-    if spec["name"] == "power":
-        return power(spec["p"])
-    if spec["name"] == "power_log":
-        return power_log(spec["p"])
-    return custom_young(spec["expression"])
-
-
 @dataclass
 class RunConfig:
     raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
+    # Young functions by (name, p or expression), built once for every gate,
+    # verifier and stability rerun that reads the same spec
+    _youngs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- field accessors ----------------------------------------------------
     def __getattr__(self, name: str):
@@ -155,10 +152,11 @@ class RunConfig:
         for k in merged:
             if k in data:
                 merged[k] = copy.deepcopy(data[k])
-        errors.extend(_validate(merged))
+        config = cls(merged)
+        errors.extend(_validate(config))
         if errors:
             raise ConfigError(errors)
-        return cls(merged)
+        return config
 
     # -- builders ---------------------------------------------------------
     def build_domain(self) -> Domain:
@@ -171,10 +169,18 @@ class RunConfig:
         return Ball(spec["center"], spec["radius"])
 
     def build_young(self) -> YoungFunction:
-        return _build_young_spec(self.raw["young"])
+        return self._build_young(self.raw["young"])
 
     def build_weighted_young(self) -> YoungFunction:
-        return _build_young_spec(self.raw["weighted"]["young"])
+        return self._build_young(self.raw["weighted"]["young"])
+
+    def _build_young(self, spec: dict) -> YoungFunction:
+        name = spec["name"]
+        arg = spec["expression"] if name == "custom" else spec["p"]
+        if (name, arg) not in self._youngs:
+            build = {"power": power, "power_log": power_log}.get(name, custom_young)
+            self._youngs[name, arg] = build(arg)
+        return self._youngs[name, arg]
 
     def build_weights(self) -> list:
         out = []
@@ -199,8 +205,11 @@ class RunConfig:
                      if isinstance(names, list) and n in names)
 
 
-def _validate(cfg: dict) -> list:
+def _validate(run_cfg: RunConfig) -> list:
+    """Every violation in ``run_cfg``; the Young functions that its checks
+    and gates build stay in ``run_cfg`` for the run."""
     e: list = []
+    cfg = run_cfg.raw
     dims = cfg["dims"]
     if type(dims) is not int or dims not in (2, 3):
         e.append(f"dims must be 2 or 3 (corpus presets exist for those), got {dims!r}")
@@ -247,7 +256,7 @@ def _validate(cfg: dict) -> list:
     if not (_is_num(cfg["radius_fraction"]) and 0 < cfg["radius_fraction"] <= 1):
         e.append(f"radius_fraction must lie in (0, 1], got {cfg['radius_fraction']!r}")
 
-    _check_young_spec(cfg["young"], "young", e)
+    _check_young_spec(cfg["young"], "young", e, run_cfg._build_young)
 
     g = cfg["g_class"]
     _check_keys(g, _SECTION_KEYS["g_class"], "g_class", e)
@@ -266,7 +275,8 @@ def _validate(cfg: dict) -> list:
     if not isinstance(w, dict) or not all(_is_num(w.get(x)) for x in ("p", "q", "alpha", "s")):
         e.append("weighted: needs numeric p, q, alpha, s")
     else:
-        _check_young_spec(w.get("young", {}), "weighted.young", e)
+        _check_young_spec(w.get("young", {}), "weighted.young", e,
+                          run_cfg._build_young)
 
     if not isinstance(cfg["weights"], list) or not cfg["weights"]:
         e.append("weights: needs a nonempty list")
@@ -315,7 +325,6 @@ def _validate(cfg: dict) -> list:
             if unknown:
                 e.append(f"verifiers: unknown names {unknown!r}; known: "
                          f"{list(VERIFIER_NAMES)}")
-    run_cfg = RunConfig(cfg)
     requested = run_cfg.enabled_verifiers()
     clean = not e  # else a gate may trip over a malformed value reported above
     membership = g_class_memo()  # thm_lipschitz and thm_bmo share (phi, p, q)

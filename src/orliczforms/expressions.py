@@ -8,7 +8,9 @@ argument.  ``^`` is right-associative and binds tighter than unary minus, so
 ``-x1^2`` is ``-(x1^2)``.  Anything else fails at parse, among it ``**``,
 names that are Python keywords (``not``, ``lambda``, ``None``, ...),
 comparisons, attributes, keyword arguments, and hexadecimal, underscored or
-complex literals.  Nothing is evaluated or compiled by Python.
+complex literals.  Nothing is evaluated or compiled by Python.  An
+expression may nest at most ``MAX_DEPTH`` levels deep, so that evaluating,
+differentiating and printing it stay well inside Python's recursion limit.
 
 Known functions: ``log`` (natural), ``exp``, ``sin``, ``cos``, ``sqrt``,
 ``abs``, ``sign``.  Known constants: ``e``, ``pi``.  The unicode operator
@@ -169,6 +171,8 @@ def _bin(op, left, right):
     return BinOp(op, left, right)
 
 
+MAX_DEPTH = 100  # most levels of nesting, counted on Python's parse tree
+
 # the grammar's number literals; Python's parser also reads 0x1F, 1_0 and 1j
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?")
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
@@ -190,7 +194,22 @@ def parse(text: str):
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError) as exc:  # older Pythons: ValueError on a null byte
         raise ExpressionError(f"invalid expression: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):  # Python's parser gives up on deep nesting
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels") from None
+    _check_depth(tree.body)
     return _convert(tree.body, text.encode())
+
+
+def _check_depth(node) -> None:
+    """Raise ExpressionError if a path from ``node`` down Python's parse tree
+    passes more than ``MAX_DEPTH`` expression nodes; walks without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node)
+                     if isinstance(child, ast.expr))
 
 
 def _convert(node, source: bytes):

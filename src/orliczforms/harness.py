@@ -22,7 +22,7 @@ domain grid, |u|, |u_Omega| and |u - u_Omega| are computed once per (entry,
 scale) and shared by the three global verifiers.  On the balls, the values
 |u - u_B| at each ball's quadrature nodes are computed once per (form,
 scale) and shared by every Young function and weight; the per-ball profile
-||u - u_B||_{phi,B} is then one Luxemburg bisection per ball, cached per
+||u - u_B||_{phi,B} is then one Luxemburg solve per ball, cached per
 (form, phi, weight, scale) and shared by the BMO and Lipschitz kinds.
 """
 

@@ -4,13 +4,19 @@ The Luxemburg norm of a scalar field f over a region is
 
     ||f|| = inf { lam > 0 : integral phi(|f| / lam) d(mu) <= 1 },
 
-computed by bisection on log(lam): the integral I(lam) is non-increasing in
-lam, so a bracket [lo, hi] with I(lo) > 1 >= I(hi) shrinks geometrically.
-The bracket is closed to relative width ``LUX_REL_TOL`` = 1e-10, comfortably
-inside the 1e-8 guarantees quoted elsewhere, and the returned value is the
-geometric midpoint.  With phi(t) = t^p this reproduces the discrete L^p norm
-on the same quadrature grid exactly (up to the bracket width), which is the
-main cross-check oracle.
+computed by regula falsi on log I against log lam, safeguarded and in its
+Illinois variant.  The integral I(lam) is non-increasing in lam, so steps of
+x4 find a bracket [lo, hi] with I(lo) > 1 >= I(hi), and every step keeps
+that invariant.  A secant step evaluates I at lam (1 -+ LUX_REL_TOL / 4)
+around its estimate lam, so an estimate that close to the root closes the
+bracket from both sides.  A geometric-midpoint step replaces it while
+I(hi) = 0, and after three steps that together fail to halve log(hi/lo),
+which keeps the worst case within a small factor of bisection.  The bracket
+is closed to relative width ``LUX_REL_TOL`` = 1e-10, comfortably inside the
+1e-8 guarantees quoted elsewhere, and the returned value is its geometric
+midpoint.  With phi(t) = t^p, log I is affine in log lam, so the first
+secant step lands on the root: the result is the discrete L^p norm on the
+same quadrature grid to rounding, which is the main cross-check oracle.
 
 The two oscillation norms share one per-ball profile ||u - u_B||_{phi,B};
 only the |B| prefactor differs (|B|^-1 versus |B|^-(n+k)/n), so comparisons
@@ -40,7 +46,13 @@ __all__ = [
 ]
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 1000)
-LUX_REL_TOL = 1e-10  # relative bracket width that ends luxemburg_norm's bisection
+LUX_REL_TOL = 1e-10  # relative bracket width that ends luxemburg_norm's solve
+_STEP = LUX_REL_TOL / 4.0  # a secant step evaluates lam * (1 -+ _STEP)
+_WINDOW = 3  # a midpoint step follows this many that fail to halve log(hi/lo)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 class YoungFunction:
@@ -257,7 +269,12 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                     # measure of the support is numerically zero
                     return 0.0
 
-        # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda
+        # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda.
+        # g_lo > 0 >= g_hi are the values of log I that the secant runs on;
+        # the Illinois rule halves the one at an end kept two steps running
+        g_lo, g_hi = _log(val_lo), _log(val_hi)
+        widths = [hi / lo]  # hi/lo before each step
+        last = None
         for _ in range(300):
             if hi / lo - 1.0 <= LUX_REL_TOL:
                 break
@@ -265,12 +282,30 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                 raise InvalidInputError(
                     "Luxemburg integral is not monotone on this grid; "
                     "phi is not a valid Young function here")
-            mid = math.sqrt(lo * hi)
-            val_mid = integral(mid)
-            if val_mid <= 1.0:
-                hi, val_hi = mid, val_mid
+            stalled = (len(widths) > _WINDOW
+                       and widths[-1] ** 2 > widths[-1 - _WINDOW])
+            if stalled or not math.isfinite(g_lo - g_hi):
+                points = (math.sqrt(lo * hi),)
             else:
-                lo, val_lo = mid, val_mid
+                lam = hi * (lo / hi) ** (g_hi / (g_hi - g_lo))
+                lam = min(max(lam, lo * (1.0 + 2.0 * _STEP)), hi * (1.0 - 2.0 * _STEP))
+                points = (lam * (1.0 - _STEP), lam * (1.0 + _STEP))
+            side = None  # the end the step moves: "lo", "hi", or "both"
+            for lam in points:
+                if not lo < lam < hi:  # the point before it moved past it
+                    continue
+                val = integral(lam)
+                if val <= 1.0:
+                    hi, val_hi, g_hi = lam, val, _log(val)
+                    side = "hi" if side is None else "both"
+                else:
+                    lo, val_lo, g_lo, side = lam, val, _log(val), "lo"
+            if side == last == "lo":
+                g_hi /= 2.0
+            elif side == last == "hi":
+                g_lo /= 2.0
+            last = side
+            widths.append(hi / lo)
         return math.sqrt(lo * hi)
 
 
@@ -348,7 +383,7 @@ def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFuncti
 
     ``residuals``, when given, are the ``oscillation_residuals`` of ``u`` on
     ``balls`` at ``ball_resolution``, one array per ball; only the Luxemburg
-    bisection then runs.
+    solve then runs.
     """
     if residuals is None:
         residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution)

@@ -142,7 +142,7 @@ def test_criterion_3_luxemburg_lp_oracle(capfd, corpora):
             lux = luxemburg_norm(f, domain, power(p), resolution=33)
             if ref > 0:
                 worst = max(worst, abs(lux - ref) / ref)
-    ok = fields == 100 and worst <= 1e-6
+    ok = fields == 100 and worst <= 1e-12
     report(capfd, 3, "Luxemburg/Lp oracle", ok,
            f"fields={fields} worst_rel={worst:.2e}")
 

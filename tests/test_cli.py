@@ -64,6 +64,14 @@ def test_norm_rejects_bad_form(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [490, 3000])
+def test_norm_rejects_deep_nesting(capsys, depth):
+    code, _, err = run(capsys, "norm", "--form", "poly:" + "-" * depth + "x1",
+                       "--kind", "lp", "--p", "2")
+    assert code == 2
+    assert "nests deeper" in err
+
+
 # ---------------------------------------------------------------- verify
 
 TINY = {"grid_resolution": 11, "ball_resolution": 7, "ball_count": 4,

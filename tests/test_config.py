@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import orliczforms.config
 import orliczforms.harness
 from orliczforms import ConfigError, HarnessContext, default_domain, load_config
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
@@ -282,6 +283,29 @@ def test_custom_young_built_at_load(expression):
     assert [v.split(":")[0] for v in exc.value.violations] == ["weighted.young"]
     cfg = load_config(overrides={"young": {"name": "custom", "expression": "t^2"}})
     assert cfg.build_young()(2.0) == 4.0
+
+
+def test_custom_young_built_once_per_spec(monkeypatch):
+    # the young check and the thm_lipschitz, thm_bmo and conjugate_pair gates
+    # share one build, and so do the verifiers that run on the loaded config
+    calls = []
+    original = orliczforms.config.custom_young
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(orliczforms.config, "custom_young", counting)
+    cfg = load_config(overrides={"young": {"name": "custom", "expression": "t^2"}})
+    assert calls == ["t^2"]
+    assert cfg.build_young() is cfg.build_young()
+    assert calls == ["t^2"]
+    # a distinct spec is a distinct build
+    weighted = {**DEFAULT_CONFIG["weighted"],
+                "young": {"name": "custom", "expression": "t^1.2"}}
+    load_config(overrides={"young": {"name": "custom", "expression": "t^2"},
+                           "weighted": weighted})
+    assert sorted(calls) == ["t^1.2", "t^2", "t^2"]
 
 
 @pytest.mark.parametrize("expression", ["x1 +* 2", "x3 + 1"])

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orliczforms.errors import ExpressionError
-from orliczforms.expressions import evaluate, free_variables, parse, substitute
+from orliczforms.expressions import (MAX_DEPTH, evaluate, free_variables, parse,
+                                     substitute)
 from orliczforms.forms import ExprField
 
 
@@ -176,6 +177,34 @@ def test_parse_matches_pinned_tree(text, pinned):
 def test_malformed_input_rejected(bad):
     with pytest.raises(ExpressionError):
         parse(bad)
+
+
+# each shape nests n levels of Python's parse tree, the quotients n - 1 at even n
+NESTED = {
+    "minus": lambda n: "-" * (n - 1) + "x1",
+    "calls": lambda n: "sin(" * (n - 1) + "x1" + ")" * (n - 1),
+    "quotients": lambda n: "1/(x1 + " * ((n - 1) // 2) + "x1" + ")" * ((n - 1) // 2),
+    "powers": lambda n: "(" * (n - 1) + "x1" + "^1.01)" * (n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_at_the_limit_evaluates_differentiates_and_prints(shape):
+    node = parse(NESTED[shape](MAX_DEPTH))
+    x = np.linspace(0.1, 0.9, 5)
+    d = node.diff("x1")
+    for tree in (node, d, d.diff("x1")):
+        assert np.all(np.isfinite(tree.ev({"x1": x})))
+        assert str(tree)
+
+
+@pytest.mark.parametrize("shape", NESTED)
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 490, 3000])
+def test_nesting_past_the_limit_rejected(shape, depth):
+    # 490 unary minuses used to parse and then fail to print; 3000 failed to
+    # parse with a RecursionError
+    with pytest.raises(ExpressionError):
+        parse(NESTED[shape](depth))
 
 
 def test_unknown_variable_rejected_by_field():

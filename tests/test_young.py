@@ -10,13 +10,14 @@ from orliczforms import (Ball, Box, DifferentialForm, YoungFunction, apply_T,
                          ball_family, check_g_class, check_phi_dominated,
                          constant_weight, custom_young, lp_norm, luxemburg_norm,
                          named_form, oscillation_profile, oscillation_residuals,
-                         power, power_log, young_violations)
+                         power, power_log, power_weight, young_violations)
 from orliczforms import expressions as ex
 from orliczforms import homotopy
 from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
                                 NoConvergenceError)
 from orliczforms.forms import CallableField, ExprField
 from orliczforms.homotopy import closed_part
+from orliczforms.young import LUX_REL_TOL
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -174,9 +175,9 @@ def test_oscillation_residuals_evaluate_u_once_per_ball(name, monkeypatch):
                                    * [b.quadrature(9).points.shape[0] for b in balls])
 
 
-# One errstate covers the whole bisection: phi's overflow at extreme lambda
+# One errstate covers the whole solve: phi's overflow at extreme lambda
 # stays silent, a NaN integrand still raises, the caller's error state comes
-# back, and the field's own evaluation before the bisection still warns.
+# back, and the field's own evaluation before the solve still warns.
 NAN_ABOVE_ONE = YoungFunction(lambda t: np.where(t > 1.0, np.nan, t * t), "nan-above-one")
 
 
@@ -243,6 +244,58 @@ def test_luxemburg_lp_agreement_property(p, pick):
     lux = luxemburg_norm(f, BOX, power(p), resolution=21)
     lp = lp_norm(f, BOX, p, resolution=21)
     assert lux == pytest.approx(lp, rel=1e-7)
+
+
+# The solve returns v with I(v (1 - LUX_REL_TOL)) > 1 >= I(v (1 + LUX_REL_TOL)),
+# where I(lam) is the integral of phi(|f| / lam) on the grid, in a handful
+# of evaluations of phi: for phi = t^p, log I is affine in log lam and the
+# first secant step lands on the root.
+SOLVER_PHIS = {"power-1": power(1.0), "power-2": power(2.0), "power-3.7": power(3.7),
+               "power_log-1.5": power_log(1.5), "power_log-2": power_log(2.0),
+               "t^2+t^6": custom_young("t^2+t^6"), "t+t^40": custom_young("t+t^40")}
+SOLVER_WEIGHTS = (None, power_weight([0.3, 1.7], 0.5))
+
+
+def _solver_cases(phi):
+    """(v, I, evaluations of phi) per field scale and weight."""
+    quad = BOX.quadrature(21)
+    base = named_form("oneform:x2^3,x1*x2", 2).modulus_values(quad.points)
+    for scale in (1e-9, 1.0, 1e9):
+        for weight in SOLVER_WEIGHTS:
+            vals = scale * base
+            mu = quad.weights if weight is None else quad.weights * weight(quad.points)
+            calls = []
+            counted = YoungFunction(lambda t: calls.append(1) or phi(t), phi.name,
+                                    phi.params)
+            v = luxemburg_norm(vals, BOX, counted, weight=weight, resolution=21)
+
+            def integral(lam, vals=vals, mu=mu):
+                return float(np.sum(phi(vals / lam) * mu))
+            yield v, integral, len(calls)
+
+
+@pytest.mark.parametrize("name", SOLVER_PHIS)
+def test_luxemburg_solution_passes_the_bracket_certificate(name):
+    for v, integral, _ in _solver_cases(SOLVER_PHIS[name]):
+        assert integral(v * (1.0 - LUX_REL_TOL)) > 1.0 >= integral(v * (1.0 + LUX_REL_TOL))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.7])
+def test_luxemburg_of_power_is_lp_to_rounding(p):
+    quad = BOX.quadrature(21)
+    base = named_form("oneform:x2^3,x1*x2", 2).modulus_values(quad.points)
+    for scale in (1e-9, 1.0, 1e9):
+        for weight in SOLVER_WEIGHTS:
+            lux = luxemburg_norm(scale * base, BOX, power(p), weight=weight, resolution=21)
+            lp = lp_norm(scale * base, BOX, p, weight=weight, resolution=21)
+            assert lux == pytest.approx(lp, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", SOLVER_PHIS)
+def test_luxemburg_evaluation_budget(name):
+    budget = 6 if name.startswith("power-") else 24
+    counts = [n for _, _, n in _solver_cases(SOLVER_PHIS[name])]
+    assert max(counts) <= budget, counts
 
 
 # ---------------------------------------------------------------- classes
