@@ -26,7 +26,9 @@ class DivergedIntegralError(OrliczFormsError, ArithmeticError):
 
 
 class NoConvergenceError(OrliczFormsError, RuntimeError):
-    """An iterative solve failed to bracket or converge."""
+    """An iterative solve found no finite bracket: ``luxemburg_norm`` raises
+    it when I(max|f|) is so large or so small that the bracket end it gives
+    overflows or underflows."""
 
 
 class RejectedPairError(OrliczFormsError, ValueError):

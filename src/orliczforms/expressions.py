@@ -180,6 +180,8 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"
 
 def parse(text: str):
     """Parse ``text`` into an AST node; raise ExpressionError on bad input."""
+    if not isinstance(text, str):
+        raise ExpressionError(f"expected an expression string, got {type(text).__name__}")
     text = text.replace("×", "*").replace("÷", "/").replace("−", "-")
     text = " ".join(text.split())  # Python's parser rejects newlines and indents
     if not text:

@@ -5,18 +5,23 @@ The Luxemburg norm of a scalar field f over a region is
     ||f|| = inf { lam > 0 : integral phi(|f| / lam) d(mu) <= 1 },
 
 computed by regula falsi on log I against log lam, safeguarded and in its
-Illinois variant.  The integral I(lam) is non-increasing in lam, so steps of
-x4 find a bracket [lo, hi] with I(lo) > 1 >= I(hi), and every step keeps
-that invariant.  A secant step evaluates I at lam (1 -+ LUX_REL_TOL / 4)
-around its estimate lam, so an estimate that close to the root closes the
-bracket from both sides.  A geometric-midpoint step replaces it while
-I(hi) = 0, and after three steps that together fail to halve log(hi/lo),
-which keeps the worst case within a small factor of bisection.  The bracket
-is closed to relative width ``LUX_REL_TOL`` = 1e-10, comfortably inside the
-1e-8 guarantees quoted elsewhere, and the returned value is its geometric
-midpoint.  With phi(t) = t^p, log I is affine in log lam, so the first
-secant step lands on the root: the result is the discrete L^p norm on the
-same quadrature grid to rounding, which is the main cross-check oracle.
+Illinois variant.  The integral I(lam) is non-increasing in lam, and phi is
+convex with phi(0) = 0, so I(c lam) <= I(lam) / c for c >= 1.  One value
+I0 = I(max|f|) therefore brackets the root between max|f| and max|f| I0;
+that far end, moved out by a relative LUX_REL_TOL / 2, is evaluated once
+and gives [lo, hi] with I(lo) > 1 >= I(hi), which every step keeps.  A
+secant step evaluates I at lam (1 -+ LUX_REL_TOL / 4) around its estimate
+lam, so an estimate that close to the root closes the bracket from both
+sides.  A geometric-midpoint step replaces it while I(hi) = 0, and after
+three steps that together fail to halve log(hi/lo), which keeps the worst
+case within a small factor of bisection.  The bracket is closed to relative
+width ``LUX_REL_TOL`` = 1e-10, comfortably inside the 1e-8 guarantees
+quoted elsewhere, and the returned value is the secant root through its
+final ends (their geometric midpoint when I(hi) = 0).  With phi(t) = t^p,
+log I is affine in log lam, so the first secant step lands on the root: the
+result is the discrete L^p norm on the same quadrature grid to rounding,
+which is the main cross-check oracle.  A root at max|f| itself, as for a
+constant field, comes back to rounding.
 
 The two oscillation norms share one per-ball profile ||u - u_B||_{phi,B};
 only the |B| prefactor differs (|B|^-1 versus |B|^-(n+k)/n), so comparisons
@@ -97,8 +102,9 @@ def custom_young(text: str) -> YoungFunction:
     node = parse(text)
 
     def fn(t):
-        return np.asarray(node.ev({"t": np.asarray(t, dtype=np.float64)}),
-                          dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        # a constant expression evaluates to a scalar; phi takes t's shape
+        return np.broadcast_to(np.asarray(node.ev({"t": t}), dtype=np.float64), t.shape)
 
     phi = YoungFunction(fn, "custom", {"expr": text})
     bad = young_violations(phi)
@@ -242,32 +248,18 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
     # phi may overflow or divide by zero at extreme lambda; the field's own
     # evaluation above stays outside this errstate
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lam = vmax
-        val = integral(lam)
-        if val > 1.0:
-            lo, val_lo = lam, val
-            hi = lam
-            while True:
-                hi *= 4.0
-                if hi > 1e12 * vmax:
-                    raise NoConvergenceError(
-                        f"phi integral stays above 1 up to lambda = 1e12 * max|f| = {hi!r}")
-                val_hi = integral(hi)
-                if val_hi <= 1.0:
-                    break
-                lo, val_lo = hi, val_hi
-        else:
-            hi, val_hi = lam, val
-            lo = lam
-            while True:
-                lo /= 4.0
-                val_lo = integral(lo)
-                if val_lo > 1.0:
-                    break
-                hi, val_hi = lo, val_lo
-                if lo < vmax * 1e-18:
-                    # measure of the support is numerically zero
-                    return 0.0
+        # phi is convex with phi(0) = 0, so I(c lam) <= I(lam) / c for c >= 1:
+        # the root lies between max|f| and max|f| I(max|f|)
+        val = integral(vmax)
+        far = vmax * val * (1.0 + 2.0 * _STEP if val > 1.0 else 1.0 - 2.0 * _STEP)
+        if not 0.0 < far < math.inf:
+            raise NoConvergenceError(
+                f"no finite bracket: I(max|f|) = {val!r} at max|f| = {vmax!r}")
+        (lo, val_lo), (hi, val_hi) = sorted([(vmax, val), (far, integral(far))])
+        if not val_lo > 1.0 >= val_hi:
+            raise InvalidInputError(
+                "Luxemburg integral breaks the convexity bound on this grid; "
+                "phi is not a valid Young function here")
 
         # invariant: I(lo) > 1 >= I(hi); I is non-increasing in lambda.
         # g_lo > 0 >= g_hi are the values of log I that the secant runs on;
@@ -306,7 +298,11 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                 g_lo /= 2.0
             last = side
             widths.append(hi / lo)
-        return math.sqrt(lo * hi)
+        # the secant root through the final ends, on their true log I
+        g_lo, g_hi = _log(val_lo), _log(val_hi)
+        if math.isfinite(g_lo - g_hi):
+            return hi * (lo / hi) ** (g_hi / (g_hi - g_lo))
+        return lo * math.sqrt(hi / lo)
 
 
 def lp_norm(f, region, p: float, weight=None, resolution: int = 41) -> float:

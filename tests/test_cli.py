@@ -52,10 +52,12 @@ def test_norm_lipschitz_runs(capsys):
 
 
 def test_norm_rejects_bad_phi(capsys):
-    code, _, err = run(capsys, "norm", "--form", "poly:x1",
-                       "--kind", "luxemburg", "--phi", "power:zero")
-    assert code == 2
-    assert err.strip()
+    # a malformed spec, and a constant custom phi that fails the axioms
+    for phi in ("power:zero", "custom:3"):
+        code, _, err = run(capsys, "norm", "--form", "poly:x1",
+                           "--kind", "luxemburg", "--phi", phi)
+        assert code == 2
+        assert err.strip()
 
 
 def test_norm_rejects_bad_form(capsys):

@@ -270,9 +270,11 @@ def test_build_young_and_weights():
     assert psi(2.0) == pytest.approx(2.0 ** 1.2)
 
 
-@pytest.mark.parametrize("expression", ["t^^2", "sqrt(t)"])
+@pytest.mark.parametrize("expression", ["t^^2", "sqrt(t)", "0", "3", "pi",
+                                        pytest.param(3, id="int-3")])
 def test_custom_young_built_at_load(expression):
-    # a parse error and a non-Young profile both fail at load, for either spec
+    # a parse error, a non-Young profile (a constant one among them) and an
+    # expression that is not a string all fail once at load, for either spec
     spec = {"name": "custom", "expression": expression}
     with pytest.raises(ConfigError) as exc:
         load_config(overrides={"young": spec})
@@ -308,9 +310,10 @@ def test_custom_young_built_once_per_spec(monkeypatch):
     assert sorted(calls) == ["t^1.2", "t^2", "t^2"]
 
 
-@pytest.mark.parametrize("expression", ["x1 +* 2", "x3 + 1"])
+@pytest.mark.parametrize("expression", ["x1 +* 2", "x3 + 1", pytest.param(3, id="int-3")])
 def test_custom_weight_built_at_load(expression):
-    # a parse error and a variable outside x1..x2 both fail at load
+    # a parse error, a variable outside x1..x2 and an expression that is not
+    # a string all fail once at load
     weights = [{"name": "constant", "value": 1.0},
                {"name": "custom", "expression": expression}]
     with pytest.raises(ConfigError) as exc:

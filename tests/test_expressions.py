@@ -173,6 +173,8 @@ def test_parse_matches_pinned_tree(text, pinned):
     # it normalises parentheses round a function name and fullwidth letters
     # away, and it reads keyword names as constants and operators
     "sin(x1,)", "x1 # c", "(sin)(x1)", "ｓｉｎ(x1)", "True", "not x1", "x1 + ,",
+    # not a string at all
+    3, None, b"x1",
 ])
 def test_malformed_input_rejected(bad):
     with pytest.raises(ExpressionError):

@@ -1,5 +1,6 @@
 """Young functions, Luxemburg norms, and the sandwich-class checks."""
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -249,20 +250,31 @@ def test_luxemburg_lp_agreement_property(p, pick):
 # The solve returns v with I(v (1 - LUX_REL_TOL)) > 1 >= I(v (1 + LUX_REL_TOL)),
 # where I(lam) is the integral of phi(|f| / lam) on the grid, in a handful
 # of evaluations of phi: for phi = t^p, log I is affine in log lam and the
-# first secant step lands on the root.
+# first secant step lands on the root.  The cases reach the ends of the
+# bracket: measures of 1e-30 and 1e30, and a constant field whose root
+# sits at max|f|.
 SOLVER_PHIS = {"power-1": power(1.0), "power-2": power(2.0), "power-3.7": power(3.7),
                "power_log-1.5": power_log(1.5), "power_log-2": power_log(2.0),
                "t^2+t^6": custom_young("t^2+t^6"), "t+t^40": custom_young("t+t^40")}
-SOLVER_WEIGHTS = (None, power_weight([0.3, 1.7], 0.5))
+SOLVER_WEIGHTS = (None, power_weight([0.3, 1.7], 0.5), constant_weight(1e-30),
+                  constant_weight(1e30))
+SOLVER_FIELDS = ("oneform:x2^3,x1*x2", "const:dx1")
+
+
+def _solver_fields():
+    """Node values on ``BOX.quadrature(21)`` per field and scale."""
+    quad = BOX.quadrature(21)
+    for name in SOLVER_FIELDS:
+        base = named_form(name, 2).modulus_values(quad.points)
+        for scale in (1e-9, 1.0, 1e9):
+            yield scale * base
 
 
 def _solver_cases(phi):
-    """(v, I, evaluations of phi) per field scale and weight."""
+    """(v, I, evaluations of phi) per field, scale and weight."""
     quad = BOX.quadrature(21)
-    base = named_form("oneform:x2^3,x1*x2", 2).modulus_values(quad.points)
-    for scale in (1e-9, 1.0, 1e9):
+    for vals in _solver_fields():
         for weight in SOLVER_WEIGHTS:
-            vals = scale * base
             mu = quad.weights if weight is None else quad.weights * weight(quad.points)
             calls = []
             counted = YoungFunction(lambda t: calls.append(1) or phi(t), phi.name,
@@ -282,13 +294,43 @@ def test_luxemburg_solution_passes_the_bracket_certificate(name):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.7])
 def test_luxemburg_of_power_is_lp_to_rounding(p):
-    quad = BOX.quadrature(21)
-    base = named_form("oneform:x2^3,x1*x2", 2).modulus_values(quad.points)
-    for scale in (1e-9, 1.0, 1e9):
+    for vals in _solver_fields():
         for weight in SOLVER_WEIGHTS:
-            lux = luxemburg_norm(scale * base, BOX, power(p), weight=weight, resolution=21)
-            lp = lp_norm(scale * base, BOX, p, weight=weight, resolution=21)
+            lux = luxemburg_norm(vals, BOX, power(p), weight=weight, resolution=21)
+            lp = lp_norm(vals, BOX, p, weight=weight, resolution=21)
             assert lux == pytest.approx(lp, rel=1e-13, abs=0.0)
+
+
+def _power_log_root(p):
+    """The lam with lam^-p log(e + 1/lam) = 1, by float bisection to one ulp."""
+    lo, hi = 1.0, 2.0  # the left side is above 1 at lam = 1 and below it at 2
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if mid ** -p * math.log(math.e + 1.0 / mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# A constant field 1 on the unit box has I(lam) = phi(1 / lam), so its norm
+# is 1 / phi^-1(1): exactly max|f| = 1 for every power.
+@pytest.mark.parametrize("name", ["power-1", "power-2", "power-3.7", "power_log-1.5"])
+def test_luxemburg_of_a_constant_field_inverts_phi_at_one(name):
+    want = _power_log_root(1.5) if name == "power_log-1.5" else 1.0
+    lux = luxemburg_norm(named_form("const:dx1", 2), BOX, SOLVER_PHIS[name])
+    assert lux == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_luxemburg_bracket_failures_raise():
+    vals = named_form("const:dx1", 2).modulus_values(BOX.quadrature(21).points)
+    # the far end max|f| I(max|f|) overflows
+    with pytest.raises(NoConvergenceError):
+        luxemburg_norm(1e300 * vals, BOX, power(1.0), weight=constant_weight(1e30),
+                       resolution=21)
+    # a concave phi breaks I(c lam) <= I(lam) / c, so the far end is no bracket
+    root = YoungFunction(np.sqrt, "sqrt")
+    with pytest.raises(InvalidInputError, match="not a valid Young function"):
+        luxemburg_norm(vals, BOX, root, weight=constant_weight(4.0), resolution=21)
 
 
 @pytest.mark.parametrize("name", SOLVER_PHIS)
