@@ -278,6 +278,7 @@ def _validate(run_cfg: RunConfig) -> list:
         _check_young_spec(w.get("young", {}), "weighted.young", e,
                           run_cfg._build_young)
 
+    weights_from = len(e)
     if not isinstance(cfg["weights"], list) or not cfg["weights"]:
         e.append("weights: needs a nonempty list")
     else:
@@ -308,6 +309,7 @@ def _validate(run_cfg: RunConfig) -> list:
                         e.append(f"{where}: {exc}")
             else:
                 e.append(f"{where}: unknown weight {spec['name']!r}")
+    weights_ok = len(e) == weights_from
 
     for key in ("lemma_exponent_t", "sobolev_t"):
         if not _is_num(cfg[key]):
@@ -332,7 +334,8 @@ def _validate(run_cfg: RunConfig) -> list:
         if row.name in requested:
             try:
                 e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims, membership))
-                if geometry_ok:  # else the raw dims or domain may be huge
+                # only on a sane domain and resolution, and on buildable weights
+                if geometry_ok and weights_ok:
                     e.extend(f"{row.name}: {m}" for m in row.domain_gate(run_cfg))
             except (TypeError, KeyError, OrliczFormsError) as exc:
                 if clean:  # a failure no check above explains

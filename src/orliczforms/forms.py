@@ -7,13 +7,10 @@ A *scalar field* is anything that maps a batch of points ``(m, n)`` to values
     field.partial(k) -> field or None     # k is 1-based
 
 ``partial`` returning ``None`` means no closed form is available; consumers
-fall back to central finite differences with an explicit step.  The points
-may be any (m, n) float array, including a column-major view of a buffer
-the caller overwrites after the call (the segment points of ``homotopy``'s
-T kernel); a field must return a fresh (m,) array and keep no reference to
-the points.  A *differential form* of degree l is a tuple of scalar fields
-indexed by the lexicographic rank of the ordered multi-indices (see
-``exterior``).
+fall back to central finite differences with an explicit step.  A field
+must return a fresh (m,) array.  A *differential form* of degree l is a
+tuple of scalar fields indexed by the lexicographic rank of the ordered
+multi-indices (see ``exterior``).
 
 The T kernel does not evaluate fields at its segment points directly: it
 asks each field, through ``_t_integral``, for its t-integral
@@ -651,12 +648,20 @@ class GridField:
 
     The spline is the not-a-knot cubic tensor spline through the samples,
     built by one 1-D not-a-knot solve per axis; it takes the grid values to
-    rounding and is linear in them.  ``knots`` holds one knot vector per
-    axis and ``coefficients`` the coefficient array, so the field is
-    ``scipy.interpolate.NdBSpline(knots, coefficients, 3)``.  Queries
-    outside the grid extrapolate with the end pieces.  ``partial(k)`` is a
-    GridField on the same spline with the derivative orders ``nu`` raised
-    by one along axis k, so chains of ``partial`` calls stay exact.
+    rounding and is linear in them.  On an axis of N >= 4 strictly
+    increasing nodes x the knot vector is x_0 four times, x_2 .. x_(N-3)
+    and x_(N-1) four times, so x_1 and x_(N-2) are not knots; the N x N
+    collocation matrix holds the four nonzero B-spline values at each node,
+    from ``_cubic_basis``, the function that evaluates the spline, and one
+    dense ``np.linalg.solve`` along the axis gives its coefficients.  Axes
+    that do not fit the values or have too few, unordered or non-finite
+    nodes, and non-finite values, raise ``InvalidInputError``.  ``knots``
+    holds one knot vector per axis and ``coefficients`` the coefficient
+    array, so the field is ``scipy.interpolate.NdBSpline(knots,
+    coefficients, 3)``.  Queries outside the grid extrapolate with the end
+    pieces.  ``partial(k)`` is a GridField on the same spline with the
+    derivative orders ``nu`` raised by one along axis k, so chains of
+    ``partial`` calls stay exact.
 
     Evaluation works on coordinate planes: the points arrive as rows of
     values per coordinate and a map from each point to its column (a
@@ -671,14 +676,28 @@ class GridField:
     """
 
     def __init__(self, axes, values):
-        from scipy.interpolate import make_interp_spline
         c = np.asarray(values, dtype=np.float64)
+        axes = [np.asarray(x, dtype=np.float64) for x in axes]
+        if c.ndim == 0 or len(axes) != c.ndim or any(
+                x.shape != (size,) for x, size in zip(axes, c.shape)):
+            raise InvalidInputError(f"grid axes of lengths {[x.size for x in axes]} "
+                                    f"do not match values of shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise InvalidInputError("grid values must be finite")
         self.dims = c.ndim
         knots = []
         for i, x in enumerate(axes):
-            spline = make_interp_spline(np.asarray(x, dtype=np.float64), c, k=3, axis=i)
-            knots.append(spline.t)
-            c = np.moveaxis(spline.c, 0, i)
+            if x.size < 4 or not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+                raise InvalidInputError(
+                    f"grid axis {i + 1} needs at least 4 finite, strictly increasing nodes")
+            t = np.concatenate((x[:1].repeat(4), x[2:-2], x[-1:].repeat(4)))
+            e, b = _cubic_basis(t, x, 0)
+            collocation = np.zeros((x.size, x.size))
+            collocation[np.arange(x.size)[:, None], e[:, None] + np.arange(4)] = b.T
+            rhs = np.moveaxis(c, i, 0)
+            c = np.moveaxis(np.linalg.solve(collocation, rhs.reshape(x.size, -1))
+                            .reshape(rhs.shape), 0, i)
+            knots.append(t)
         self.knots = tuple(knots)
         self.coefficients = np.ascontiguousarray(c)
         self.nu = (0,) * self.dims

@@ -607,7 +607,7 @@ class Verifier:
     the ``g_class_memo`` ``membership``) included, and
     ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
-    only when dims, the domain and the resolutions are valid.
+    only when dims, the domain, the resolutions and the weights are valid.
     ``run(ctx, config, scale)``
     returns its reports.  Runners look ``verify_*`` up in this module at call
     time, so rebinding the module attribute reaches ``run_suite``."""

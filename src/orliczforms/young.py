@@ -32,6 +32,7 @@ prefactors use the closed form, never quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,14 +250,16 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
     # evaluation above stays outside this errstate
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # phi is convex with phi(0) = 0, so I(c lam) <= I(lam) / c for c >= 1:
-        # the root lies between max|f| and max|f| I(max|f|)
+        # the root lies between max|f| and max|f| I(max|f|), which is taken
+        # into the positive normal floats when it under- or overflows
         val = integral(vmax)
-        far = vmax * val * (1.0 + 2.0 * _STEP if val > 1.0 else 1.0 - 2.0 * _STEP)
-        if not 0.0 < far < math.inf:
-            raise NoConvergenceError(
-                f"no finite bracket: I(max|f|) = {val!r} at max|f| = {vmax!r}")
+        bound = vmax * val * (1.0 + 2.0 * _STEP if val > 1.0 else 1.0 - 2.0 * _STEP)
+        far = min(max(bound, sys.float_info.min), sys.float_info.max)
         (lo, val_lo), (hi, val_hi) = sorted([(vmax, val), (far, integral(far))])
         if not val_lo > 1.0 >= val_hi:
+            if far != bound:
+                raise NoConvergenceError(
+                    f"no finite bracket: I(max|f|) = {val!r} at max|f| = {vmax!r}")
             raise InvalidInputError(
                 "Luxemburg integral breaks the convexity bound on this grid; "
                 "phi is not a valid Young function here")
@@ -274,10 +277,12 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
                 raise InvalidInputError(
                     "Luxemburg integral is not monotone on this grid; "
                     "phi is not a valid Young function here")
+            # w * w and sqrt(lo) sqrt(hi) stay defined on the widest bracket,
+            # from the smallest normal float to the largest
             stalled = (len(widths) > _WINDOW
-                       and widths[-1] ** 2 > widths[-1 - _WINDOW])
+                       and widths[-1] * widths[-1] > widths[-1 - _WINDOW])
             if stalled or not math.isfinite(g_lo - g_hi):
-                points = (math.sqrt(lo * hi),)
+                points = (math.sqrt(lo) * math.sqrt(hi),)
             else:
                 lam = hi * (lo / hi) ** (g_hi / (g_hi - g_lo))
                 lam = min(max(lam, lo * (1.0 + 2.0 * _STEP)), hi * (1.0 - 2.0 * _STEP))
@@ -302,7 +307,7 @@ def luxemburg_norm(f, region, phi: YoungFunction, weight=None,
         g_lo, g_hi = _log(val_lo), _log(val_hi)
         if math.isfinite(g_lo - g_hi):
             return hi * (lo / hi) ** (g_hi / (g_hi - g_lo))
-        return lo * math.sqrt(hi / lo)
+        return math.sqrt(lo) * math.sqrt(hi)
 
 
 def lp_norm(f, region, p: float, weight=None, resolution: int = 41) -> float:

@@ -156,6 +156,17 @@ def test_verify_rejects_non_positive_weight_without_traceback(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("center", [[0.5, "a"], [0.5, None]])
+def test_verify_rejects_bad_weight_center(tmp_path, capsys, center):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"weights": [{"name": "power", "exponent": 0.5,
+                                             "center": center}]}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "weights[0]: center must be a length-2 point" in err
+    assert "weighted_lipschitz" not in err
+
+
 def test_verify_missing_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--config",
                        str(tmp_path / "absent.json"))
@@ -171,6 +182,29 @@ def test_selftest_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert lines and all(ln.startswith("PASS") for ln in lines)
     assert "-- dims = 3" in out
+
+
+# numpy is the only runtime dependency: with every import of scipy made to
+# fail, the acceptance suite and the selftest still run
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from orliczforms import load_config, run_suite
+from orliczforms.cli import main
+reports = run_suite(load_config(overrides={"grid_resolution": 27, "ball_resolution": 9,
+                                           "ball_count": 12, "stability_check": True}))
+assert len(reports) == 11, len(reports)
+sys.exit(main(["selftest"]))
+"""
+
+
+def test_suite_and_selftest_run_without_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_corpus_list_text(capsys):

@@ -336,6 +336,16 @@ def test_non_positive_weight_rejected_at_load():
     load_config(overrides={"weights": weights, "verifiers": ["thm_bmo_le_lip"]})
 
 
+@pytest.mark.parametrize("center", [[0.5, "a"], [0.5, None]])
+def test_bad_power_weight_center_is_its_only_violation(center):
+    # the weighted_lipschitz domain gate builds the weights, so it must not
+    # run on a weights section that already failed its check
+    weights = [{"name": "power", "exponent": 0.5, "center": center}]
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"weights": weights})
+    assert exc.value.violations == ["weights[0]: center must be a length-2 point"]
+
+
 def test_run_config_attribute_delegation():
     cfg = RunConfig({"alpha": 1.0})
     assert cfg.alpha == 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import NdBSpline
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from orliczforms import (Box, DifferentialForm, apply_T, build_corpus,
                          check_analytic_partials, codifferential, evaluate,
@@ -239,6 +239,32 @@ def test_grid_field_hits_the_grid_values(dims, res):
     # 1e-6 misses these values by about 1e-5
     f, nodes, values = _smooth_grid_field(dims, res)
     np.testing.assert_allclose(f(nodes), values.ravel(), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dims,res", [(2, 4), (2, 6), (2, 27), (2, 54), (2, 102), (3, 15)])
+def test_grid_field_builds_the_not_a_knot_spline_of_make_interp_spline(dims, res):
+    f, _, values = _smooth_grid_field(dims, res)
+    c = values
+    for i, x in enumerate([np.linspace(0.0, 1.0, res)] * dims):
+        spline = make_interp_spline(x, c, k=3, axis=i)
+        assert np.array_equal(f.knots[i], spline.t)
+        c = np.moveaxis(spline.c, 0, i)
+    assert np.max(np.abs(f.coefficients - c)) <= 1e-14 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("axes,values", [
+    ([[0.0, 1.0, 2.0]] * 2, np.zeros((3, 3))),                       # < 4 nodes
+    ([[0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]], np.zeros((4, 4))),  # repeated
+    ([[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]], np.zeros((4, 4))),  # unordered
+    ([[0.0, 1.0, 2.0, np.nan], [0.0, 1.0, 2.0, 3.0]], np.zeros((4, 4))),
+    ([[0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 2.0, 3.0]], np.zeros((4, 4))),
+    ([[0.0, 1.0, 2.0, 3.0]] * 2, np.zeros((4, 5))),                  # shape
+    ([[0.0, 1.0, 2.0, 3.0]] * 3, np.zeros((4, 4))),                  # axis count
+    ([[0.0, 1.0, 2.0, 3.0]] * 2, np.full((4, 4), np.nan)),
+])
+def test_grid_field_rejects_bad_axes_and_values(axes, values):
+    with pytest.raises(InvalidInputError):
+        GridField(axes, values)
 
 
 def _nu_chain(f, nu):

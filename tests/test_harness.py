@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import orliczforms
-from orliczforms import (CorpusEntry, HarnessContext, build_corpus,
+from orliczforms import (CorpusEntry, DifferentialForm, HarnessContext, build_corpus,
                          constant_weight, custom_weight, default_domain,
                          homotopy, load_config, named_form, power, power_log,
                          power_weight, reports_to_csv,
@@ -22,6 +22,9 @@ from orliczforms import (CorpusEntry, HarnessContext, build_corpus,
                          verify_thm_bmo_le_lip, verify_thm_lipschitz,
                          verify_weighted_lipschitz)
 from orliczforms.errors import InvalidInputError, RejectedPairError
+from orliczforms.expressions import parse, substitute
+from orliczforms.forms import ExprField
+from orliczforms.geometry import Box
 from orliczforms.harness import VERIFIER_NAMES
 
 DOM = default_domain(2)
@@ -323,6 +326,50 @@ def test_entry_selection_by_degree(ctx):
     assert all(e.degree >= 1 for e in ctx.form_entries(min_degree=1))
     assert all(e.degree <= 1 for e in ctx.form_entries(max_degree=1))
     assert len(ctx.pair_entries()) == 1
+
+
+# ---------------------------------------------------------------- dilation
+
+# Pull a form back by x -> x/2 from the unit square to the side-2 square (an
+# l-form's coefficients gain 2^-l): ball family, box lattice and bump all move
+# with the domain, so each per-entry ratio scales by 2^e with the exponent e
+# that follows from the norms' definitions.  A non-power phi breaks this (the
+# Luxemburg norm is not homogeneous in the measure), so phi = t^2.
+DILATION_EXPONENTS = {"lemma_T_bound": -2.0, "lemma_closed_part_bound": -2.0,
+                      "sobolev_poincare": 0.0, "thm_lipschitz": -1.5,
+                      "thm_bmo": -1.0, "thm_bmo_le_lip": 0.0}
+DILATION_FORMS = ("poly-1form", "trig-1form", "mixed-1form", "poly-0form")
+
+
+def _dilated(e, factor):
+    pullback = {f"x{i}": parse(f"(x{i}/{factor!r})") for i in (1, 2)}
+    comps = tuple(ExprField(substitute(f.node, pullback), 2) for f in e.form.components)
+    form = factor ** -e.degree * DifferentialForm(2, e.degree, comps)
+    return CorpusEntry(e.id, 2, e.degree, form, None, e.tags, {})
+
+
+def _dilation_ratios(domain, entries):
+    ctx = HarnessContext(domain, entries, grid_resolution=27, ball_resolution=9,
+                         ball_count=12)
+    phi = power(2.0)
+    reports = [verify_lemma_T_bound(ctx, 2.0), verify_lemma_closedpart_bound(ctx, 2.0),
+               verify_sobolev_poincare(ctx, 1.5), verify_thm_lipschitz(ctx, phi, 1.5, 3.0),
+               verify_thm_bmo(ctx, phi, 1.5, 3.0), verify_thm_bmo_le_lip(ctx, phi)]
+    return {r.inequality: {e["id"]: e["ratio"] for e in r.entries if not e["flags"]}
+            for r in reports}
+
+
+def test_ratios_scale_by_the_dilation_exponents():
+    unit = [e for e in build_corpus(dims=2, admit=False) if e.id in DILATION_FORMS]
+    assert len(unit) == len(DILATION_FORMS)
+    small = _dilation_ratios(DOM, unit)
+    large = _dilation_ratios(Box([0.0, 0.0], [2.0, 2.0]), [_dilated(e, 2.0) for e in unit])
+    assert sorted(small) == sorted(DILATION_EXPONENTS)
+    for name, exponent in DILATION_EXPONENTS.items():
+        assert small[name] and sorted(small[name]) == sorted(large[name]), name
+        for eid, ratio in small[name].items():
+            assert math.log2(large[name][eid] / ratio) == pytest.approx(
+                exponent, abs=1e-4), (name, eid)
 
 
 # ---------------------------------------------------------------- suite

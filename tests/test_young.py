@@ -323,7 +323,7 @@ def test_luxemburg_of_a_constant_field_inverts_phi_at_one(name):
 
 def test_luxemburg_bracket_failures_raise():
     vals = named_form("const:dx1", 2).modulus_values(BOX.quadrature(21).points)
-    # the far end max|f| I(max|f|) overflows
+    # the norm 1e330 overflows: the clamped far end is no bracket
     with pytest.raises(NoConvergenceError):
         luxemburg_norm(1e300 * vals, BOX, power(1.0), weight=constant_weight(1e30),
                        resolution=21)
@@ -331,6 +331,18 @@ def test_luxemburg_bracket_failures_raise():
     root = YoungFunction(np.sqrt, "sqrt")
     with pytest.raises(InvalidInputError, match="not a valid Young function"):
         luxemburg_norm(vals, BOX, root, weight=constant_weight(4.0), resolution=21)
+
+
+# max|f| I(max|f|) under- or overflows although the norm v sqrt(sum w) of a
+# constant field v under phi = t^2 is a normal float: 1e-300 and 1e225
+@pytest.mark.parametrize("value,density", [(1e-200, 1e-200), (1e100, 1e250)])
+def test_luxemburg_far_end_is_clamped_to_the_normal_floats(value, density):
+    quad = BOX.quadrature(21)
+    vals = np.full(len(quad.weights), value)
+    weight = constant_weight(density)
+    lux = luxemburg_norm(vals, BOX, power(2.0), weight=weight, resolution=21)
+    want = value * math.sqrt(np.sum(quad.weights * weight(quad.points)))
+    assert lux == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", SOLVER_PHIS)
