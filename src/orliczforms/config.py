@@ -38,6 +38,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigError, OrliczFormsError
 from .geometry import Ball, Box, Domain
@@ -129,6 +130,10 @@ class RunConfig:
     # Young functions by (name, p or expression), built once for every gate,
     # verifier and stability rerun that reads the same spec
     _youngs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # check_g_class once per (phi, p, q): the load's gates and run_suite's
+    # verifiers share it
+    _membership: Callable = field(default_factory=g_class_memo, init=False, repr=False,
+                                  compare=False)
 
     # -- field accessors ----------------------------------------------------
     def __getattr__(self, name: str):
@@ -329,7 +334,7 @@ def _validate(run_cfg: RunConfig) -> list:
                          f"{list(VERIFIER_NAMES)}")
     requested = run_cfg.enabled_verifiers()
     clean = not e  # else a gate may trip over a malformed value reported above
-    membership = g_class_memo()  # thm_lipschitz and thm_bmo share (phi, p, q)
+    membership = run_cfg._membership  # thm_lipschitz and thm_bmo share (phi, p, q)
     for row in VERIFIERS:
         if row.name in requested:
             try:

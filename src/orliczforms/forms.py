@@ -31,10 +31,14 @@ then taken to the points, when the box has at most 2m cells (a lattice
 batch; on a scattered one it would have m^2); any other product of
 non-constant factors is one fused t-sum of the factors expanded to the
 points; any other node is evaluated at the segment points and t-summed.
-Every other field is evaluated at the segment points and t-summed.  A
-``GridField`` is handed the ``SegmentPoints`` and computes its B-spline
-basis on the planes (a ``ConstantField`` reads only its size); any other
-field, including any field from outside this module, receives the
+Every other field is evaluated at the segment points and t-summed.  Every
+other field of this module is handed the ``SegmentPoints`` (``_points_for``):
+a ``GridField`` computes its B-spline basis on the planes, a ``BumpField``,
+a ``RadialPowerField`` and their partials form each coordinate's offset
+x_i - c_i (over the radius, for the bump) and its square on the
+coordinate's plane and take them to the points (``_offsets``), and a
+``ConstantField`` reads only its size.  A ``CallableField``, an
+``FDPartialField`` and any field from outside this module receive the
 (Y' t m, n) segment array that ``_pts`` expands.  Whatever is expanded to
 the m points runs over consecutive y-nodes in parts of at most
 ``CHUNK_VALUES`` values per array (``SegmentPoints.chunked``), so no array
@@ -88,10 +92,10 @@ def _distinct(col: np.ndarray):
 # The most float64 values the T kernel holds in one array that grows with
 # the y-nodes, other than its (., Y, m) blocks: a part's coordinate planes
 # and one-coordinate leaf values, a pair box, its segment array (per
-# coordinate) and product factors, and a GridField's (4^n, P) weights and
-# gathered coefficients.  A part holds at least one y-node (a GridField part
-# at least one row), so one y-node's t values per column (4^n per point) may
-# exceed it.
+# coordinate) and product factors, and a GridField's plane values per part
+# of its basis and (4^n, P) weights and gathered coefficients.  A part holds
+# at least one y-node (a GridField part at least one row), so one y-node's t
+# values per column (4^n per point) may exceed it.
 CHUNK_VALUES = 16384
 
 
@@ -444,9 +448,12 @@ class LinearCombinationField:
 
 def _points_for(field, points):
     """The points ``field`` is evaluated at: a ``SegmentPoints`` stays
-    compressed for the fields of this module that read its planes, and every
-    other field gets the (m, n) array."""
-    if type(field) in (ConstantField, GridField):
+    compressed for every field of this module that is evaluated at points
+    (a ``ConstantField`` reads only its size, the others read its planes);
+    a ``CallableField``, an ``FDPartialField`` and any field from outside
+    this module get the (m, n) array."""
+    if type(field) in (ConstantField, GridField, BumpField, _BumpGrad, _BumpHess,
+                       RadialPowerField, _RadialPowerGrad):
         return points
     return _pts(points)
 
@@ -472,11 +479,47 @@ def _t_integral(field, points: SegmentPoints) -> np.ndarray:
     return points.chunked(part_integral, points.m)
 
 
+def _offsets(points, center: np.ndarray, radius: float | None = None):
+    """The offsets x_i - c_i of the points from ``center``, divided by
+    ``radius`` when one is given, one array per coordinate i, and ``at(i,
+    v)``, which takes values ``v`` of that shape to the points, flat.
+
+    On a ``SegmentPoints`` offset i is formed on coordinate i's (Y, t, u_i)
+    plane and ``at`` takes it to the (Y, t, m) points; on an (m, n) array
+    it is formed on column i and ``at`` returns it.  Either way each value
+    goes through the operations it goes through on the (m, n) array of the
+    points, so the bits do not depend on the layout."""
+    if isinstance(points, SegmentPoints):
+        cols = points.planes
+
+        def at(i, v):
+            return v.take(points.inverses[i], axis=2, mode="clip").reshape(-1)
+    else:
+        cols = _pts(points).T
+
+        def at(i, v):
+            return v
+    z = [col - c for col, c in zip(cols, center, strict=True)]
+    return (z if radius is None else [zi / radius for zi in z]), at
+
+
+def _square_sum(z: list, at) -> np.ndarray:
+    """sum_i z_i^2 at the points, each square formed where ``z_i`` is and
+    taken to the points, added in axis order: the bits of ``np.sum(z * z,
+    axis=1)`` on the (m, n) array of the offsets, for n <= 3."""
+    total = at(0, z[0] * z[0])
+    for i in range(1, len(z)):
+        total += at(i, z[i] * z[i])
+    return total
+
+
 class BumpField:
     """Smooth compactly supported mollifier exp(-1 / (1 - |z|^2)) on |z| < 1.
 
     ``z = (x - center) / radius``.  First and second partials are closed form;
-    beyond that ``partial`` chains return ``None``.
+    beyond that ``partial`` chains return ``None``.  The bump and its
+    partials form z and its squares per coordinate (``_offsets``), on the
+    planes of a ``SegmentPoints``.
     """
 
     def __init__(self, center, radius: float):
@@ -486,13 +529,14 @@ class BumpField:
         self.radius = float(radius)
         self.dims = self.center.size
 
-    def _zw(self, pts):
-        z = (pts - self.center) / self.radius
-        w = np.sum(z * z, axis=1)
-        return z, w
+    def _zw(self, points):
+        """``(z, at, w)``: z per coordinate and ``at`` (see ``_offsets``),
+        and |z|^2 at the points."""
+        z, at = _offsets(points, self.center, self.radius)
+        return z, at, _square_sum(z, at)
 
     def __call__(self, points):
-        z, w = self._zw(_pts(points))
+        _, _, w = self._zw(points)
         out = np.zeros(w.shape)
         inside = w < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - w[inside]))
@@ -507,13 +551,12 @@ class _BumpGrad:
         self.bump, self.k = bump, k
 
     def __call__(self, points):
-        pts = _pts(points)
-        z, w = self.bump._zw(pts)
+        z, at, w = self.bump._zw(points)
         out = np.zeros(w.shape)
         inside = w < 1.0
         g = 1.0 - w[inside]
-        out[inside] = (np.exp(-1.0 / g) / g ** 2) * (-2.0 * z[inside, self.k - 1]
-                                                     / self.bump.radius)
+        zk = at(self.k - 1, z[self.k - 1])[inside]
+        out[inside] = (np.exp(-1.0 / g) / g ** 2) * (-2.0 * zk / self.bump.radius)
         return out
 
     def partial(self, j):
@@ -525,14 +568,13 @@ class _BumpHess:
         self.bump, self.k, self.j = bump, k, j
 
     def __call__(self, points):
-        pts = _pts(points)
-        z, w = self.bump._zw(pts)
+        z, at, w = self.bump._zw(points)
         out = np.zeros(w.shape)
         inside = w < 1.0
         g = 1.0 - w[inside]
         e = np.exp(-1.0 / g)
-        zk = 2.0 * z[inside, self.k - 1] / self.bump.radius
-        zj = 2.0 * z[inside, self.j - 1] / self.bump.radius
+        zk = 2.0 * at(self.k - 1, z[self.k - 1])[inside] / self.bump.radius
+        zj = 2.0 * at(self.j - 1, z[self.j - 1])[inside] / self.bump.radius
         term = (e / g ** 4 - 2.0 * e / g ** 3) * zk * zj
         if self.k == self.j:
             term -= (e / g ** 2) * (2.0 / self.bump.radius ** 2)
@@ -548,7 +590,8 @@ class RadialPowerField:
 
     For 1 < a < 2 the gradient is continuous but not differentiable at x0,
     making this the standard mildly rough test input.  The singular point is
-    mapped to 0.
+    mapped to 0.  Both form x - x0 and its squares per coordinate
+    (``_offsets``), on the planes of a ``SegmentPoints``.
     """
 
     def __init__(self, center, exponent: float):
@@ -557,9 +600,8 @@ class RadialPowerField:
         self.dims = self.center.size
 
     def __call__(self, points):
-        d = _pts(points) - self.center
-        r2 = np.sum(d * d, axis=1)
-        return r2 ** (self.exponent / 2.0)
+        d, at = _offsets(points, self.center)
+        return _square_sum(d, at) ** (self.exponent / 2.0)
 
     def partial(self, k):
         return _RadialPowerGrad(self, k)
@@ -570,12 +612,12 @@ class _RadialPowerGrad:
         self.base, self.k = base, k
 
     def __call__(self, points):
-        d = _pts(points) - self.base.center
-        r2 = np.sum(d * d, axis=1)
+        d, at = _offsets(points, self.base.center)
+        r2 = _square_sum(d, at)
         out = np.zeros(r2.shape)
         nz = r2 > 0
         a = self.base.exponent
-        out[nz] = a * r2[nz] ** (a / 2.0 - 1.0) * d[nz, self.k - 1]
+        out[nz] = a * r2[nz] ** (a / 2.0 - 1.0) * at(self.k - 1, d[self.k - 1])[nz]
         return out
 
     def partial(self, k):
@@ -670,9 +712,13 @@ class GridField:
     knot interval and the four nonzero basis values of each axis are
     computed once per plane value, and each point sums the 4^n products of
     its basis values against the coefficients it gathers from the flat
-    coefficient array.  The rows go in parts whose (4^n, P) weights and
-    gathered coefficients hold at most ``CHUNK_VALUES`` values (at least
-    one row), so that they stay in cache.
+    coefficient array.  The basis is computed on parts of the rows whose
+    plane values number at most ``CHUNK_VALUES`` (one part for the narrow
+    planes of a lattice or ball batch, several for a scattered batch, whose
+    planes are as wide as the batch), and within a part the rows go in
+    steps whose (4^n, P) weights and gathered coefficients hold at most
+    ``CHUNK_VALUES`` values (each at least one row), so that they stay in
+    cache.
     """
 
     def __init__(self, axes, values):
@@ -709,25 +755,31 @@ class GridField:
     def __call__(self, points):
         planes, inverses = _planes(points)
         rows, m = planes[0].shape[0], inverses[0].size
-        axes = []
-        for t, nu, stride, plane in zip(self.knots, self.nu, self._strides, planes):
-            e, b = _cubic_basis(t, plane.reshape(-1), nu)
-            axes.append(((stride * e).reshape(plane.shape),
-                         b.reshape((4,) + plane.shape)))
-        # the (4^n, P) weights and coefficients of a part of the rows hold at
-        # most CHUNK_VALUES values (at least one row)
+        # the basis is taken on parts of the rows whose plane values number
+        # at most CHUNK_VALUES, and within a part the (4^n, P) weights and
+        # coefficients of a step of its rows hold at most CHUNK_VALUES values
+        # (each at least one row)
+        part = max(1, CHUNK_VALUES // max(1, sum(plane.shape[1] for plane in planes)))
         step = max(1, CHUNK_VALUES // (self._offsets.size * max(1, m)))
         out = np.empty(rows * m)
-        for r in range(0, rows, step):
-            base, basis = 0, []
-            for (offset, b), inv in zip(axes, inverses):
-                base = base + offset[r:r + step].take(inv, axis=1).reshape(-1)
-                basis.append(b[:, r:r + step].take(inv, axis=2).reshape(4, -1))
-            weights = basis[0]
-            for b in basis[1:]:
-                weights = (weights[:, None, :] * b).reshape(4 * len(weights), -1)
-            c = self.coefficients.take(self._offsets[:, None] + base)
-            out[r * m:(r + step) * m] = _basis_sum(weights, c)
+        for p in range(0, rows, part):
+            axes = []
+            for t, nu, stride, plane in zip(self.knots, self.nu, self._strides, planes):
+                plane = plane[p:p + part]
+                e, b = _cubic_basis(t, plane.reshape(-1), nu)
+                axes.append(((stride * e).reshape(plane.shape),
+                             b.reshape((4,) + plane.shape)))
+            for r in range(0, axes[0][0].shape[0], step):
+                base, basis = 0, []
+                for (offset, b), inv in zip(axes, inverses):
+                    base = base + offset[r:r + step].take(inv, axis=1).reshape(-1)
+                    basis.append(b[:, r:r + step].take(inv, axis=2).reshape(4, -1))
+                weights = basis[0]
+                for b in basis[1:]:
+                    weights = (weights[:, None, :] * b).reshape(4 * len(weights), -1)
+                c = self.coefficients.take(self._offsets[:, None] + base)
+                sums = _basis_sum(weights, c)
+                out[(p + r) * m:(p + r) * m + sums.size] = sums
         return out
 
     def partial(self, k):

@@ -133,7 +133,7 @@ class HarnessContext:
     def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
                  ball_resolution: int = 15, ball_count: int = 24,
                  sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
-                 radius_fraction: float = 0.25):
+                 radius_fraction: float = 0.25, g_class: Callable | None = None):
         if not sigma > 1:
             raise InvalidInputError(f"sigma must exceed 1, got {sigma}")
         if not 0 < k < 1:
@@ -153,7 +153,8 @@ class HarnessContext:
         self._global: dict = {}
         self._residuals: dict = {}
         self._profiles: dict = {}
-        self.g_class = g_class_memo()  # check_g_class, once per (phi, p, q)
+        # check_g_class, once per (phi, p, q); a config's own memo when given
+        self.g_class = g_class_memo() if g_class is None else g_class
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
@@ -260,7 +261,8 @@ def _ratio_entry(eid: str, lhs: float, rhs: float, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # verifiers and their parameter gates (verify_* raises on a gate, load_config
 # reports it).  The G(p, q) gates take ``membership``, a ``g_class_memo``:
-# one per load_config, the context's ``g_class`` in a verifier.
+# one per RunConfig, which load_config's gates and run_suite's context share
+# (the context's ``g_class`` in a verifier).
 
 
 def g_class_memo() -> Callable:
@@ -693,7 +695,7 @@ def run_suite(config) -> list:
         domain, corpus, grid_resolution=config.grid_resolution,
         ball_resolution=config.ball_resolution, ball_count=config.ball_count,
         sigma=config.sigma, rho=config.rho,
-        k=config.k, radius_fraction=config.radius_fraction)
+        k=config.k, radius_fraction=config.radius_fraction, g_class=config._membership)
     enabled = config.enabled_verifiers()
     reports = []
     for verifier in VERIFIERS:

@@ -38,14 +38,17 @@ The segment points are held as compressed coordinate planes
 (y_i, t_j, x_i), so a single-coordinate subexpression is evaluated and
 t-summed once per distinct value and y-node, and a product of two of them
 on coordinates a != b on their (Y, u_a, u_b) pair box when the box has at
-most twice as many cells as the batch has points (a lattice batch).  What
-must be expanded to the points, the spline basis of a materialized Tu
-(``forms.GridField``) included, runs over parts of the y-nodes or rows that
-hold at most ``forms.CHUNK_VALUES`` values, so memory grows with the
-y-nodes only by the (., Y, m) blocks.  Every t-sum adds its terms in t
-order whatever the size of the batch or of the part, so the kernel is
-pointwise: a point's value does not depend on the other points of its
-batch (see ``_TuEvaluator``).
+most twice as many cells as the batch has points (a lattice batch).  The
+other fields of ``forms`` read the planes too: the spline of a materialized
+Tu (``forms.GridField``) takes its basis on them, and the bump and radial
+fields of the corpus form their per-coordinate terms on them, so only
+fields from outside ``forms`` see the segment points expanded.  What must
+be expanded to the points, the spline basis gathered per point included,
+runs over parts of the y-nodes or rows that hold at most
+``forms.CHUNK_VALUES`` values, so memory grows with the y-nodes only by the
+(., Y, m) blocks.  Every t-sum adds its terms in t order whatever the size
+of the batch or of the part, so the kernel is pointwise: a point's value
+does not depend on the other points of its batch (see ``_TuEvaluator``).
 
 The closed part on a ball does only the work that depends on both the form
 and the ball.  du is formed from partial fields that an expression field
@@ -169,10 +172,13 @@ class _TuEvaluator:
     other field is evaluated at the segment points and t-summed: a
     ``GridField`` (the spline of a materialized Tu, whose closed part on a
     ball runs T on its partials) computes its knot intervals and basis
-    values on the planes and gathers them per point, and other fields get
-    the planes expanded into a fresh (n, Y', t, m) buffer whose
-    column-major (Y' t m, n) view is the segment array, points in
-    (y, t, point) order.  Whatever expands to the points runs over parts
+    values on the planes and gathers them per point; a ``BumpField``, a
+    ``RadialPowerField`` and their partials form each coordinate's offset
+    from the center and its square on the planes and take them to the
+    points; and a ``CallableField``, an ``FDPartialField`` and fields from
+    outside ``forms`` get the planes expanded into a fresh (n, Y', t, m)
+    buffer whose column-major (Y' t m, n) view is the segment array, points
+    in (y, t, point) order.  Whatever expands to the points runs over parts
     of Y' consecutive y-nodes whose arrays hold at most
     ``forms.CHUNK_VALUES`` values (at least one y-node).  Each coordinate
     is the sum of the same two rounded products t_j x and (1 - t_j) y
@@ -234,6 +240,36 @@ class _TuForm(DifferentialForm):
 
     def evaluate(self, points) -> np.ndarray:
         return self.components[0].evaluator.coeffs(_pts(points))
+
+    def d(self, fd_step: float | None = None) -> DifferentialForm:
+        """d(Tu) by central differences of step ``fd_step``, whose
+        ``evaluate`` runs the kernel twice per axis (``_FDTuDerivative``)."""
+        du = super().d(fd_step)
+        return _FDTuDerivative(du.dims, du.degree, du.components, self, fd_step)
+
+
+@dataclass(frozen=True)
+class _FDTuDerivative(DifferentialForm):
+    """d(Tu) by central differences, evaluated from Tu at the points shifted
+    by -+ the step along each axis: 2n kernel calls, where evaluating each
+    component on its own runs two per finite-difference term.  Each
+    component combines the rows of those calls as its own terms would, so
+    the bits are those of the component-wise evaluation."""
+
+    tu: _TuForm
+    step: float
+
+    def evaluate(self, points) -> np.ndarray:
+        pts = _pts(points)
+        m, n = pts.shape
+        slopes = []  # per axis k, the (num_components(Tu), m) differences along it
+        for k in range(n):
+            h = np.zeros(n)
+            h[k] = self.step
+            slopes.append((self.tu.evaluate(pts + h) - self.tu.evaluate(pts - h))
+                          / (2.0 * self.step))
+        return np.stack([f._combine(m, (slopes[g.k - 1][g.base.rank] for _, g in f.terms))
+                         for f in self.components])
 
 
 @dataclass(frozen=True)
@@ -353,7 +389,8 @@ def decomposition_residual(u: DifferentialForm, region: Domain,
     The FD step for d(Tu) is tied to the quadrature resolution
     (0.05 diam / resolution), so doubling the resolution shrinks the
     dominant error term quadratically; this is the primary self-check of
-    the operator stack.
+    the operator stack.  d(Tu) runs the kernel twice per axis and T(du)
+    once.
     """
     n, l = u.dims, u.degree
     if not 1 <= l <= n - 1:

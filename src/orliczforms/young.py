@@ -365,16 +365,21 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
 
     u_B is the per-ball closed part.  The values depend on neither the Young
     function nor the weight, so one set serves every (phi, weight) profile.
-    u is evaluated once per ball (``homotopy.closed_part_values``).
+    u is evaluated once for the whole family, on the nodes of every ball in
+    turn; each ball's u_B is formed from its own slice of those values
+    (``homotopy.closed_part_values``), and the difference and its modulus
+    are taken once and split back per ball.  Evaluation, difference and
+    modulus are pointwise, so the bits are those of one ball at a time.
     """
-    out = []
-    for ball in balls:
-        quad = ball.quadrature(ball_resolution)
-        values = u.evaluate(quad.points)
-        u_b = homotopy.closed_part_values(u, ball, quad, values,
-                                          resolution=ball_resolution)
-        out.append(pointwise_modulus(values - u_b))
-    return out
+    quads = [ball.quadrature(ball_resolution) for ball in balls]
+    if not quads:
+        return []
+    ends = np.cumsum([q.weights.size for q in quads])  # the balls' ragged slices
+    values = u.evaluate(np.concatenate([q.points for q in quads]))
+    u_b = [homotopy.closed_part_values(u, ball, quad, values[:, b - quad.weights.size:b],
+                                       resolution=ball_resolution)
+           for ball, quad, b in zip(balls, quads, ends)]
+    return np.split(pointwise_modulus(values - np.concatenate(u_b, axis=1)), ends[:-1])
 
 
 def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,

@@ -143,6 +143,23 @@ def test_g_class_checked_once_per_load(monkeypatch):
     assert len(calls) == 2
 
 
+def test_g_class_checked_once_per_load_and_run(monkeypatch):
+    # run_suite's verifiers read the memo load_config's gates filled
+    calls = []
+    original = orliczforms.harness.check_g_class
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orliczforms.harness, "check_g_class", counting)
+    cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
+                                 "ball_count": 2, "stability_check": True,
+                                 "verifiers": ["thm_lipschitz", "thm_bmo"]})
+    orliczforms.harness.run_suite(cfg)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- gates
 
 def test_conjugate_exponents_must_be_dual():

@@ -574,6 +574,91 @@ def test_segment_points_keep_signed_zeros_apart():
     assert ExprField("x1", 2)(seg).tobytes() == want[:, 0].tobytes()
 
 
+# ---------------------------------------------------------------- closed-form fields
+# BumpField, RadialPowerField and their partials form x_i - c_i (over r for
+# the bump) and its square on coordinate i's plane, take them to the points
+# and add the squares in axis order.  That is the bits of the expanded
+# segment array, and on an (m, n) array the bits of summing the squared rows
+# with np.sum.
+
+def _closed_form_fields(n, center, radius):
+    bump, radial = BumpField(center, radius), RadialPowerField(center, 1.5)
+    fields = [("bump", bump), ("radial", radial)]
+    for k in range(1, n + 1):
+        fields += [(f"bump.d{k}", bump.partial(k)), (f"radial.d{k}", radial.partial(k))]
+        fields += [(f"bump.d{k}d{j}", bump.partial(k).partial(j)) for j in range(1, n + 1)]
+    return fields
+
+
+def _bump_reference(bump, pts):
+    z = (pts - bump.center) / bump.radius
+    w = np.sum(z * z, axis=1)
+    out = np.zeros(w.shape)
+    out[w < 1.0] = np.exp(-1.0 / (1.0 - w[w < 1.0]))
+    return out
+
+
+def _radial_grad_reference(grad, pts):
+    d = pts - grad.base.center
+    r2 = np.sum(d * d, axis=1)
+    out = np.zeros(r2.shape)
+    a = grad.base.exponent
+    out[r2 > 0] = a * r2[r2 > 0] ** (a / 2.0 - 1.0) * d[r2 > 0, grad.k - 1]
+    return out
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("batch", ["lattice", "scattered"])
+def test_closed_form_fields_on_segment_planes_bit_equal_to_segment_array(dims, batch):
+    rng = np.random.default_rng(dims)
+    tj, tw = _t_rule(1)
+    if batch == "lattice":
+        pts = Box(np.zeros(dims), np.ones(dims)).quadrature(6).points
+    else:
+        pts = rng.uniform(-0.2, 1.2, (30, dims))
+    # the radial center at the origin, which is a batch point and a y-node,
+    # so that segment points sit exactly on it (r = 0)
+    pts = np.vstack([pts, np.zeros((1, dims))])
+    ys = np.vstack([np.zeros((1, dims)), rng.uniform(0.0, 1.0, (3, dims))])
+    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    arr = _pts(seg)
+    assert (np.sum(arr * arr, axis=1) == 0.0).any()
+    fields = _closed_form_fields(dims, np.zeros(dims), 0.6)
+    w = np.sum((arr / 0.6) ** 2, axis=1)
+    assert (w < 1.0).any() and (w >= 1.0).any()  # nodes in and out of the support
+    for _, f in fields:
+        assert _points_for(f, seg) is seg
+    assert _plane_problems(fields, seg) == []
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_closed_form_fields_on_arrays_bit_equal_to_summed_rows(dims):
+    rng = np.random.default_rng(dims)
+    center = rng.uniform(0.3, 0.7, dims)
+    pts = np.vstack([rng.uniform(0.0, 1.0, (50, dims)), center])  # r = 0 last
+    bump, radial = BumpField(center, 0.3), RadialPowerField(center, 1.5)
+    assert _bump_reference(bump, pts).tobytes() == bump(pts).tobytes()
+    d = pts - center
+    assert (np.sum(d * d, axis=1) ** 0.75).tobytes() == radial(pts).tobytes()
+    for k in range(1, dims + 1):
+        grad = radial.partial(k)
+        assert _radial_grad_reference(grad, pts).tobytes() == grad(pts).tobytes()
+    assert radial.partial(1)(pts)[-1] == 0.0
+
+
+@pytest.mark.parametrize("eid", ["bump-1form", "radial-1form"])
+def test_T_of_closed_form_fields_never_expands_the_segment_points(eid, monkeypatch):
+    def refuse(self):
+        raise AssertionError("SegmentPoints expanded to the segment array")
+
+    monkeypatch.setattr(SegmentPoints, "array", refuse)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    u = named_form(f"corpus:{eid}", 2)
+    pts = box.quadrature(9).points
+    for form in (u, u.d()):  # u's components, and du's first and second partials
+        assert np.isfinite(apply_T(form, box, resolution=15).evaluate(pts)).all()
+
+
 # ---------------------------------------------------------------- pair box
 # A product of two one-coordinate leaves on different axes is t-summed on
 # the (Y, u_a, u_b) box of their columns, when the box holds at most twice

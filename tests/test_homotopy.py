@@ -349,6 +349,31 @@ def test_T_kernel_memory_grows_only_by_its_block_arrays(batch):
     assert peak(2 * ynodes) - peak(ynodes) <= 8 * ynodes * m * blocks
 
 
+# A GridField takes its spline basis on parts of the rows of a batch's
+# planes, so a scattered batch, whose planes are as wide as the batch, holds
+# no basis of a whole part of the y-nodes.
+def test_grid_field_basis_memory_on_a_scattered_batch(monkeypatch):
+    axis = np.linspace(0.0, 1.0, 27)
+    f = forms_module.GridField([axis, axis], np.random.default_rng(0).random((27, 27)))
+    pts = np.random.default_rng(1).uniform(0.05, 0.95, (2025, 2))
+    ys = np.random.default_rng(2).uniform(0.3, 0.7, (16, 2))
+    tj, tw = _t_rule(1)
+
+    def integral():
+        return _t_integral(f, SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw))
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = integral()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+    monkeypatch.setattr(forms_module, "CHUNK_VALUES", 10 ** 9)  # one part
+    assert got.tobytes() == integral().tobytes()
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_T_kernel_bit_identical_on_random_lattice_subsets(data):
@@ -614,6 +639,30 @@ def test_decomposition_residual_is_u_minus_the_reconstruction():
     pts = homotopy._test_lattice(region, homotopy.RESIDUAL_TEST_RESOLUTION)
     want = float((u - (tu.d(fd_step=h) + tdu)).modulus_values(pts).max())
     assert decomposition_residual(u, region, resolution=res) == want
+
+
+def test_fd_derivative_of_Tu_runs_the_kernel_twice_per_axis(monkeypatch):
+    # d(Tu) of a 3-D 2-form has three components of two finite-difference
+    # terms each; its evaluate runs the kernel at the lattice shifted -+ h
+    # along each axis (6 calls, not 12) and keeps the bits of evaluating
+    # every component on its own
+    u, region, res = named_form("corpus:poly-2form", 3), BOXES[3], 11
+    dtu = apply_T(u, region, resolution=res).d(fd_step=1e-3)
+    pts = homotopy._test_lattice(region, 5)
+    want = np.stack([f(pts) for f in dtu.components])
+    calls = []
+    contract = homotopy.contract_coeffs
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(homotopy, "contract_coeffs", counting)
+    assert dtu.evaluate(pts).tobytes() == want.tobytes()
+    assert len(calls) == 6
+    calls.clear()
+    decomposition_residual(u, region, resolution=res)
+    assert len(calls) == 7  # 6 for d(Tu), 1 for T(du)
 
 
 def test_closed_part_of_scalar_is_the_mean():

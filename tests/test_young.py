@@ -144,10 +144,11 @@ def test_default_y_rule_built_once_per_ball_and_resolution(monkeypatch):
     assert np.array_equal(own.ys, a.ys) and np.array_equal(own.ws, a.ws)
 
 
-# u - u_B is formed from one evaluation of u per ball: u_B = u - T(du) takes
-# u's values as (0.0 + u) - T(du), the top-degree u_B = u reuses them, and
-# the 0-form u_B is the mean.  The residuals keep the bits of evaluating the
-# closed part as a form.
+# u - u_B is formed from one evaluation of u on the nodes of the whole ball
+# family: each ball's u_B = u - T(du) takes that ball's slice of u's values
+# as (0.0 + u) - T(du), the top-degree u_B = u reuses them, and the 0-form
+# u_B is the mean.  The residuals keep the bits of evaluating the closed part
+# as a form, one ball at a time.
 RESIDUAL_FORMS = ["corpus:trig-1form", "corpus:mixed-1form", "corpus:poly-top-form",
                   "corpus:trig-0form"]
 
@@ -172,8 +173,7 @@ def test_oscillation_residuals_evaluate_u_once_per_ball(name, monkeypatch):
     got = oscillation_residuals(u, balls, ball_resolution=9)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     expr_components = sum(type(f) is ExprField for f in u.components)
-    assert sorted(calls) == sorted(expr_components
-                                   * [b.quadrature(9).points.shape[0] for b in balls])
+    assert calls == expr_components * [sum(b.quadrature(9).points.shape[0] for b in balls)]
 
 
 # One errstate covers the whole solve: phi's overflow at extreme lambda
