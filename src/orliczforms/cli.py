@@ -37,17 +37,18 @@ ENV_CONFIG = "ORLICZFORMS_CONFIG"
 
 def _parse_phi(spec: str):
     kind, _, rest = spec.partition(":")
-    try:
-        if kind == "power":
-            return power(float(rest))
-        if kind == "power_log":
-            return power_log(float(rest))
-    except ValueError:
-        raise ConfigError([f"bad exponent in Young function spec {spec!r}"])
     if kind == "custom":
         return custom_young(rest)
-    raise ConfigError([f"unknown Young function spec {spec!r}; "
-                       "use power:<p>, power_log:<p>, or custom:<expr in t>"])
+    if kind not in ("power", "power_log"):
+        raise ConfigError([f"unknown Young function spec {spec!r}; "
+                           "use power:<p>, power_log:<p>, or custom:<expr in t>"])
+    try:
+        p = float(rest)
+    except ValueError:
+        raise ConfigError([f"bad exponent in Young function spec {spec!r}"])
+    # outside the try: power and power_log reject p < 1, inf and nan in
+    # their own words
+    return (power if kind == "power" else power_log)(p)
 
 
 def cmd_norm(args) -> int:

@@ -38,11 +38,10 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import ConfigError, OrliczFormsError
 from .geometry import Ball, Box, Domain
-from .harness import VERIFIER_NAMES, VERIFIERS, g_class_memo
+from .harness import VERIFIER_NAMES, VERIFIERS
 from .weights import constant_weight, custom_weight, power_weight
 from .young import YoungFunction, custom_young, power, power_log
 
@@ -99,9 +98,7 @@ def _check_keys(spec, allowed: tuple, where: str, errors: list):
         errors.extend(f"{where}: unknown key {k!r}" for k in spec if k not in allowed)
 
 
-def _check_young_spec(spec, where: str, errors: list, build):
-    """Check a Young function spec; ``build`` is the config's
-    ``_build_young``, so a custom spec built here is not built again."""
+def _check_young_spec(spec, where: str, errors: list):
     if not isinstance(spec, dict) or "name" not in spec:
         errors.append(f"{where}: expected an object with a 'name' key")
         return
@@ -116,24 +113,23 @@ def _check_young_spec(spec, where: str, errors: list, build):
         if not isinstance(spec.get("expression"), str):
             errors.append(f"{where}: custom needs an 'expression' string in t")
             return
-        try:  # parse it and sample the Young-function axioms now, not in run_suite
-            build(spec)
+        try:  # parse it and check the Young-function axioms now, not in run_suite
+            custom_young(spec["expression"])
         except OrliczFormsError as exc:
             errors.append(f"{where}: {exc}")
     else:
         errors.append(f"{where}: unknown Young function {name!r}")
 
 
+def _build_young(spec: dict) -> YoungFunction:
+    if spec["name"] == "custom":
+        return custom_young(spec["expression"])
+    return {"power": power, "power_log": power_log}[spec["name"]](spec["p"])
+
+
 @dataclass
 class RunConfig:
     raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
-    # Young functions by (name, p or expression), built once for every gate,
-    # verifier and stability rerun that reads the same spec
-    _youngs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # check_g_class once per (phi, p, q): the load's gates and run_suite's
-    # verifiers share it
-    _membership: Callable = field(default_factory=g_class_memo, init=False, repr=False,
-                                  compare=False)
 
     # -- field accessors ----------------------------------------------------
     def __getattr__(self, name: str):
@@ -174,18 +170,10 @@ class RunConfig:
         return Ball(spec["center"], spec["radius"])
 
     def build_young(self) -> YoungFunction:
-        return self._build_young(self.raw["young"])
+        return _build_young(self.raw["young"])
 
     def build_weighted_young(self) -> YoungFunction:
-        return self._build_young(self.raw["weighted"]["young"])
-
-    def _build_young(self, spec: dict) -> YoungFunction:
-        name = spec["name"]
-        arg = spec["expression"] if name == "custom" else spec["p"]
-        if (name, arg) not in self._youngs:
-            build = {"power": power, "power_log": power_log}.get(name, custom_young)
-            self._youngs[name, arg] = build(arg)
-        return self._youngs[name, arg]
+        return _build_young(self.raw["weighted"]["young"])
 
     def build_weights(self) -> list:
         out = []
@@ -211,8 +199,7 @@ class RunConfig:
 
 
 def _validate(run_cfg: RunConfig) -> list:
-    """Every violation in ``run_cfg``; the Young functions that its checks
-    and gates build stay in ``run_cfg`` for the run."""
+    """Every violation in ``run_cfg``."""
     e: list = []
     cfg = run_cfg.raw
     dims = cfg["dims"]
@@ -261,7 +248,7 @@ def _validate(run_cfg: RunConfig) -> list:
     if not (_is_num(cfg["radius_fraction"]) and 0 < cfg["radius_fraction"] <= 1):
         e.append(f"radius_fraction must lie in (0, 1], got {cfg['radius_fraction']!r}")
 
-    _check_young_spec(cfg["young"], "young", e, run_cfg._build_young)
+    _check_young_spec(cfg["young"], "young", e)
 
     g = cfg["g_class"]
     _check_keys(g, _SECTION_KEYS["g_class"], "g_class", e)
@@ -280,8 +267,7 @@ def _validate(run_cfg: RunConfig) -> list:
     if not isinstance(w, dict) or not all(_is_num(w.get(x)) for x in ("p", "q", "alpha", "s")):
         e.append("weighted: needs numeric p, q, alpha, s")
     else:
-        _check_young_spec(w.get("young", {}), "weighted.young", e,
-                          run_cfg._build_young)
+        _check_young_spec(w.get("young", {}), "weighted.young", e)
 
     weights_from = len(e)
     if not isinstance(cfg["weights"], list) or not cfg["weights"]:
@@ -334,11 +320,10 @@ def _validate(run_cfg: RunConfig) -> list:
                          f"{list(VERIFIER_NAMES)}")
     requested = run_cfg.enabled_verifiers()
     clean = not e  # else a gate may trip over a malformed value reported above
-    membership = run_cfg._membership  # thm_lipschitz and thm_bmo share (phi, p, q)
     for row in VERIFIERS:
         if row.name in requested:
             try:
-                e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims, membership))
+                e.extend(f"{row.name}: {m}" for m in row.gate(run_cfg, dims))
                 # only on a sane domain and resolution, and on buildable weights
                 if geometry_ok and weights_ok:
                     e.extend(f"{row.name}: {m}" for m in row.domain_gate(run_cfg))

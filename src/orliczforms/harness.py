@@ -133,7 +133,7 @@ class HarnessContext:
     def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
                  ball_resolution: int = 15, ball_count: int = 24,
                  sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
-                 radius_fraction: float = 0.25, g_class: Callable | None = None):
+                 radius_fraction: float = 0.25):
         if not sigma > 1:
             raise InvalidInputError(f"sigma must exceed 1, got {sigma}")
         if not 0 < k < 1:
@@ -153,8 +153,6 @@ class HarnessContext:
         self._global: dict = {}
         self._residuals: dict = {}
         self._profiles: dict = {}
-        # check_g_class, once per (phi, p, q); a config's own memo when given
-        self.g_class = g_class_memo() if g_class is None else g_class
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
@@ -260,22 +258,8 @@ def _ratio_entry(eid: str, lhs: float, rhs: float, **extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # verifiers and their parameter gates (verify_* raises on a gate, load_config
-# reports it).  The G(p, q) gates take ``membership``, a ``g_class_memo``:
-# one per RunConfig, which load_config's gates and run_suite's context share
-# (the context's ``g_class`` in a verifier).
-
-
-def g_class_memo() -> Callable:
-    """``check_g_class(phi, p, q)``, run once per (phi, p, q) it is called
-    with; phi is told apart by ``describe()``."""
-    reports: dict = {}
-
-    def membership(phi: YoungFunction, p: float, q: float):
-        key = (phi.describe(), p, q)
-        if key not in reports:
-            reports[key] = check_g_class(phi, p, q)
-        return reports[key]
-    return membership
+# reports it).  The G(p, q) gates call ``check_g_class`` each time; it is
+# one evaluation of phi on ``LOG_GRID`` and a few vector operations.
 
 
 def _raise_on(violations: list) -> None:
@@ -291,42 +275,38 @@ def _sobolev_gate(n: int, t: float) -> list:
     return [] if 1 < t < n else [f"need 1 < t < dims={n}, got t={t}"]
 
 
-def _g_class_gate(membership: Callable, phi: YoungFunction, p: float,
-                  q: float) -> list:
+def _g_class_gate(phi: YoungFunction, p: float, q: float) -> list:
     """phi in G(p, q); callers first make sure that 1 <= p < q, since
     ``check_g_class`` raises otherwise."""
-    rep = membership(phi, p, q)
+    rep = check_g_class(phi, p, q)
     if rep.member:
         return []
     return ["Young function fails the G(p,q) sandwich: " + "; ".join(rep.violations)]
 
 
-def _thm_lipschitz_gate(membership: Callable, phi: YoungFunction, p: float,
-                        q: float) -> list:
+def _thm_lipschitz_gate(phi: YoungFunction, p: float, q: float) -> list:
     if not 1 <= p < q:
         return [f"need 1 <= p < q, got p={p}, q={q}"]
-    return _g_class_gate(membership, phi, p, q)
+    return _g_class_gate(phi, p, q)
 
 
-def _thm_bmo_gate(membership: Callable, phi: YoungFunction, n: int, p: float,
-                  q: float) -> list:
+def _thm_bmo_gate(phi: YoungFunction, n: int, p: float, q: float) -> list:
     out = [] if 1 < p < q else [f"need 1 < p < q, got p={p}, q={q}"]
     if not q * (n - p) < n * p:
         out.append(f"exponent gate q(n-p) < np fails: {q}*({n}-{p}) = "
                    f"{q * (n - p)} >= {n * p}")
     if 1 < p < q:
-        out += _g_class_gate(membership, phi, p, q)
+        out += _g_class_gate(phi, p, q)
     return out
 
 
-def _conjugate_gate(membership: Callable, phi: YoungFunction, p: float,
-                    q: float) -> list:
+def _conjugate_gate(phi: YoungFunction, p: float, q: float) -> list:
     ok = p > 0 and q > 0 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
     if not ok:
         return [f"conjugate exponents need 1/p + 1/q = 1, got p={p}, q={q}"]
     # conjugate p < q means 1 < p < 2 < q; G(p, q) needs p < q, so
     # p = q = 2 and p > q skip membership
-    return _g_class_gate(membership, phi, p, q) if p < q else []
+    return _g_class_gate(phi, p, q) if p < q else []
 
 
 def _weighted_gate(phi: YoungFunction, p: float, q: float, alpha: float, s: float) -> list:
@@ -441,7 +421,7 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                          q: float, scale: int = 1) -> VerificationReport:
     """||Tu||_{phi locLip_k} <= C ||u||_phi for phi in G(p, q) and entries
     passing the weak reverse Hoelder check with s=q, t=p on rho-dilated balls."""
-    _raise_on(_thm_lipschitz_gate(ctx.g_class, phi, p, q))
+    _raise_on(_thm_lipschitz_gate(phi, p, q))
     dom = ctx.domain
     wrh_balls = list(ctx.balls()) if ctx.rho == ctx.sigma else None
     entries = []
@@ -471,7 +451,7 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
     No reverse-Hoelder hypothesis here; the gate on (p, q) replaces it.
     """
     n = ctx.dims
-    _raise_on(_thm_bmo_gate(ctx.g_class, phi, n, p, q))
+    _raise_on(_thm_bmo_gate(phi, n, p, q))
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
@@ -527,7 +507,7 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
     identically whenever v has top degree (every top form is its own closed
     part), which would make the comparison vacuous.
     """
-    _raise_on(_conjugate_gate(ctx.g_class, phi, p, q))
+    _raise_on(_conjugate_gate(phi, p, q))
     beta = 1.0 + 1.0 / ctx.dims - p / (ctx.dims * q)
     quad = ctx.domain.quadrature(ctx.grid_res(scale))
     entries = []
@@ -604,9 +584,8 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
 
 @dataclass(frozen=True)
 class Verifier:
-    """One verifier: ``gate(config, dims, membership)`` lists its parameter
-    violations, G(p, q) membership of the config's Young function (through
-    the ``g_class_memo`` ``membership``) included, and
+    """One verifier: ``gate(config, dims)`` lists its parameter violations,
+    G(p, q) membership of the config's Young function included, and
     ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
     only when dims, the domain, the resolutions and the weights are valid.
@@ -616,43 +595,43 @@ class Verifier:
 
     name: str
     needs_box: bool  # reads the materialized Tu, a spline on the box grid
-    gate: Callable[[object, int, Callable], list]
+    gate: Callable[[object, int], list]
     run: Callable[[HarnessContext, object, int], list]
     domain_gate: Callable[[object], list] = lambda c: []
 
 
 VERIFIERS = (
     Verifier("lemma_T_bound", True,
-             lambda c, n, m: _exponent_t_gate(c.lemma_exponent_t),
+             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
              lambda ctx, c, sc: [verify_lemma_T_bound(ctx, c.lemma_exponent_t, sc)]),
     Verifier("lemma_closed_part_bound", False,
-             lambda c, n, m: _exponent_t_gate(c.lemma_exponent_t),
+             lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
              lambda ctx, c, sc: [verify_lemma_closedpart_bound(ctx, c.lemma_exponent_t, sc)]),
     Verifier("sobolev_poincare", False,
-             lambda c, n, m: _sobolev_gate(n, c.sobolev_t),
+             lambda c, n: _sobolev_gate(n, c.sobolev_t),
              lambda ctx, c, sc: [verify_sobolev_poincare(ctx, c.sobolev_t, sc)]),
-    Verifier("oscillation_lower_bound", False, lambda c, n, m: [],
+    Verifier("oscillation_lower_bound", False, lambda c, n: [],
              lambda ctx, c, sc: [verify_oscillation_lower_bound(
                  ctx, c.build_young(), tuple(c.osc_a_values), None, sc)]),
     Verifier("thm_lipschitz", True,
-             lambda c, n, m: _thm_lipschitz_gate(
-                 m, c.build_young(), c.g_class["p"], c.g_class["q"]),
+             lambda c, n: _thm_lipschitz_gate(
+                 c.build_young(), c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_lipschitz(
                  ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo", True,
-             lambda c, n, m: _thm_bmo_gate(
-                 m, c.build_young(), n, c.g_class["p"], c.g_class["q"]),
+             lambda c, n: _thm_bmo_gate(
+                 c.build_young(), n, c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_bmo(
                  ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
-    Verifier("thm_bmo_le_lip", False, lambda c, n, m: [],
+    Verifier("thm_bmo_le_lip", False, lambda c, n: [],
              lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.build_young(), sc)]),
     Verifier("conjugate_pair", False,
-             lambda c, n, m: _conjugate_gate(m, c.build_young(),
-                                             c.conjugate["p"], c.conjugate["q"]),
+             lambda c, n: _conjugate_gate(c.build_young(),
+                                          c.conjugate["p"], c.conjugate["q"]),
              lambda ctx, c, sc: [verify_conjugate_pair(
                  ctx, c.build_young(), c.conjugate["p"], c.conjugate["q"], None, sc)]),
     Verifier("weighted_lipschitz", False,
-             lambda c, n, m: _weighted_gate(
+             lambda c, n: _weighted_gate(
                  c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"]),
              lambda ctx, c, sc: [verify_weighted_lipschitz(
@@ -695,7 +674,7 @@ def run_suite(config) -> list:
         domain, corpus, grid_resolution=config.grid_resolution,
         ball_resolution=config.ball_resolution, ball_count=config.ball_count,
         sigma=config.sigma, rho=config.rho,
-        k=config.k, radius_fraction=config.radius_fraction, g_class=config._membership)
+        k=config.k, radius_fraction=config.radius_fraction)
     enabled = config.enabled_verifiers()
     reports = []
     for verifier in VERIFIERS:

@@ -60,6 +60,15 @@ def test_norm_rejects_bad_phi(capsys):
         assert err.strip()
 
 
+@pytest.mark.parametrize("phi", ["power:inf", "power:nan", "power_log:inf"])
+def test_norm_rejects_a_non_finite_exponent(capsys, phi):
+    code, out, err = run(capsys, "norm", "--form", "poly:x1",
+                         "--kind", "luxemburg", "--phi", phi)
+    assert code == 2 and not out
+    name, _, p = phi.partition(":")
+    assert f"{name} exponent must be a finite number >= 1, got {p}" in err
+
+
 def test_norm_rejects_bad_form(capsys):
     code, _, err = run(capsys, "norm", "--form", "corpus:missing",
                        "--kind", "lp", "--p", "2")

@@ -2,11 +2,10 @@
 import copy
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
-import orliczforms.config
-import orliczforms.harness
 from orliczforms import ConfigError, HarnessContext, default_domain, load_config
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
 from orliczforms.errors import InvalidInputError
@@ -125,39 +124,6 @@ def test_unknown_nested_key_rejected(section, violation):
     with pytest.raises(ConfigError) as exc:
         load_config(overrides=section)
     assert exc.value.violations == [violation]
-
-
-def test_g_class_checked_once_per_load(monkeypatch):
-    # thm_lipschitz and thm_bmo gate the same (young, g_class.p, g_class.q)
-    calls = []
-    original = orliczforms.harness.check_g_class
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(orliczforms.harness, "check_g_class", counting)
-    load_config()
-    assert len(calls) == 1
-    load_config()
-    assert len(calls) == 2
-
-
-def test_g_class_checked_once_per_load_and_run(monkeypatch):
-    # run_suite's verifiers read the memo load_config's gates filled
-    calls = []
-    original = orliczforms.harness.check_g_class
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(orliczforms.harness, "check_g_class", counting)
-    cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
-                                 "ball_count": 2, "stability_check": True,
-                                 "verifiers": ["thm_lipschitz", "thm_bmo"]})
-    orliczforms.harness.run_suite(cfg)
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- gates
@@ -304,27 +270,22 @@ def test_custom_young_built_at_load(expression):
     assert cfg.build_young()(2.0) == 4.0
 
 
-def test_custom_young_built_once_per_spec(monkeypatch):
-    # the young check and the thm_lipschitz, thm_bmo and conjugate_pair gates
-    # share one build, and so do the verifiers that run on the loaded config
-    calls = []
-    original = orliczforms.config.custom_young
+def test_overflowing_custom_young_is_one_violation_and_no_warning():
+    spec = {"name": "custom", "expression": "exp(t) - 1"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"young": spec})
+    assert exc.value.violations == [
+        "young: not a Young function: phi not finite on the sample grid"]
 
-    def counting(text):
-        calls.append(text)
-        return original(text)
 
-    monkeypatch.setattr(orliczforms.config, "custom_young", counting)
-    cfg = load_config(overrides={"young": {"name": "custom", "expression": "t^2"}})
-    assert calls == ["t^2"]
-    assert cfg.build_young() is cfg.build_young()
-    assert calls == ["t^2"]
-    # a distinct spec is a distinct build
-    weighted = {**DEFAULT_CONFIG["weighted"],
-                "young": {"name": "custom", "expression": "t^1.2"}}
-    load_config(overrides={"young": {"name": "custom", "expression": "t^2"},
-                           "weighted": weighted})
-    assert sorted(calls) == ["t^1.2", "t^2", "t^2"]
+def test_load_rejects_power_log_below_its_index_at_small_t():
+    # t^3 log(e + t) has index 3 + O(t) as t -> 0, so it is not in G(3.003, q)
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides={"young": {"name": "power_log", "p": 3.0},
+                               "g_class": {"p": 3.003, "q": 3.5}})
+    assert [v.split(":")[0] for v in exc.value.violations] == ["thm_lipschitz", "thm_bmo"]
 
 
 @pytest.mark.parametrize("expression", ["x1 +* 2", "x3 + 1", pytest.param(3, id="int-3")])

@@ -302,26 +302,6 @@ def test_suite_contracts_on_every_T_evaluation_and_reads_u_omega_once(monkeypatc
     assert len(set(omegas)) == len(omegas) == 2 * len(entries)
 
 
-def test_g_class_checked_once_per_context(corpus, monkeypatch):
-    # thm_lipschitz and thm_bmo at both scales read one (phi, p, q, c); each
-    # context checks it once, and a new context checks it again
-    calls = []
-    original = orliczforms.harness.check_g_class
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(orliczforms.harness, "check_g_class", counting)
-    for _ in range(2):
-        c = HarnessContext(DOM, corpus, grid_resolution=13, ball_resolution=9,
-                           ball_count=2)
-        for scale in (1, 2):
-            verify_thm_lipschitz(c, power(2.0), 1.5, 3.0, scale=scale)
-            verify_thm_bmo(c, power(2.0), 1.5, 3.0, scale=scale)
-    assert len(calls) == 2
-
-
 def test_entry_selection_by_degree(ctx):
     assert all(e.degree >= 1 for e in ctx.form_entries(min_degree=1))
     assert all(e.degree <= 1 for e in ctx.form_entries(max_degree=1))

@@ -382,6 +382,42 @@ def test_g_class_requires_ordered_exponents():
         check_g_class(power(2.0), 3.0, 1.5)
 
 
+G_FAILS = "witness g(s) = phi(s^(1/p)) is not convex on the grid"
+H_FAILS = "witness h(s) = phi(s^(1/q)) is not concave on the grid"
+
+
+def test_g_class_sees_the_index_at_small_t():
+    # both indices tend to 2 or 3 as t -> 0; the defect of power_log:3 lies
+    # at t < 0.0062, below s = t^p = 2.4e-7 and so off any s-grid from 1e-6
+    assert check_g_class(power_log(3.0), 3.003, 3.5).violations == [G_FAILS]
+    assert check_g_class(custom_young("t^2 + t^3"), 2.001, 3.0).violations == [G_FAILS]
+
+
+@pytest.mark.parametrize("P, below, above", [
+    (1.5, 1.83, 1.84), (2.0, 2.32, 2.33), (3.0, 3.32, 3.33)])
+def test_g_class_pins_the_index_interval_of_power_log(P, below, above):
+    # the index 1 + t phi''/phi' of t^P log(e + t) fills [P, u] with u in
+    # (below, above)
+    phi = power_log(P)
+    assert check_g_class(phi, P, above).member
+    assert check_g_class(phi, P, below).violations == [H_FAILS]
+    assert check_g_class(phi, P + 0.001, above).violations == [G_FAILS]
+
+
+def test_g_class_takes_a_large_q():
+    # t^100 overflows on the grid; the logs of the secant slopes do not
+    assert check_g_class(power(2.0), 1.0, 100.0).member
+
+
+def test_g_class_tests_a_kinked_custom_young():
+    # t below 1 and 2t^2 - t above: convex, but phi's slope jumps from 1 to 3
+    # at t = 1, so no phi(s^(1/q)) is concave there
+    phi = custom_young("t^2 + t*abs(t - 1)")
+    assert young_violations(phi) == []
+    for q in (2.5, 3.0):
+        assert check_g_class(phi, 1.0, q).violations == [H_FAILS]
+
+
 def test_phi_dominated_detects_pointwise_bound():
     assert check_phi_dominated(power(2.0), 2.0).ok
     assert check_phi_dominated(custom_young("t^2/(1+t)"), 2.0).ok
