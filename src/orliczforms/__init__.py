@@ -11,7 +11,7 @@ from .errors import (ConfigError, DegreeError, DivergedIntegralError,
 from .exterior import (CovectorValue, MultiIndex, hodge_star, modulus,
                        multi_indices, num_components, wedge)
 from .geometry import (Ball, Box, Domain, Quadrature, ball_family, ball_inside,
-                       ball_volume, sample_balls)
+                       ball_volume)
 from .forms import (BumpField, CallableField, ConstantField, DifferentialForm,
                     ExprField, GridField, RadialPowerField, as_field,
                     check_analytic_partials, codifferential, evaluate)

@@ -18,7 +18,8 @@ so prefactors never inherit quadrature error.
 A region builds its rule once per resolution and hands the same
 ``Quadrature`` to every caller (the bump mass, the y-rule of T, the
 oscillation nodes and every norm on that region), so its ``points`` and
-``weights`` are read-only.
+``weights`` are read-only.  A ball likewise builds its dilate once per
+factor, so the rules of the dilate are shared too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import EmptyBallFamilyError, InvalidInputError
 
 __all__ = ["Domain", "Box", "Ball", "Quadrature", "ball_volume",
-           "ball_family", "sample_balls", "ball_inside"]
+           "ball_family", "ball_inside"]
 
 
 def ball_volume(n: int, radius: float) -> float:
@@ -146,11 +147,6 @@ class Box(Domain):
         w = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
         return Quadrature(pts, w)
 
-    def scaled(self, factor: float) -> "Box":
-        """Box dilated about its centroid, intersected with nothing (may grow)."""
-        c = self.centroid()
-        return Box(c + (self.lo - c) * factor, c + (self.hi - c) * factor)
-
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
@@ -201,7 +197,12 @@ class Ball(Domain):
         return Quadrature(pts, w)
 
     def scaled(self, factor: float) -> "Ball":
-        return Ball(self.center, self.radius * factor)
+        """The concentric ball of radius ``factor * radius``, built once per
+        factor and shared, as ``quadrature`` shares rules."""
+        dilates = self.__dict__.setdefault("_dilates", {})
+        if factor not in dilates:
+            dilates[factor] = Ball(self.center, self.radius * factor)
+        return dilates[factor]
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -263,18 +264,6 @@ def ball_family(domain: Domain, count: int, radius_fraction: float = 0.25,
             f"(expansion {expansion}) inside {domain!r}"
         )
     return balls
-
-
-def sample_balls(domain: Domain, sigma: float, count: int,
-                 radius_fraction: float = 0.25) -> list[Ball]:
-    """Family of ``count`` balls B with the dilate sigma*B still inside the domain.
-
-    Thin wrapper over :func:`ball_family` matching the sup-over-balls usage:
-    ``sigma`` is the dilation factor the oscillation seminorms quantify over.
-    """
-    if not sigma > 1:
-        raise InvalidInputError(f"sigma must be > 1, got {sigma}")
-    return ball_family(domain, count, radius_fraction, expansion=sigma)
 
 
 def ball_inside(domain: Domain, ball: Ball) -> bool:

@@ -21,9 +21,11 @@ Besides the materialized Tu, the context caches node values.  On the
 domain grid, |u|, |u_Omega| and |u - u_Omega| are computed once per (entry,
 scale) and shared by the three global verifiers.  On the balls, the values
 |u - u_B| at each ball's quadrature nodes are computed once per (form,
-scale) and shared by every Young function and weight; the per-ball profile
-||u - u_B||_{phi,B} is then one Luxemburg solve per ball, cached per
-(form, phi, weight, scale) and shared by the BMO and Lipschitz kinds.
+scale), keyed by the form itself, and shared by every Young function,
+weight and norm kind; each seminorm then runs one Luxemburg solve per ball
+on them.  The sigma family of the seminorms and the rho family of the weak
+reverse-Hoelder check are built once per dilation factor (one family when
+rho = sigma), and each ball builds its rho-dilate once.
 """
 
 from __future__ import annotations
@@ -126,16 +128,20 @@ class HarnessContext:
 
     ``scale`` arguments on the accessors multiply the norm-quadrature and
     materialization resolutions (the stability rerun passes 2); the ball
-    family and the y-quadrature behind the domain's T never change with
+    families and the y-quadrature behind the domain's T never change with
     scale, while per-ball closed parts take theirs from ``ball_res(scale)``.
+    ``sigma`` and ``rho`` (default: sigma) must exceed 1.
     """
 
     def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
                  ball_resolution: int = 15, ball_count: int = 24,
                  sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
                  radius_fraction: float = 0.25):
+        rho = sigma if rho is None else rho
         if not sigma > 1:
             raise InvalidInputError(f"sigma must exceed 1, got {sigma}")
+        if not rho > 1:
+            raise InvalidInputError(f"rho must exceed 1, got {rho}")
         if not 0 < k < 1:
             raise InvalidInputError(f"k must lie in (0, 1), got {k}")
         self.domain = domain
@@ -145,14 +151,13 @@ class HarnessContext:
         self.ball_resolution = ball_resolution
         self.ball_count = ball_count
         self.sigma = sigma
-        self.rho = sigma if rho is None else rho
+        self.rho = rho
         self.k = k
         self.radius_fraction = radius_fraction
-        self._balls: tuple | None = None
+        self._families: dict = {}
         self._tu: dict = {}
         self._global: dict = {}
         self._residuals: dict = {}
-        self._profiles: dict = {}
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
@@ -161,12 +166,21 @@ class HarnessContext:
     def ball_res(self, scale: int = 1) -> int:
         return self.ball_resolution * scale
 
+    def _family(self, expansion: float) -> tuple:
+        if expansion not in self._families:
+            self._families[expansion] = tuple(ball_family(
+                self.domain, self.ball_count, self.radius_fraction,
+                expansion=expansion))
+        return self._families[expansion]
+
     def balls(self) -> tuple:
-        if self._balls is None:
-            self._balls = tuple(ball_family(self.domain, self.ball_count,
-                                            self.radius_fraction,
-                                            expansion=self.sigma))
-        return self._balls
+        """The balls B with sigma*B inside the domain, for the seminorms."""
+        return self._family(self.sigma)
+
+    def wrh_balls(self) -> tuple:
+        """The balls B with rho*B inside the domain, for the WRH check; the
+        same tuple as ``balls()`` when rho = sigma."""
+        return self._family(self.rho)
 
     def echo(self, **extra) -> dict:
         base = {"dims": self.dims, "grid_resolution": self.grid_resolution,
@@ -212,32 +226,28 @@ class HarnessContext:
             self._global[key] = tuple(map(pointwise_modulus, (u, u_omega, u - u_omega)))
         return self._global[key]
 
-    def oscillation(self, form_key: str, form: DifferentialForm, phi: YoungFunction,
-                    kind: str, weight: Weight | None = None, scale: int = 1):
+    def oscillation(self, form: DifferentialForm, phi: YoungFunction, kind: str,
+                    weight: Weight | None = None, scale: int = 1):
         """(value, argmax ball) of the BMO or Lipschitz seminorm over balls().
 
-        Reads the two per-ball cache levels (the third, the domain values of
-        ``global_moduli``, serves the global verifiers): the node values
-        |form - form_B| on every ball, once per (form_key, scale), closed
-        parts included, shared by every Young function and weight; and the
-        profile ||form - form_B||_{phi, B}, per (form_key, phi, weight,
-        scale), shared by the two kinds, so their comparison is exact to
-        rounding.
+        The node values |form - form_B| on every ball, closed parts
+        included, are computed once per (form, scale) and shared by every
+        Young function, weight and kind; equal forms have equal values.  The
+        profile ||form - form_B||_{phi, B} is solved from them on each call,
+        to the same bits every time, so comparisons between the kinds are
+        exact to rounding.
         """
         balls = list(self.balls())
-        rkey = (form_key, scale)
-        if rkey not in self._residuals:
-            self._residuals[rkey] = oscillation_residuals(
+        key = (form, scale)
+        if key not in self._residuals:
+            self._residuals[key] = oscillation_residuals(
                 form, balls, ball_resolution=self.ball_res(scale))
-        wkey = None if weight is None else weight.describe()
-        key = (form_key, phi.describe(), wkey, scale)
-        if key not in self._profiles:
-            self._profiles[key] = oscillation_profile(
-                form, balls, phi, weight, ball_resolution=self.ball_res(scale),
-                residuals=self._residuals[rkey])
+        profile = oscillation_profile(form, balls, phi, weight,
+                                      ball_resolution=self.ball_res(scale),
+                                      residuals=self._residuals[key])
         res = oscillation_norm(form, self.domain, phi,
                                OscillationNormSpec(kind, k=self.k, sigma=self.sigma),
-                               balls=balls, profile=self._profiles[key])
+                               balls=balls, profile=profile)
         return res.value, res.argmax_ball
 
 
@@ -422,17 +432,12 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
     """||Tu||_{phi locLip_k} <= C ||u||_phi for phi in G(p, q) and entries
     passing the weak reverse Hoelder check with s=q, t=p on rho-dilated balls."""
     _raise_on(_thm_lipschitz_gate(phi, p, q))
-    dom = ctx.domain
-    wrh_balls = list(ctx.balls()) if ctx.rho == ctx.sigma else None
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        wrh = check_wrh(e.form, dom, s=q, t=p, rho=ctx.rho, balls=wrh_balls,
-                        ball_count=ctx.ball_count,
-                        radius_fraction=ctx.radius_fraction,
+        wrh = check_wrh(e.form, s=q, t=p, rho=ctx.rho, balls=list(ctx.wrh_balls()),
                         resolution=ctx.ball_res(scale))
-        lhs, arg = ctx.oscillation(("Tu", e.id), ctx.Tu(e, scale), phi,
-                                   "lipschitz", scale=scale)
-        rhs = luxemburg_norm(e.form, dom, phi, resolution=ctx.grid_res(scale))
+        lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "lipschitz", scale=scale)
+        rhs = luxemburg_norm(e.form, ctx.domain, phi, resolution=ctx.grid_res(scale))
         entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg),
                              wrh_constant=wrh.constant)
         if not wrh.ok:
@@ -455,8 +460,7 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
     dom = ctx.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        lhs, arg = ctx.oscillation(("Tu", e.id), ctx.Tu(e, scale), phi, "bmo",
-                                   scale=scale)
+        lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "bmo", scale=scale)
         rhs = luxemburg_norm(e.form, dom, phi, resolution=ctx.grid_res(scale))
         entries.append(_ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg)))
     return _collect("thm_bmo", ctx.echo(phi=phi.describe(), p=p, q=q,
@@ -473,8 +477,8 @@ def verify_thm_bmo_le_lip(ctx: HarnessContext, phi: YoungFunction,
     entries = []
     failed = False
     for e in ctx.form_entries():
-        bmo, _ = ctx.oscillation(e.id, e.form, phi, "bmo", scale=scale)
-        lip, _ = ctx.oscillation(e.id, e.form, phi, "lipschitz", scale=scale)
+        bmo, _ = ctx.oscillation(e.form, phi, "bmo", scale=scale)
+        lip, _ = ctx.oscillation(e.form, phi, "lipschitz", scale=scale)
         entry = _ratio_entry(e.id, bmo, constant * lip,
                              bmo=bmo, lipschitz=lip,
                              margin=float(constant * lip - bmo))
@@ -532,9 +536,8 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
                            "pointwise_margin": margin})
         if not pointwise_ok:
             failed = True
-        bmo_u, _ = ctx.oscillation(("pair-u", e.id), u, phi, "bmo", scale=scale)
-        bmo_v, _ = ctx.oscillation(("pair-v", e.id), v.star(), phi, "bmo",
-                                   scale=scale)
+        bmo_u, _ = ctx.oscillation(u, phi, "bmo", scale=scale)
+        bmo_v, _ = ctx.oscillation(v.star(), phi, "bmo", scale=scale)
         for i, b in enumerate(ctx.balls()):
             entries.append(_ratio_entry(
                 f"{e.id}[ball{i}]", bmo_u, b.volume() ** beta * bmo_v,
@@ -562,8 +565,8 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                           resolution=ctx.ball_res(scale))
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        lhs, arg = ctx.oscillation(e.id, e.form, phi, "lipschitz",
-                                   weight=weight, scale=scale)
+        lhs, arg = ctx.oscillation(e.form, phi, "lipschitz", weight=weight,
+                                   scale=scale)
         rhs = lp_norm(e.form, ctx.domain, p, weight=weight,
                       resolution=ctx.grid_res(scale))
         entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg))

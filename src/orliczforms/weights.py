@@ -140,10 +140,13 @@ class PhiDominatedReport:
 
 
 def check_phi_dominated(phi: YoungFunction, p: float) -> PhiDominatedReport:
-    """Sampled check that phi(t) <= t^p on ``LOG_GRID`` (a gate, not a proof)."""
-    if p < 1:
-        raise InvalidInputError(f"exponent must be >= 1, got {p}")
-    ratios = phi(LOG_GRID) / LOG_GRID ** p
+    """Sampled check that phi(t) <= t^p on ``LOG_GRID`` (a gate, not a proof).
+    phi and t^p are evaluated under ``np.errstate``, so an overflow shows up
+    in the report, not as a warning."""
+    if not (math.isfinite(p) and p >= 1):
+        raise InvalidInputError(f"exponent must be a finite number >= 1, got {p}")
+    with np.errstate(all="ignore"):
+        ratios = phi(LOG_GRID) / LOG_GRID ** p
     worst = int(np.argmax(ratios))
     ok = bool(ratios[worst] <= 1.0 + 1e-12)
     return PhiDominatedReport(p=float(p), ok=ok, worst_t=float(LOG_GRID[worst]),

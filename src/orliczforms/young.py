@@ -460,21 +460,21 @@ class WRHReport:
         return self.degenerate == 0 and math.isfinite(self.constant)
 
 
-def check_wrh(u: DifferentialForm, domain: Domain, s: float, t: float, rho: float,
-              balls: list[Ball] | None = None, *, ball_count: int = 24,
-              radius_fraction: float = 0.25, resolution: int = 21) -> WRHReport:
+def check_wrh(u: DifferentialForm, s: float, t: float, rho: float,
+              balls: list[Ball], *, resolution: int = 21) -> WRHReport:
     """Empirical weak-reverse-Hoelder constant over a ball family.
 
     For each ball the ratio ||u||_{s,B} / (|B|^((t-s)/(st)) ||u||_{t,rho B})
     is recorded; the report's constant is the max over non-degenerate entries
     (a lower bound on the true constant, never a proof of membership).
+    ``balls`` should have their rho-dilates inside the domain (a family
+    built with ``expansion=rho``); ``Ball.scaled`` shares each dilate, so
+    checks on one family build the dilates' rules once.
     """
     if not (s > 0 and t > 0):
         raise InvalidInputError(f"exponents must be positive, got s={s}, t={t}")
     if not rho > 1:
         raise InvalidInputError(f"rho must exceed 1, got {rho}")
-    if balls is None:
-        balls = ball_family(domain, ball_count, radius_fraction, expansion=rho)
     if not balls:
         raise EmptyBallFamilyError("no admissible balls for the WRH check")
     eps = 1e-14

@@ -280,6 +280,20 @@ def test_overflowing_custom_young_is_one_violation_and_no_warning():
         "young: not a Young function: phi not finite on the sample grid"]
 
 
+def test_overflowing_domination_check_is_one_violation_and_no_warning():
+    # t^60 overflows at the top of the t-grid and underflows at its bottom
+    weighted = {"p": 300.0, "q": 100.0, "alpha": 2.0, "s": 60.0,
+                "young": {"name": "power", "p": 1.2}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"weighted": weighted,
+                                   "verifiers": ["weighted_lipschitz"]})
+    assert exc.value.violations == [
+        "weighted_lipschitz: Young function is not dominated by t^60.0: "
+        "ratio inf at t=1e-06"]
+
+
 def test_load_rejects_power_log_below_its_index_at_small_t():
     # t^3 log(e + t) has index 3 + O(t) as t -> 0, so it is not in G(3.003, q)
     with pytest.raises(ConfigError) as exc:

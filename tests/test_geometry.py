@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, ball_family, ball_inside, ball_volume,
-                         sample_balls)
+from orliczforms import Ball, Box, ball_family, ball_inside, ball_volume
 from orliczforms.errors import EmptyBallFamilyError, InvalidInputError
 
 
@@ -68,6 +67,15 @@ def test_quadrature_built_once_and_shared_read_only(make):
     assert np.array_equal(quad.weights, fresh.weights)
 
 
+def test_ball_dilate_built_once_per_factor_and_shared():
+    ball = Ball([0.5, 0.5], 0.2)
+    dilate = ball.scaled(1.3)
+    assert ball.scaled(1.3) is dilate
+    assert ball.scaled(1.1) is not dilate
+    assert np.array_equal(dilate.center, ball.center)
+    assert dilate.radius == 0.2 * 1.3
+
+
 def test_ball_inside_respects_expansion():
     box = Box([0.0, 0.0], [1.0, 1.0])
     assert ball_inside(box, Ball([0.5, 0.5], 0.4))
@@ -95,7 +103,7 @@ def test_ball_family_nested_by_prefix():
 def test_ball_family_survives_huge_expansion():
     # expansion 100 forces tiny balls but must not empty the family
     box = Box([0.0, 0.0], [1.0, 1.0])
-    fam = sample_balls(box, sigma=100.0, count=10)
+    fam = ball_family(box, 10, expansion=100.0)
     assert len(fam) == 10
     for b in fam:
         assert ball_inside(box, Ball(b.center, 100.0 * b.radius))
@@ -106,12 +114,6 @@ def test_ball_family_unsatisfiable_expansion_raises():
     box = Box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(EmptyBallFamilyError):
         ball_family(box, 4, expansion=math.inf)
-
-
-def test_sample_balls_requires_expanding_sigma():
-    box = Box([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(InvalidInputError):
-        sample_balls(box, sigma=1.0, count=4)
 
 
 @given(st.integers(1, 30))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import orliczforms
-from orliczforms import (CorpusEntry, DifferentialForm, HarnessContext, build_corpus,
-                         constant_weight, custom_weight, default_domain,
-                         homotopy, load_config, named_form, power, power_log,
-                         power_weight, reports_to_csv,
+from orliczforms import (Ball, CorpusEntry, DifferentialForm, HarnessContext,
+                         ball_family, build_corpus, check_wrh, constant_weight,
+                         custom_weight, default_domain, homotopy, load_config,
+                         named_form, power, power_log, power_weight, reports_to_csv,
                          reports_to_json, run_suite, suite_passed,
                          verify_conjugate_pair, verify_lemma_T_bound,
                          verify_lemma_closedpart_bound,
@@ -140,6 +140,12 @@ def test_bmo_dimension_gate_rejects():
         verify_thm_bmo(ctx3, power(2.0), 1.2, 4.0)
 
 
+@pytest.mark.parametrize("kw", [{"sigma": 1.0}, {"rho": 1.0}, {"rho": math.nan}])
+def test_context_rejects_a_dilation_factor_not_above_one(kw):
+    with pytest.raises(InvalidInputError, match="must exceed 1"):
+        HarnessContext(DOM, [], **kw)
+
+
 def test_lipschitz_sandwich_gate(ctx):
     # power(4) falls outside G(1.5, 3)
     with pytest.raises(InvalidInputError):
@@ -235,6 +241,26 @@ def test_wrh_constant_recorded_by_lipschitz_theorem(ctx):
         assert e["wrh_constant"] > 0
 
 
+def test_wrh_constant_taken_on_the_rho_family(corpus):
+    # rho != sigma: the WRH check runs on its own family, whose rho-dilates
+    # fit the domain, while the seminorm keeps the sigma family
+    ctx = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
+                         ball_count=6, rho=1.3)
+    rho_family = ball_family(DOM, 6, ctx.radius_fraction, expansion=1.3)
+    assert [b.radius for b in ctx.wrh_balls()] == [b.radius for b in rho_family]
+    rep = verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
+    assert len(rep.entries) == len(ctx.form_entries(min_degree=1))
+    for e in rep.entries:
+        form = next(c.form for c in corpus if c.id == e["id"])
+        wrh = check_wrh(form, s=3.0, t=1.5, rho=1.3, balls=rho_family, resolution=7)
+        assert e["wrh_constant"] == wrh.constant or (
+            math.isnan(e["wrh_constant"]) and math.isnan(wrh.constant))
+
+
+def test_one_family_when_rho_equals_sigma(ctx):
+    assert ctx.wrh_balls() is ctx.balls()
+
+
 # ---------------------------------------------------------------- caching
 
 def test_operator_image_is_cached(ctx, corpus):
@@ -269,6 +295,43 @@ def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypa
     assert len(calls) == len(ctx.form_entries(min_degree=1)) * len(ctx.balls())
     for i, report in enumerate(shared):
         assert report.to_dict() == run(HarnessContext(DOM, corpus, **kw), i).to_dict()
+
+
+def test_thm_bmo_reuses_the_closed_parts_of_thm_lipschitz(corpus, monkeypatch):
+    # the node values |Tu - (Tu)_B| are keyed by the materialized Tu itself,
+    # so the BMO theorem after the Lipschitz one builds no closed part
+    ctx = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
+                         ball_count=4)
+    verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
+    calls = []
+    original = homotopy.closed_part
+
+    def counting(u, region, *args, **kwargs):
+        calls.append(u)
+        return original(u, region, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "closed_part", counting)
+    verify_thm_bmo(ctx, power(2.0), 1.5, 3.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rho, most", [(None, 48), (1.3, 72)])
+def test_acceptance_suite_builds_each_ball_rule_once(rho, most, monkeypatch):
+    # 12 sigma-balls at ball resolutions 9 and 18, and each one's rho-dilate
+    # at both; rho != sigma adds a second family of 12
+    builds = []
+    build = Ball._build_quadrature
+
+    def counting(self, resolution):
+        builds.append((id(self), resolution))
+        return build(self, resolution)
+
+    monkeypatch.setattr(Ball, "_build_quadrature", counting)
+    cfg = load_config(overrides={"grid_resolution": 27, "ball_resolution": 9,
+                                 "ball_count": 12, "stability_check": True,
+                                 "rho": rho})
+    run_suite(cfg)
+    assert len(builds) == len(set(builds)) <= most
 
 
 def test_suite_contracts_on_every_T_evaluation_and_reads_u_omega_once(monkeypatch):

@@ -89,15 +89,15 @@ def test_a_class_parameter_gates():
 
 def test_wrh_constant_finite_for_smooth_form():
     u = named_form("corpus:poly-1form", 2)
-    rep = check_wrh(u, BOX, s=3.0, t=1.5, rho=1.1, ball_count=8, resolution=11)
+    rep = check_wrh(u, s=3.0, t=1.5, rho=1.1, balls=BALLS, resolution=11)
     assert math.isfinite(rep.constant)
     assert rep.constant > 0
     assert rep.degenerate == 0
 
 
 def test_wrh_zero_form_is_vacuous():
-    rep = check_wrh(named_form("zero", 2), BOX, s=3.0, t=1.5, rho=1.1,
-                    ball_count=6, resolution=11)
+    rep = check_wrh(named_form("zero", 2), s=3.0, t=1.5, rho=1.1,
+                    balls=ball_family(BOX, 6, expansion=1.1), resolution=11)
     assert math.isnan(rep.constant)
     assert rep.degenerate == 0
     assert all(e["flag"] == "zero" for e in rep.entries)
@@ -106,7 +106,12 @@ def test_wrh_zero_form_is_vacuous():
 def test_wrh_requires_expanding_rho():
     u = named_form("corpus:poly-1form", 2)
     with pytest.raises(InvalidInputError):
-        check_wrh(u, BOX, s=3.0, t=1.5, rho=1.0)
+        check_wrh(u, s=3.0, t=1.5, rho=1.0, balls=BALLS)
+
+
+def test_wrh_requires_balls():
+    with pytest.raises(EmptyBallFamilyError):
+        check_wrh(named_form("corpus:poly-1form", 2), s=3.0, t=1.5, rho=1.1, balls=[])
 
 
 # ---------------------------------------------------------------- oscillation

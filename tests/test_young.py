@@ -426,6 +426,12 @@ def test_phi_dominated_detects_pointwise_bound():
     assert report.worst_t < 1.0  # t^2 > t^3 below one
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_phi_dominated_rejects_an_exponent_that_is_not_a_finite_number_at_least_one(p):
+    with pytest.raises(InvalidInputError, match=f"got {p}"):
+        check_phi_dominated(power(2.0), p)
+
+
 def test_phi_dominated_reports_worst_ratio():
     report = check_phi_dominated(custom_young("t^2/(1+t)"), 2.0)
     assert report.worst_ratio <= 1.0
