@@ -16,27 +16,31 @@ The T kernel does not evaluate fields at its segment points directly: it
 asks each field, through ``_t_integral``, for its t-integral
 sum_j w_j f(t_j x + (1 - t_j) y) over the t-rule, at every y-node y and
 every point x of a batch, as one (Y, m) block.  The segment points arrive
-as a ``SegmentPoints``, which holds them as compressed coordinate planes for
-all y-nodes at once.  Two fields of this module integrate themselves,
-chosen by exact type: a ``LinearCombinationField`` combines the
+as a ``SegmentPoints``, which holds coordinate i as one (d_i, t, u_i) plane
+over the d_i distinct values of y_i among the y-nodes and the u_i distinct
+values of x_i among the points, with a map from each y-node to its row and
+from each point to its column.  Two fields of this module integrate
+themselves, chosen by exact type: a ``LinearCombinationField`` combines the
 t-integrals of its terms, and an ``ExprField`` recurses over its
 expression, split once when it is built into maximal single-coordinate
 subtrees.  Its t-integral distributes over sums, differences and constant
 factors; a single-coordinate subtree is evaluated and t-summed on its
-coordinate's plane, for as many y-nodes at once as ``CHUNK_VALUES`` allows
-(all of them on a lattice batch), and then taken to the points; a product
-of two such subtrees on coordinates a != b is t-summed on their pair box,
-the (Y', u_a, u_b) t-sums over every pair of their plane columns, which is
-then taken to the points, when the box has at most 2m cells (a lattice
-batch; on a scattered one it would have m^2); any other product of
-non-constant factors is one fused t-sum of the factors expanded to the
-points; any other node is evaluated at the segment points and t-summed.
-Every other field is evaluated at the segment points and t-summed.  Every
-other field of this module is handed the ``SegmentPoints`` (``_points_for``):
-a ``GridField`` computes its B-spline basis on the planes, a ``BumpField``,
-a ``RadialPowerField`` and their partials form each coordinate's offset
-x_i - c_i (over the radius, for the bump) and its square on the
-coordinate's plane and take them to the points (``_offsets``), and a
+coordinate's plane, in parts of the plane's rows of at most
+``CHUNK_VALUES`` values (one part on a lattice batch), and the (d_i, u_i)
+sums are taken to the y-nodes and the points through the two maps; a
+product of two such subtrees on coordinates a != b is t-summed on their
+pair box, the (Y', u_a, u_b) t-sums over every pair of their plane
+columns, which is then taken to the points, when the box has at most 2m
+cells (a lattice batch; on a scattered one it would have m^2); any other
+product of non-constant factors is one fused t-sum of the factors expanded
+to the points; any other node is evaluated at the segment points and
+t-summed.  Every other field is evaluated at the segment points and
+t-summed.  Every other field of this module is handed the
+``SegmentPoints`` (``_points_for``): a ``GridField`` computes its B-spline
+basis on the planes taken to the y-nodes, (Y', t, u_i) rows, a
+``BumpField``, a ``RadialPowerField`` and their partials form each
+coordinate's offset x_i - c_i (over the radius, for the bump) and its
+square on those rows and take them to the points (``_offsets``), and a
 ``ConstantField`` reads only its size.  A ``CallableField``, an
 ``FDPartialField`` and any field from outside this module receive the
 (Y' t m, n) segment array that ``_pts`` expands.  Whatever is expanded to
@@ -84,18 +88,25 @@ class ScalarField(Protocol):
 
 def _distinct(col: np.ndarray):
     """The distinct values of a 1-D float array, compared by their bits so
-    that -0.0 and 0.0 stay apart, and the map from each entry to its value."""
-    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), inv
+    that -0.0 and 0.0 stay apart, and the map from each entry to its value:
+    ``np.unique(bits, return_inverse=True)`` in fewer steps."""
+    bits = col.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    return values.view(np.float64), np.searchsorted(values, bits)
 
 
 # The most float64 values the T kernel holds in one array that grows with
-# the y-nodes, other than its (., Y, m) blocks: a part's coordinate planes
-# and one-coordinate leaf values, a pair box, its segment array (per
+# the y-nodes, other than its (., Y, m) blocks: a part of a coordinate
+# plane's rows and a one-coordinate leaf's values and t-sums on it, a part
+# of the y-nodes' planes and leaf values, a pair box, its segment array (per
 # coordinate) and product factors, and a GridField's plane values per part
 # of its basis and (4^n, P) weights and gathered coefficients.  A part holds
-# at least one y-node (a GridField part at least one row), so one y-node's t
-# values per column (4^n per point) may exceed it.
+# at least one plane row or y-node (a GridField part at least one row), so
+# one row's t values per column (4^n per point) may exceed it.
 CHUNK_VALUES = 16384
 
 
@@ -105,27 +116,34 @@ class SegmentPoints:
     t-rule.
 
     Coordinate i of a segment point depends only on (y_qi, t_j, x_ki), and
-    the lattice batches that T is evaluated on repeat each coordinate value
-    many times.  So coordinate i is held as a plane ``plane(i)`` of shape
-    (Y, t, u_i) over its ``widths[i]`` = u_i distinct values (compared by
-    their bits, so that -0.0 and 0.0 stay apart), with ``inverses[i]`` of
-    shape (m,) mapping each point to its column.  t_j x_i is formed once
-    per batch and each plane entry adds (1 - t_j) y_i to it: the sum of the
-    same two rounded products as in the full segment array, so it has the
-    same bits.  A plane is formed on first request.
+    both the batches that T is evaluated on and the y-nodes of a bump's rule
+    repeat each coordinate value many times.  So coordinate i is held as a
+    plane ``plane(i)`` of shape (d_i, t, u_i) over the d_i distinct values of
+    y_i among the y-nodes and the u_i = ``widths[i]`` distinct values of x_i
+    among the points (both compared by their bits, so that -0.0 and 0.0 stay
+    apart), with the maps ``rows[i]`` of shape (Y,) from each y-node to its
+    row and ``inverses[i]`` of shape (m,) from each point to its column.
+    t_j x_i and (1 - t_j) y_i are formed once per batch and each plane entry
+    adds them: the sum of the same two rounded products as in the full
+    segment array, so it has the same bits.  A plane is formed on first
+    request; ``on_rows`` forms a plane that would hold more than
+    ``CHUNK_VALUES`` values only in parts of its rows.
 
-    Work on the y-nodes runs over consecutive y-nodes in parts
-    (``chunked``), each a ``SegmentPoints`` of its own, whose (Y', t, width)
-    arrays hold at most ``CHUNK_VALUES`` values (and at least one y-node).
-    An ``ExprField`` t-sums each one-coordinate leaf of its split on the
-    leaf's plane, of width u_i, so on a lattice batch all y-nodes go at
-    once; the product of two leaves on a lattice batch goes in parts sized
-    by its pair box (``_box_integral``), and what must be expanded to the m
-    points (another product of several coordinates, any field evaluated at
-    the segment points) goes in parts of width m.  ``shape`` is (Y t m, n),
-    the shape of the point array this stands for; ``_pts`` expands it into
-    that array, the column-major view of a fresh (n, Y, t, m) buffer, points
-    in (y, t, point) order.
+    An ``ExprField`` evaluates and t-sums each one-coordinate leaf of its
+    split on the leaf's plane, in parts of its rows (``on_rows``), and takes
+    the (d_i, u_i) sums to the (Y, m) block through the two maps.  Other
+    work on the y-nodes runs over consecutive y-nodes in parts
+    (``chunked``), each a ``SegmentPoints`` of its own whose planes have one
+    row per y-node, at most ``CHUNK_VALUES`` values in its (Y', t, width)
+    arrays (and at least one y-node): the product of two leaves on a
+    lattice batch goes in parts sized by its pair box (``_box_integral``),
+    and what must be expanded to the m points (another product of several
+    coordinates, any field evaluated at the segment points) goes in parts
+    of width m.  ``ynode_planes`` takes a part's planes to its y-nodes,
+    shape (Y', t, u_i), for the fields that read the planes per y-node.
+    ``shape`` is (Y t m, n), the shape of the point array this stands for;
+    ``_pts`` expands it into that array, the column-major view of a fresh
+    (n, Y, t, m) buffer, points in (y, t, point) order.
     """
 
     def __init__(self, cols: np.ndarray, ys: np.ndarray, tj: np.ndarray,
@@ -134,13 +152,15 @@ class SegmentPoints:
         ``ys``: the (Y, n) y-nodes; ``tj``, ``tw``: the (t,) nodes and
         weights of the t-rule."""
         n, m = cols.shape
-        self._tx, self.inverses = [], []
-        for col in cols:
+        self._tx, self.inverses, self._ty, self.rows = [], [], [], []
+        for col, ycol in zip(cols, ys.T):
             values, inv = _distinct(col)
-            self._tx.append(tj[:, None] * values)
+            self._tx.append(tj[:, None] * values)  # (t, u_i)
             self.inverses.append(inv)
+            yvalues, rows = _distinct(ycol)
+            self._ty.append((1.0 - tj) * yvalues[:, None])  # (d_i, t)
+            self.rows.append(rows)
         self.widths = [tx.shape[1] for tx in self._tx]
-        self._ty = (1.0 - tj) * ys[:, :, None]  # (Y, n, t)
         self._planes = [None] * n
         self.tw = tw
         self.tw_sum = float(tw.sum())  # the t-integral of a constant 1
@@ -148,27 +168,54 @@ class SegmentPoints:
         self.ynodes = ys.shape[0]
         self.shape = (self.ynodes * tj.size * m, n)
 
+    def _plane_rows(self, i: int, a: int, b: int) -> np.ndarray:
+        """Rows a..b-1 of ``plane(i)``."""
+        return self._tx[i] + self._ty[i][a:b, :, None]
+
     def plane(self, i: int) -> np.ndarray:
-        """Coordinate i at the segment points, over its distinct values:
-        shape (Y, t, u_i)."""
+        """Coordinate i at the segment points, over its distinct values of
+        y_i and x_i: shape (d_i, t, u_i)."""
         if self._planes[i] is None:
-            self._planes[i] = self._tx[i] + self._ty[:, i, :, None]
+            self._planes[i] = self._plane_rows(i, 0, self._ty[i].shape[0])
         return self._planes[i]
 
     @property
-    def planes(self) -> list:
-        """``plane(i)`` for every coordinate i."""
-        return [self.plane(i) for i in range(len(self._tx))]
+    def ynode_planes(self) -> list:
+        """``plane(i)`` taken to the y-nodes, shape (Y, t, u_i), for every
+        coordinate i; the planes themselves for a single y-node."""
+        if self.ynodes == 1:
+            return [self.plane(i) for i in range(len(self._tx))]
+        return [self.plane(i).take(rows, axis=0, mode="clip")
+                for i, rows in enumerate(self.rows)]
+
+    def on_rows(self, i: int, fn) -> np.ndarray:
+        """``fn(rows)``, shape (d', u_i), for each part of consecutive rows of
+        ``plane(i)`` that holds at most ``CHUNK_VALUES`` values (at least one
+        row), taken to the (Y, m) block: y-node q and point k read row
+        ``rows[i][q]`` and column ``inverses[i][k]``."""
+        rows, inv = self.rows[i], self.inverses[i]
+        d = self._ty[i].shape[0]
+        step = max(1, CHUNK_VALUES // max(1, self._tx[i].size))
+        if step >= d:
+            return fn(self.plane(i)).take(rows, axis=0, mode="clip").take(
+                inv, axis=1, mode="clip")
+        out = np.empty((self.ynodes, self.m))
+        for a in range(0, d, step):
+            q = np.flatnonzero((rows >= a) & (rows < a + step))
+            out[q] = fn(self._plane_rows(i, a, a + step)).take(
+                rows[q] - a, axis=0, mode="clip").take(inv, axis=1, mode="clip")
+        return out
 
     def _part(self, a: int, b: int) -> "SegmentPoints":
-        """The y-nodes a..b-1 of this batch; the planes formed so far are
-        shared."""
+        """The y-nodes a..b-1 of this batch, each with a row of its own in
+        the part's planes."""
         if a == 0 and b >= self.ynodes:
             return self
         part = copy.copy(self)
-        part._ty = self._ty[a:b]
-        part._planes = [None if p is None else p[a:b] for p in self._planes]
-        part.ynodes = part._ty.shape[0]
+        part._ty = [ty.take(rows[a:b], axis=0) for ty, rows in zip(self._ty, self.rows)]
+        part.ynodes = part._ty[0].shape[0]
+        part.rows = [np.arange(part.ynodes)] * len(self._tx)
+        part._planes = [None] * len(self._tx)
         part.shape = (part.ynodes * self.tw.size * self.m, self.shape[1])
         return part
 
@@ -184,8 +231,8 @@ class SegmentPoints:
 
     def array(self) -> np.ndarray:
         full = np.empty((len(self._tx), self.ynodes, self.tw.size, self.m))
-        for i, (inv, row) in enumerate(zip(self.inverses, full)):
-            self.plane(i).take(inv, axis=2, out=row, mode="clip")
+        for plane, inv, row in zip(self.ynode_planes, self.inverses, full):
+            plane.take(inv, axis=2, out=row, mode="clip")
         return full.reshape(self.shape[1], -1).T
 
 
@@ -198,20 +245,27 @@ def _pts(points) -> np.ndarray:
     return pts
 
 
-def _t_sum(tw: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """sum_j tw[j] * f1[q, j] * f2[q, j] ... for every y-node q and column
-    of the (Y, t, k) arrays ``factors``, shape (Y, k).
+def _ordered_sum(subscripts: str, w: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, w, *factors)``: the products of the weights
+    ``w`` and the ``factors``, summed over the axis of ``w``, for every
+    column of the factors' last axis, which the result keeps last.
 
     einsum (no BLAS, so the bits do not depend on the BLAS threads) adds the
-    products in j order, one column at a time, but it sums a lone column as
-    a vectorized dot product, in another order; so one column is summed as
-    the first of two, and a column's sum depends neither on k nor on Y.
+    products in the order of ``w``, one column at a time, but it sums a lone
+    column as a vectorized dot product, in another order; so one column is
+    summed as the first of two, and a column's sum depends neither on the
+    number of columns nor on the other axes.
     """
-    subscripts = ",".join(["t"] + ["ytk"] * len(factors)) + "->yk"
-    if factors[0].shape[2] == 1:
-        return np.einsum(subscripts, tw,
-                         *(np.repeat(f, 2, axis=2) for f in factors))[:, :1]
-    return np.einsum(subscripts, tw, *factors)
+    if factors[0].shape[-1] == 1:
+        return np.einsum(subscripts, w,
+                         *(np.repeat(f, 2, axis=-1) for f in factors))[..., :1]
+    return np.einsum(subscripts, w, *factors)
+
+
+def _t_sum(tw: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """sum_j tw[j] * f1[q, j] * f2[q, j] ... for every row q and column of
+    the (Y, t, k) arrays ``factors``, in j order: shape (Y, k)."""
+    return _ordered_sum(",".join(["t"] + ["ytk"] * len(factors)) + "->yk", tw, *factors)
 
 
 @dataclass(frozen=True)
@@ -237,24 +291,20 @@ class _OnPlane:
     node: object
 
     def on_plane(self, points):
-        """The leaf on its coordinate's plane, shape (Y, t, u_axis)."""
+        """The leaf on its coordinate's plane, shape (d_axis, t, u_axis)."""
         return self.node.ev({self.name: points.plane(self.axis)})
 
     def ev(self, points):
         """The leaf at the segment points, shape (Y, t, m)."""
-        return self.on_plane(points).take(points.inverses[self.axis], axis=2,
-                                          mode="clip")
+        return self.on_plane(points).take(points.rows[self.axis], axis=0, mode="clip").take(
+            points.inverses[self.axis], axis=2, mode="clip")
 
     def integral(self, points):
-        """The leaf's t-integral at the batch points, shape (Y, m): t-summed
-        on the plane, in parts of the y-nodes sized by the plane's width,
-        then taken to the points."""
-        inv = points.inverses[self.axis]
-
-        def part_integral(part):
-            return _t_sum(part.tw, self.on_plane(part)).take(inv, axis=1, mode="clip")
-
-        return points.chunked(part_integral, points.widths[self.axis])
+        """The leaf's t-integral at the batch points, shape (Y, m): evaluated
+        and t-summed on the plane, in parts of its rows, then taken to the
+        y-nodes and the points."""
+        return points.on_rows(self.axis, lambda plane: _t_sum(
+            points.tw, self.node.ev({self.name: plane})))
 
 
 def _pair_box(left, right, points) -> bool:
@@ -273,16 +323,20 @@ def _pair_box(left, right, points) -> bool:
 def _box_integral(left: _OnPlane, right: _OnPlane, points) -> np.ndarray:
     """The t-integral of ``left * right``, shape (Y, m), from each leaf on
     its own plane: the (Y', u_a, u_b) box of t-sums over every pair of their
-    columns, taken to the points.  Each cell adds (tw_j * a_j) * b_j in t
-    order, as the t-sum of the factors expanded to the points does, so the
-    bits are the same; the box has at least two columns per axis, so einsum
-    never sums a lone column (see ``_t_sum``)."""
+    columns, taken to the points.  The left leaf is multiplied by the
+    t-weights on its plane and both leaves are taken to the part's y-nodes,
+    so each cell adds (tw_j * a_j) * b_j in t order, as the t-sum of the
+    factors expanded to the points does, and the bits are the same; the box
+    has at least two columns per axis, so einsum never sums a lone column
+    (see ``_ordered_sum``)."""
     ua, ub = points.widths[left.axis], points.widths[right.axis]
     cell = points.inverses[left.axis] * ub + points.inverses[right.axis]
 
     def part_integral(part):
-        box = np.einsum("t,yta,ytb->yab", part.tw, left.on_plane(part),
-                        right.on_plane(part))
+        a = (part.tw[:, None] * left.on_plane(part)).take(
+            part.rows[left.axis], axis=0, mode="clip")
+        b = right.on_plane(part).take(part.rows[right.axis], axis=0, mode="clip")
+        box = np.einsum("yta,ytb->yab", a, b)
         return box.reshape(part.ynodes, ua * ub).take(cell, axis=1, mode="clip")
 
     # a part's leaf values and box hold at most CHUNK_VALUES values each
@@ -490,7 +544,7 @@ def _offsets(points, center: np.ndarray, radius: float | None = None):
     goes through the operations it goes through on the (m, n) array of the
     points, so the bits do not depend on the layout."""
     if isinstance(points, SegmentPoints):
-        cols = points.planes
+        cols = points.ynode_planes
 
         def at(i, v):
             return v.take(points.inverses[i], axis=2, mode="clip").reshape(-1)
@@ -661,7 +715,7 @@ def _planes(points):
     coordinate over its distinct values, so that both take the same path
     through ``GridField``."""
     if isinstance(points, SegmentPoints):
-        return ([p.reshape(p.shape[0] * p.shape[1], p.shape[2]) for p in points.planes],
+        return ([p.reshape(p.shape[0] * p.shape[1], p.shape[2]) for p in points.ynode_planes],
                 points.inverses)
     planes, inverses = [], []
     for col in _pts(points).T:

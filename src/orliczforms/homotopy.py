@@ -27,19 +27,21 @@ Each coefficient field integrates itself over t, for all y-nodes at once
 sums, differences and constant factors, so its single-coordinate terms
 never form a value per (t, point) pair.  The kernel then contracts the
 (C(n,l), Y, m) block of t-integrals with x - y, an (n, Y, m) block, in one
-call, and adds the y-nodes' rows into the result one at a time in y order,
-weighted by the bump: a sum over y in one einsum or dot product would
-reorder it.  This is exact in arithmetic; in floating point it fixes the
-rounding, and the tests pin this order bit for bit against a reference
-loop over y-nodes on fresh segment arrays.
+call, and adds the y-nodes' rows into the result in y order, weighted by
+the bump, in one einsum that sums each point's column in y order.  This
+is exact in arithmetic; in floating point it fixes the rounding, and the
+tests pin this order bit for bit against a reference loop over y-nodes on
+fresh segment arrays.
 
 The segment points are held as compressed coordinate planes
 (``forms.SegmentPoints``): coordinate i of y + t_j (x - y) depends only on
 (y_i, t_j, x_i), so a single-coordinate subexpression is evaluated and
-t-summed once per distinct value and y-node, and a product of two of them
-on coordinates a != b on their (Y, u_a, u_b) pair box when the box has at
-most twice as many cells as the batch has points (a lattice batch).  The
-other fields of ``forms`` read the planes too: the spline of a materialized
+t-summed once per pair of a distinct value of x_i and a distinct value of
+y_i (the 21 y-nodes of a 2-D ball's bump at resolution 21 take 5 values
+per axis), and a product of two of them on coordinates a != b on their
+(Y, u_a, u_b) pair box when the box has at most twice as many cells as
+the batch has points (a lattice batch).  The other fields of ``forms``
+read the planes too, taken to the y-nodes: the spline of a materialized
 Tu (``forms.GridField``) takes its basis on them, and the bump and radial
 fields of the corpus form their per-coordinate terms on them, so only
 fields from outside ``forms`` see the segment points expanded.  What must
@@ -71,7 +73,7 @@ import numpy as np
 from .errors import DegreeError, InvalidInputError
 from .exterior import CovectorValue, contract_coeffs, num_components
 from .forms import (BumpField, ConstantField, DifferentialForm, GridField, SegmentPoints,
-                    _pts, _t_integral, pointwise_modulus)
+                    _ordered_sum, _pts, _t_integral, pointwise_modulus)
 from .geometry import Ball, Box, Domain, ball_inside
 
 __all__ = ["BumpFunction", "FD_SCALE", "T_NODES", "apply_Ky", "apply_T", "closed_part",
@@ -151,19 +153,23 @@ class _TuEvaluator:
     components with one call, and a lone component takes its row of one.
 
     Layout: coordinate i of the segment point y + t_j (x - y) is
-    t_j x_i + (1 - t_j) y_i, which depends only on (y_i, t_j, x_i), and the
-    lattice batches that T is evaluated on repeat each x_i many times.  So
-    each batch builds one ``forms.SegmentPoints`` for all y-nodes, which
-    finds the distinct values u_i of every coordinate (compared by their
-    bits), forms t_j u_i once and adds (1 - t_j) y_i to it in a (Y, t, u_i)
-    plane per coordinate.  A coordinate with no repeated value gets a plane
-    of m sorted values and a permutation for its map, so there is one path.
+    t_j x_i + (1 - t_j) y_i, which depends only on (y_i, t_j, x_i), and both
+    the lattice batches that T is evaluated on and the bump's y-nodes repeat
+    each coordinate value many times.  So each batch builds one
+    ``forms.SegmentPoints`` for all y-nodes, which finds the distinct values
+    u_i of every coordinate among the points and d_i among the y-nodes
+    (compared by their bits), forms t_j x_i and (1 - t_j) y_i once each and
+    adds them in a (d_i, t, u_i) plane per coordinate, with a (Y,) map from
+    each y-node to its row and an (m,) map from each point to its column.
+    A coordinate with no repeated value gets m (or Y) sorted values and a
+    permutation for its map, so there is one path.
 
     ``forms._t_integral`` gives each component of u as its t-integral
     sum_j w_j u_c(t_j x + (1 - t_j) y) at every y-node and point, a (Y, m)
-    block.  An ``ExprField`` t-sums each leaf of its split (a maximal
-    subexpression of one coordinate) on the leaf's plane and takes the
-    (Y, u_i) result to the points, adds and subtracts the integrals of its
+    block.  An ``ExprField`` evaluates and t-sums each leaf of its split (a
+    maximal subexpression of one coordinate) on the leaf's plane, in parts
+    of the plane's rows, and takes the (d_i, u_i) sums to the y-nodes and
+    the points through the two maps, adds and subtracts the integrals of its
     terms, scales them by constant factors, t-sums a product of two leaves
     on different coordinates on their (Y', u_a, u_b) pair box when that box
     has at most 2m cells, and any other product of non-constant factors in
@@ -172,14 +178,14 @@ class _TuEvaluator:
     other field is evaluated at the segment points and t-summed: a
     ``GridField`` (the spline of a materialized Tu, whose closed part on a
     ball runs T on its partials) computes its knot intervals and basis
-    values on the planes and gathers them per point; a ``BumpField``, a
-    ``RadialPowerField`` and their partials form each coordinate's offset
-    from the center and its square on the planes and take them to the
-    points; and a ``CallableField``, an ``FDPartialField`` and fields from
-    outside ``forms`` get the planes expanded into a fresh (n, Y', t, m)
-    buffer whose column-major (Y' t m, n) view is the segment array, points
-    in (y, t, point) order.  Whatever expands to the points runs over parts
-    of Y' consecutive y-nodes whose arrays hold at most
+    values on the planes taken to the y-nodes and gathers them per point; a
+    ``BumpField``, a ``RadialPowerField`` and their partials form each
+    coordinate's offset from the center and its square on those rows and
+    take them to the points; and a ``CallableField``, an ``FDPartialField``
+    and fields from outside ``forms`` get the planes expanded into a fresh
+    (n, Y', t, m) buffer whose column-major (Y' t m, n) view is the segment
+    array, points in (y, t, point) order.  Whatever expands to the points
+    runs over parts of Y' consecutive y-nodes whose arrays hold at most
     ``forms.CHUNK_VALUES`` values (at least one y-node).  Each coordinate
     is the sum of the same two rounded products t_j x and (1 - t_j) y
     whatever the layout, and each value goes through the same operations,
@@ -187,16 +193,16 @@ class _TuEvaluator:
 
     The (C(n,l), Y, m) block of t-integrals is then contracted with the
     (n, Y, m) block x - y in one call, and the (C(n,l-1), m) rows of the
-    y-nodes are added into the result one at a time, in y order, each times
-    its weight.  Every t-sum is an einsum (no BLAS, so the result does not
-    depend on the BLAS thread count) that adds its terms in t order, one
-    point at a time; a lone column is summed as the first of two, because
-    einsum would sum it in another order.  So a point's value does not
-    depend on the other points of its batch.  The tests hold the kernel
-    bit-equal to a reference loop over y-nodes that integrates in this
-    order on fresh (t, m, n) segment arrays, for any size of the parts,
-    bit-equal on a batch and on its two halves, and close to the
-    contract-then-sum order.
+    y-nodes, each times its weight, are added in y order by one einsum.
+    Every t-sum and the y-node sum is an einsum (no BLAS, so the result
+    does not depend on the BLAS thread count) that adds its terms in t or y
+    order, one point at a time; a lone column is summed as the first of
+    two, because einsum would sum it in another order
+    (``forms._ordered_sum``).  So a point's value does not depend on the
+    other points of its batch.  The tests hold the kernel bit-equal to a
+    reference loop over y-nodes that integrates in this order on fresh
+    (t, m, n) segment arrays, for any size of the parts, bit-equal on a
+    batch and on its two halves, and close to the contract-then-sum order.
     """
 
     def __init__(self, u: DifferentialForm, ys: np.ndarray, ws: np.ndarray):
@@ -218,10 +224,7 @@ class _TuEvaluator:
         for r, f in enumerate(self.u.components):
             a[r] = _t_integral(f, seg)
         c = contract_coeffs(n, l, a, cols[:, None, :] - self.ys.T[:, :, None])
-        out = np.zeros((c.shape[0], pts.shape[0]))
-        for k, w in enumerate(self.ws):  # in y order, as one y-node at a time
-            out += w * c[:, k]
-        return out
+        return _ordered_sum("k,ckm->cm", self.ws, c)  # the y-nodes' rows in y order
 
 
 class _TuComponent:

@@ -142,12 +142,16 @@ class PhiDominatedReport:
 def check_phi_dominated(phi: YoungFunction, p: float) -> PhiDominatedReport:
     """Sampled check that phi(t) <= t^p on ``LOG_GRID`` (a gate, not a proof).
     phi and t^p are evaluated under ``np.errstate``, so an overflow shows up
-    in the report, not as a warning."""
+    in the report, not as a warning.  A node where both sides underflow to
+    0 or both overflow to inf says nothing about their ratio and is
+    skipped; a NaN value of phi fails."""
     if not (math.isfinite(p) and p >= 1):
         raise InvalidInputError(f"exponent must be a finite number >= 1, got {p}")
     with np.errstate(all="ignore"):
-        ratios = phi(LOG_GRID) / LOG_GRID ** p
-    worst = int(np.argmax(ratios))
+        vals, bound = phi(LOG_GRID), LOG_GRID ** p
+        ratios = vals / bound
+    known = np.flatnonzero(~((vals == bound) & ((bound == 0.0) | (bound == np.inf))))
+    worst = int(known[np.argmax(ratios[known])])
     ok = bool(ratios[worst] <= 1.0 + 1e-12)
     return PhiDominatedReport(p=float(p), ok=ok, worst_t=float(LOG_GRID[worst]),
                               worst_ratio=float(ratios[worst]))

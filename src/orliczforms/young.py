@@ -145,16 +145,18 @@ def young_violations(phi) -> list[str]:
     return out
 
 
-def _log_secant_slopes(vals: np.ndarray, p: float) -> np.ndarray:
+def _log_secant_slopes(vals: np.ndarray, p: float,
+                       nodes: np.ndarray = LOG_GRID) -> np.ndarray:
     """Logs of the secant slopes of phi against s = t^p between neighbouring
-    ``LOG_GRID`` nodes t_i, from phi's increasing values ``vals`` there:
+    ``nodes`` t_i (by default ``LOG_GRID``), from phi's increasing values
+    ``vals`` there:
     log(phi(t_i+1) - phi(t_i)) - p log t_i - log expm1(p log(t_i+1 / t_i)).
 
     phi is convex in s exactly when they are nondecreasing, and concave in s
     exactly when they are nonincreasing.  No power of t is formed, and
     log expm1(x) is taken as x + log(-expm1(-x)), so no q overflows.
     """
-    log_t = np.log(LOG_GRID)
+    log_t = np.log(nodes)
     x = p * np.diff(log_t)
     return np.log(np.diff(vals)) - p * log_t[:-1] - (x + np.log(-np.expm1(-x)))
 
@@ -180,18 +182,31 @@ def check_g_class(phi: YoungFunction, p: float, q: float) -> GClassReport:
     p <= 1 + t phi''(t) / phi'(t) <= q with phi' replaced by its secant, so
     kinks need no derivative.  It certifies the grid only, t in [1e-6, 1e6];
     it is a report, not a proof.
+
+    Where a fast-growing phi underflows below the smallest normal float at
+    the bottom of the grid, or overflows to inf at its top, its values carry
+    no shape, so the tests run on the nodes between; those end nodes must
+    still be nondecreasing.  A NaN, a decrease, or an inf below a finite
+    value fails the first test.
     """
     if not 1 <= p < q:
         raise InvalidInputError(f"need 1 <= p < q, got p={p}, q={q}")
     with np.errstate(all="ignore"):
         vals = phi(LOG_GRID)
+    # the nodes where phi is a finite normal float: past a run of underflows
+    # at the bottom, before a run of overflows at the top
+    lo = int(np.argmax(~((vals >= 0.0) & (vals < np.finfo(float).tiny))))
+    hi = vals.size - int(np.argmax(vals[::-1] != np.inf))
+    inner = vals[lo:hi]
     violations = []
-    if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0)):
+    if not (hi - lo > 2 and np.all(np.isfinite(inner)) and np.all(np.diff(inner) > 0)
+            and np.all(np.diff(vals[:lo + 1]) >= 0)):
         violations.append("phi is not finite and increasing on the grid")
     else:
-        if np.any(np.diff(_log_secant_slopes(vals, p)) < -1e-12):
+        nodes = LOG_GRID[lo:hi]
+        if np.any(np.diff(_log_secant_slopes(inner, p, nodes)) < -1e-12):
             violations.append("witness g(s) = phi(s^(1/p)) is not convex on the grid")
-        if np.any(np.diff(_log_secant_slopes(vals, q)) > 1e-12):
+        if np.any(np.diff(_log_secant_slopes(inner, q, nodes)) > 1e-12):
             violations.append("witness h(s) = phi(s^(1/q)) is not concave on the grid")
     return GClassReport(p=float(p), q=float(q), member=not violations,
                         violations=violations)

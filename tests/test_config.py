@@ -294,6 +294,17 @@ def test_overflowing_domination_check_is_one_violation_and_no_warning():
         "ratio inf at t=1e-06"]
 
 
+def test_power_dominated_by_its_own_exponent_loads():
+    # t^60 against t^60 underflows at the bottom of the t-grid and overflows
+    # at its top on both sides
+    weighted = {"p": 300.0, "q": 100.0, "alpha": 2.0, "s": 60.0,
+                "young": {"name": "power", "p": 60.0}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = load_config(overrides={"weighted": weighted})
+    assert cfg.build_weighted_young()(2.0) == 2.0 ** 60
+
+
 def test_load_rejects_power_log_below_its_index_at_small_t():
     # t^3 log(e + t) has index 3 + O(t) as t -> 0, so it is not in G(3.003, q)
     with pytest.raises(ConfigError) as exc:

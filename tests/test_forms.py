@@ -449,7 +449,8 @@ def _plane_problems(fields, seg):
         if not (got.shape == (m,) and got.flags.c_contiguous
                 and got.flags.writeable):
             problems.append(f"{name}: shape {got.shape}, flags {got.flags}")
-        elif any(np.shares_memory(got, a) for a in list(seg.planes) + [arr]):
+        elif any(np.shares_memory(got, a)
+                 for a in [seg.plane(i) for i in range(seg.shape[1])] + [arr]):
             problems.append(f"{name}: result shares memory with the points")
         elif got.tobytes() != want.tobytes():
             problems.append(f"{name}: values differ from the segment array")

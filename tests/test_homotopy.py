@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, DifferentialForm, apply_Ky, apply_T,
-                         build_corpus, closed_part, decomposition_residual,
-                         homotopy, materialize, named_form)
+from orliczforms import (Ball, Box, DifferentialForm, OscillationNormSpec, apply_Ky,
+                         apply_T, ball_family, build_corpus, closed_part,
+                         decomposition_residual, default_domain, homotopy, materialize,
+                         named_form)
 from orliczforms.errors import DegreeError, InvalidInputError
 from orliczforms import expressions as ex
 from orliczforms import forms as forms_module
 from orliczforms.exterior import _contraction_table, num_components
 from orliczforms.forms import (ExprField, LinearCombinationField, SegmentPoints,
                                _OnPlane, _t_integral)
-from orliczforms.homotopy import (FD_SCALE, BumpFunction, _t_rule, _TuEvaluator,
+from orliczforms.homotopy import (FD_SCALE, T_NODES, BumpFunction, _t_rule, _TuEvaluator,
                                   closed_part_values)
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -161,8 +162,28 @@ def _contract_then_sum_T_coeffs(ev, pts):
 
 
 def _kernel_regions(n):
-    return {"box": Box(np.zeros(n), np.ones(n)),
-            "ball": Ball(np.full(n, 0.45), 0.35)}
+    """The regions of the kernel cases by kind; the kinds named after a
+    y-node rule (``YNODE_RULES``) run on the box."""
+    box = Box(np.zeros(n), np.ones(n))
+    return {"box": box, "ball": Ball(np.full(n, 0.45), 0.35),
+            **{f"box-{rule}": box for rule in YNODE_RULES}}
+
+
+# A bump's y-nodes are lattice nodes, which share values on every axis.  The
+# kernel compresses each coordinate plane over the distinct values of y_i,
+# so it is also held to the reference on y-nodes that share no coordinate
+# and on y-nodes that share values on the first axis only.
+def _scattered_ys(n):
+    return np.random.default_rng(10 + n).uniform(0.3, 0.7, (9, n))
+
+
+def _one_axis_ys(n):
+    ys = _scattered_ys(n)
+    ys[:, 0] = ys[[0, 0, 0, 1, 1, 1, 2, 2, 2], 0]
+    return ys
+
+
+YNODE_RULES = {"scattered-ys": _scattered_ys, "one-axis-ys": _one_axis_ys}
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +200,7 @@ def _kernel_forms(n):
     return forms
 
 
-KERNEL_CASES = [(n, kind, fid) for n in (2, 3) for kind in ("box", "ball")
+KERNEL_CASES = [(n, kind, fid) for n in (2, 3) for kind in _kernel_regions(n)
                 for fid in _kernel_forms(n)]
 
 
@@ -196,6 +217,13 @@ def _kernel_case(dims, kind, fid):
     u = _kernel_forms(dims)[fid]
     region = _kernel_regions(dims)[kind]
     ev = apply_T(u, region, resolution=15).components[0].evaluator
+    rule = kind.partition("-")[2]
+    if rule:
+        ys = YNODE_RULES[rule](dims)
+        ws = np.random.default_rng(dims).uniform(0.5, 1.5, ys.shape[0])
+        ev = _TuEvaluator(u, ys, ws / ws.sum())
+        distinct = [np.unique(col).size for col in ys.T]
+        assert distinct == [3 if rule == "one-axis-ys" else 9] + [9] * (dims - 1)
     assert ev.ys.shape[0] > 1  # the kernel adds several y-nodes' rows
     return ev, _random_points(region)
 
@@ -315,6 +343,67 @@ def test_T_kernel_bit_equal_for_any_chunk_budget(dims, fid, batch, monkeypatch):
     for budget in (1, whole):
         monkeypatch.setattr(forms_module, "CHUNK_VALUES", budget)
         assert np.array_equal(ev.coeffs(pts), ref), budget
+
+
+# The kernel adds the y-nodes' rows in y order in one einsum.  It keeps the
+# bits of the loop over the y-nodes where a batch has one point (einsum sums
+# a lone column in another order) and where there is one y-node.
+@pytest.mark.parametrize("ynodes, m", [(1, 7), (9, 1), (1, 1), (9, 7)])
+def test_y_node_sum_bit_equal_to_the_loop_over_y_nodes(ynodes, m):
+    rng = np.random.default_rng(10 * ynodes + m)
+    c = rng.normal(size=(3, ynodes, m))
+    ws = rng.uniform(0.5, 1.5, ynodes)
+    ws /= ws.sum()
+    loop = np.zeros((3, m))
+    for k, w in enumerate(ws):
+        loop += w * c[:, k]
+    assert forms_module._ordered_sum("k,ckm->cm", ws, c).tobytes() == loop.tobytes()
+    ev = _TuEvaluator(_kernel_forms(2)["poly-1form"], _scattered_ys(2)[:ynodes], ws)
+    pts = _random_points(BOX)[:m]
+    assert ev.coeffs(pts).tobytes() == _reference_T_coeffs(ev, pts).tobytes()
+
+
+def _counting_leaves(node, seen):
+    """``node``, a node of a split expression, with each one-coordinate leaf
+    recording (axis, shape of its coordinate values) in ``seen``."""
+    class Counting:
+        def __init__(self, leaf):
+            self.leaf = leaf
+
+        def ev(self, env):
+            seen.append((self.leaf.axis, env[self.leaf.name].shape))
+            return self.leaf.node.ev(env)
+
+    if isinstance(node, _OnPlane):
+        return _OnPlane(node.axis, node.name, Counting(node))
+    if isinstance(node, ex.BinOp):
+        return ex.BinOp(node.op, _counting_leaves(node.left, seen),
+                        _counting_leaves(node.right, seen))
+    if isinstance(node, ex.Call):
+        return ex.Call(node.fn, _counting_leaves(node.arg, seen))
+    return node
+
+
+# A leaf depends on the y-nodes only through its coordinate y_i, so it is
+# evaluated once per distinct value of y_i: on a ball of the norm sweep
+# (resolution 21), 5 values per axis for 21 y-nodes.
+def test_T_kernel_evaluates_each_leaf_once_per_distinct_y_value(monkeypatch):
+    spec = OscillationNormSpec(kind="bmo", ball_count=24)
+    ball = ball_family(default_domain(2), 24, spec.radius_fraction, expansion=spec.sigma)[0]
+    u = DifferentialForm(2, 1, ("0.7*sin(pi*x2) + 1.2*x1*cos(pi*x2)",
+                                "-0.9*cos(pi*x1) + 1.1*x1*x2^2"))
+    du = u.d()
+    ev = apply_T(du, ball, resolution=21).components[0].evaluator
+    pts = ball.quadrature(21).points
+    assert ev.ys.shape[0] == 21 and [np.unique(col).size for col in ev.ys.T] == [5, 5]
+    widths = [np.unique(col).size for col in pts.T]
+    seen = []
+    for _, f in du.components[0].terms:
+        monkeypatch.setattr(f, "_split", _counting_leaves(f._split, seen))
+    ev.coeffs(pts)
+    assert len(seen) >= 4
+    assert sum(int(np.prod(shape)) for _, shape in seen) == sum(
+        5 * T_NODES * widths[axis] for axis, _ in seen)
 
 
 # Only the (., Y, m) blocks of the kernel grow with the y-node count Y: the

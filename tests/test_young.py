@@ -409,6 +409,29 @@ def test_g_class_takes_a_large_q():
     assert check_g_class(power(2.0), 1.0, 100.0).member
 
 
+def test_g_class_skips_the_under_and_overflowing_ends_of_the_grid():
+    # t^60 underflows below the smallest normal float under t = 7.5e-6 and
+    # overflows to inf above t = 1.4e5; the nodes between carry its shape
+    assert check_g_class(power(60.0), 59.0, 61.0).member
+    assert check_g_class(power_log(60.0), 59.0, 62.0).member
+    assert check_g_class(power(60.0), 60.5, 62.0).violations == [G_FAILS]
+    assert check_g_class(power(60.0), 58.0, 59.5).violations == [H_FAILS]
+
+
+NOT_INCREASING = "phi is not finite and increasing on the grid"
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda t: np.where(t > 1.0, np.nan, t ** 2), id="nan"),
+    pytest.param(lambda t: np.where(t > 1.0, 1.0 / t, t ** 2), id="decreasing"),
+    pytest.param(lambda t: np.where((t > 1.0) & (t < 2.0), np.inf, t ** 60), id="interior-inf"),
+    pytest.param(lambda t: np.where(t < 3e-6, 1e-320, t ** 60), id="decreasing-underflow"),
+    pytest.param(lambda t: np.where(t < 1.0, 0.0, np.inf), id="no-finite-node")])
+def test_g_class_still_rejects_a_nan_a_decrease_and_an_interior_inf(fn):
+    phi = YoungFunction(fn, "custom")
+    assert check_g_class(phi, 1.0, 100.0).violations == [NOT_INCREASING]
+
+
 def test_g_class_tests_a_kinked_custom_young():
     # t below 1 and 2t^2 - t above: convex, but phi's slope jumps from 1 to 3
     # at t = 1, so no phi(s^(1/q)) is concave there
@@ -430,6 +453,16 @@ def test_phi_dominated_detects_pointwise_bound():
 def test_phi_dominated_rejects_an_exponent_that_is_not_a_finite_number_at_least_one(p):
     with pytest.raises(InvalidInputError, match=f"got {p}"):
         check_phi_dominated(power(2.0), p)
+
+
+def test_phi_dominated_skips_nodes_where_both_sides_under_or_overflow():
+    # t^60 and t^60 are both 0 at the bottom of the grid and both inf at its top
+    report = check_phi_dominated(power(60.0), 60.0)
+    assert report.ok and report.worst_ratio == 1.0
+    report = check_phi_dominated(power(60.0), 59.0)
+    assert not report.ok and 1.0 < report.worst_t < 1e6
+    nan = YoungFunction(lambda t: np.where(t > 1.0, np.nan, t ** 2), "custom")
+    assert not check_phi_dominated(nan, 2.0).ok
 
 
 def test_phi_dominated_reports_worst_ratio():
