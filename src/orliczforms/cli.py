@@ -29,26 +29,25 @@ from .forms import DifferentialForm
 from .geometry import Ball
 from .harness import reports_to_csv, reports_to_json, run_suite, suite_passed
 from .homotopy import closed_part, decomposition_residual
-from .young import (OscillationNormSpec, lp_norm, luxemburg_norm,
-                    oscillation_norm, power, power_log, custom_young)
+from .young import (YOUNG_FAMILIES, OscillationNormSpec, lp_norm, luxemburg_norm,
+                    oscillation_norm, power)
 
 ENV_CONFIG = "ORLICZFORMS_CONFIG"
+# the --phi spellings, one per Young-function family
+PHI_SPECS = ", ".join(f"{name}:<{key}>" for name, (key, _, _) in YOUNG_FAMILIES.items())
 
 
 def _parse_phi(spec: str):
-    kind, _, rest = spec.partition(":")
-    if kind == "custom":
-        return custom_young(rest)
-    if kind not in ("power", "power_log"):
-        raise ConfigError([f"unknown Young function spec {spec!r}; "
-                           "use power:<p>, power_log:<p>, or custom:<expr in t>"])
+    name, _, rest = spec.partition(":")
+    if name not in YOUNG_FAMILIES:
+        raise ConfigError([f"unknown Young function spec {spec!r}; use {PHI_SPECS}"])
+    _, kind, make = YOUNG_FAMILIES[name]
     try:
-        p = float(rest)
+        value = kind(rest)
     except ValueError:
-        raise ConfigError([f"bad exponent in Young function spec {spec!r}"])
-    # outside the try: power and power_log reject p < 1, inf and nan in
-    # their own words
-    return (power if kind == "power" else power_log)(p)
+        raise ConfigError([f"bad parameter in Young function spec {spec!r}"])
+    # outside the try: the family rejects p < 1, inf and nan in its own words
+    return make(value)
 
 
 def cmd_norm(args) -> int:
@@ -190,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--kind", required=True,
                         choices=["lp", "luxemburg", "bmo", "lipschitz"])
     p_norm.add_argument("--p", type=float, default=2.0)
-    p_norm.add_argument("--phi", default="power:2")
+    p_norm.add_argument("--phi", default="power:2",
+                        help=f"Young function: {PHI_SPECS} (default power:2)")
     p_norm.add_argument("--dims", type=int, default=2)
     p_norm.add_argument("--resolution", type=int, default=41)
     p_norm.add_argument("--k", type=float, default=0.5)

@@ -43,7 +43,7 @@ from .errors import ConfigError, OrliczFormsError
 from .geometry import Ball, Box, Domain
 from .harness import VERIFIER_NAMES, VERIFIERS
 from .weights import constant_weight, custom_weight, power_weight
-from .young import YoungFunction, custom_young, power, power_log
+from .young import YOUNG_FAMILIES, YoungFunction
 
 __all__ = ["RunConfig", "load_config", "DEFAULT_CONFIG"]
 
@@ -74,14 +74,12 @@ DEFAULT_CONFIG: dict = {
 
 NODE_BUDGET = 10 ** 6  # most nodes a grid or ball quadrature may have
 
-# the keys each nested section may hold; a Young function spec and a weight
-# by their "name", a domain by its "kind"
+# the keys each nested section may hold; a weight by its "name", a domain by
+# its "kind" (a Young function spec by ``YOUNG_FAMILIES``)
 _SECTION_KEYS = {
     "g_class": ("p", "q"),
     "conjugate": ("p", "q"),
     "weighted": ("p", "q", "alpha", "s", "young"),
-    "young": {"power": ("name", "p"), "power_log": ("name", "p"),
-              "custom": ("name", "expression")},
     "weights": {"constant": ("name", "value"),
                 "power": ("name", "exponent", "center"),
                 "custom": ("name", "expression")},
@@ -99,32 +97,30 @@ def _check_keys(spec, allowed: tuple, where: str, errors: list):
 
 
 def _check_young_spec(spec, where: str, errors: list):
+    """Check a Young function spec by building it, so its family's own
+    checks (p >= 1, the Young-function axioms) run at load."""
     if not isinstance(spec, dict) or "name" not in spec:
         errors.append(f"{where}: expected an object with a 'name' key")
         return
     name = spec["name"]
-    if name in ("power", "power_log"):
-        _check_keys(spec, _SECTION_KEYS["young"][name], where, errors)
-        p = spec.get("p")
-        if not (_is_num(p) and p >= 1):
-            errors.append(f"{where}: {name} needs p >= 1, got {p!r}")
-    elif name == "custom":
-        _check_keys(spec, _SECTION_KEYS["young"]["custom"], where, errors)
-        if not isinstance(spec.get("expression"), str):
-            errors.append(f"{where}: custom needs an 'expression' string in t")
-            return
-        try:  # parse it and check the Young-function axioms now, not in run_suite
-            custom_young(spec["expression"])
-        except OrliczFormsError as exc:
-            errors.append(f"{where}: {exc}")
-    else:
+    if not (isinstance(name, str) and name in YOUNG_FAMILIES):
         errors.append(f"{where}: unknown Young function {name!r}")
+        return
+    key, kind, make = YOUNG_FAMILIES[name]
+    _check_keys(spec, ("name", key), where, errors)
+    value = spec.get(key)
+    if not (_is_num(value) if kind is float else isinstance(value, kind)):
+        errors.append(f"{where}: {name} needs a {kind.__name__} {key!r}, got {value!r}")
+        return
+    try:
+        make(value)
+    except OrliczFormsError as exc:
+        errors.append(f"{where}: {exc}")
 
 
 def _build_young(spec: dict) -> YoungFunction:
-    if spec["name"] == "custom":
-        return custom_young(spec["expression"])
-    return {"power": power, "power_log": power_log}[spec["name"]](spec["p"])
+    key, _, make = YOUNG_FAMILIES[spec["name"]]
+    return make(spec[key])
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .errors import EmptyBallFamilyError, InvalidInputError
 from .expressions import BinOp, Call, parse, substitute
 from .forms import ConstantField, ExprField, RadialPowerField
 from .geometry import Ball
-from .young import LOG_GRID, YoungFunction, _require_positive
+from .young import LOG_GRID, YoungFunction, _grid_values, _require_positive
 
 __all__ = ["Weight", "constant_weight", "power_weight", "custom_weight",
            "check_a_class", "AClassReport", "check_phi_dominated",
@@ -140,15 +140,15 @@ class PhiDominatedReport:
 
 
 def check_phi_dominated(phi: YoungFunction, p: float) -> PhiDominatedReport:
-    """Sampled check that phi(t) <= t^p on ``LOG_GRID`` (a gate, not a proof).
-    phi and t^p are evaluated under ``np.errstate``, so an overflow shows up
-    in the report, not as a warning.  A node where both sides underflow to
-    0 or both overflow to inf says nothing about their ratio and is
-    skipped; a NaN value of phi fails."""
+    """Whether phi(t) <= t^p, to 1e-12, at every node of ``LOG_GRID`` (a gate
+    on the grid, not a proof); both sides are formed under ``np.errstate``.
+    A node where both underflow to 0 or both overflow to inf says nothing
+    about their ratio and is skipped; a NaN value of phi fails."""
     if not (math.isfinite(p) and p >= 1):
         raise InvalidInputError(f"exponent must be a finite number >= 1, got {p}")
+    vals = _grid_values(phi)
     with np.errstate(all="ignore"):
-        vals, bound = phi(LOG_GRID), LOG_GRID ** p
+        bound = LOG_GRID ** p
         ratios = vals / bound
     known = np.flatnonzero(~((vals == bound) & ((bound == 0.0) | (bound == np.inf))))
     worst = int(known[np.argmax(ratios[known])])

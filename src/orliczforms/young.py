@@ -28,12 +28,9 @@ only the |B| prefactor differs (|B|^-1 versus |B|^-(n+k)/n), so comparisons
 between them are exact to rounding by construction.  Ball volumes in the
 prefactors use the closed form, never quadrature.
 
-The Young-function axioms and G(p, q) membership are shape tests of phi's
-values on ``LOG_GRID``, 1000 log-spaced t in [1e-6, 1e6]: phi is convex in
-s = t^p exactly when its secant slopes against s between neighbouring nodes
-are nondecreasing, concave exactly when they are nonincreasing.  The axioms
-take p = 1, and G(p, q) takes the class's p and q.  The tests are
-deterministic and certify the grid only.
+The Young-function axioms and G(p, q) membership are one shape test of
+phi's values on ``LOG_GRID``, 1000 log-spaced t in [1e-6, 1e6]
+(``_shape_violations``); it is deterministic and certifies the grid only.
 """
 
 from __future__ import annotations
@@ -107,7 +104,8 @@ def power_log(p: float) -> YoungFunction:
 
 
 def custom_young(text: str) -> YoungFunction:
-    """Young function from an expression in the variable t; validated by sampling."""
+    """Young function from an expression in the variable t; raises
+    ``InvalidInputError`` when it fails ``young_violations``."""
     node = parse(text)
 
     def fn(t):
@@ -122,43 +120,72 @@ def custom_young(text: str) -> YoungFunction:
     return phi
 
 
-def young_violations(phi) -> list[str]:
-    """The Young-function axioms phi fails; an empty list means clean.
+# name -> (key, type, constructor) of each Young-function family and its one
+# parameter: a config spec is {"name": name, key: value}, a CLI spec name:value
+YOUNG_FAMILIES = {"power": ("p", float, power), "power_log": ("p", float, power_log),
+                  "custom": ("expression", str, custom_young)}
 
-    phi(0) = 0 to 1e-12, and on ``LOG_GRID`` phi is finite, strictly
-    increasing and convex: its secant slopes between neighbouring nodes are
-    nondecreasing, to 1e-12 in their logs.  phi is evaluated under
-    ``np.errstate``, so an overflow shows up as a violation, not a warning.
-    """
-    out = []
+
+def _grid_values(phi, t: np.ndarray = LOG_GRID) -> np.ndarray:
+    """phi at the nodes ``t``, by default ``LOG_GRID``, evaluated under
+    ``np.errstate``, so an overflow shows up as a value, not a warning."""
     with np.errstate(all="ignore"):
-        v0 = float(phi(np.array([0.0]))[0])
-        vals = phi(LOG_GRID)
-    if not abs(v0) <= 1e-12:
-        out.append(f"phi(0) = {v0!r}, expected 0")
-    if not np.all(np.isfinite(vals)):
-        out.append("phi not finite on the sample grid")
-    elif not np.all(np.diff(vals) > 0):
-        out.append("phi not strictly increasing on the sample grid")
-    elif np.any(np.diff(_log_secant_slopes(vals, 1.0)) < -1e-12):
-        out.append("phi not convex on the sample grid")
+        return phi(t)
+
+
+def _shape_violations(phi, p: float, q: float | None = None) -> list[str]:
+    """The one grid test of phi's shape: the violations of phi finite and
+    increasing, convex in s = t^p and, when ``q`` is given, concave in
+    s = t^q on ``LOG_GRID``, read as t-nodes.
+
+    Where a fast-growing phi underflows below the smallest normal float at
+    the bottom of the grid, or overflows to inf at its top, its values carry
+    no shape, so the tests run on the nodes between; those end nodes must
+    still be nondecreasing.  A NaN, a decrease, or an inf below a finite
+    value fails the first test.  phi is convex in s exactly when its secant
+    slopes against s between neighbouring nodes are nondecreasing, concave
+    exactly when they are nonincreasing, to 1e-12 in their logs.  A phi
+    concave in t^q with phi(0) = 0 has phi(t) / t^q nonincreasing, so a 0
+    next to the kept nodes where that bound is a normal float, or an inf
+    where it is finite, fails the concave half too.
+    """
+    vals = _grid_values(phi)
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    # the nodes where phi is a finite normal float: past a run of underflows
+    # at the bottom, before a run of overflows at the top
+    lo = int(np.argmax(~((vals >= 0.0) & (vals < tiny))))
+    hi = vals.size - int(np.argmax(vals[::-1] != np.inf))
+    inner, log_t = vals[lo:hi], np.log(LOG_GRID[lo:hi])
+    if not (hi - lo > 2 and np.all(np.isfinite(inner)) and np.all(np.diff(inner) > 0)
+            and np.all(np.diff(vals[:lo + 1]) >= 0)):
+        return ["phi is not finite and increasing on the grid"]
+
+    def slope_steps(p):
+        # steps of the log secant slopes against s = t^p, log(phi(t_i+1) -
+        # phi(t_i)) - p log t_i - log expm1(p log(t_i+1 / t_i)): no power of t
+        # is formed and log expm1(x) = x + log(-expm1(-x)), so no q overflows
+        x = p * np.diff(log_t)
+        return np.diff(np.log(np.diff(inner)) - p * log_t[:-1] - (x + np.log(-np.expm1(-x))))
+
+    out = []
+    if np.any(slope_steps(p) < -1e-12):
+        out.append("witness g(s) = phi(s^(1/p)) is not convex on the grid")
+    if q is not None:
+        step = q * math.log(LOG_GRID[1] / LOG_GRID[0])  # log (t_i+1 / t_i)^q
+        ends_fit = ((lo == 0 or math.log(inner[0]) - step < math.log(tiny) + 1e-12)
+                    and (hi == vals.size or math.log(inner[-1]) + step > math.log(big) - 1e-12))
+        if not ends_fit or np.any(slope_steps(q) > 1e-12):
+            out.append("witness h(s) = phi(s^(1/q)) is not concave on the grid")
     return out
 
 
-def _log_secant_slopes(vals: np.ndarray, p: float,
-                       nodes: np.ndarray = LOG_GRID) -> np.ndarray:
-    """Logs of the secant slopes of phi against s = t^p between neighbouring
-    ``nodes`` t_i (by default ``LOG_GRID``), from phi's increasing values
-    ``vals`` there:
-    log(phi(t_i+1) - phi(t_i)) - p log t_i - log expm1(p log(t_i+1 / t_i)).
-
-    phi is convex in s exactly when they are nondecreasing, and concave in s
-    exactly when they are nonincreasing.  No power of t is formed, and
-    log expm1(x) is taken as x + log(-expm1(-x)), so no q overflows.
-    """
-    log_t = np.log(nodes)
-    x = p * np.diff(log_t)
-    return np.log(np.diff(vals)) - p * log_t[:-1] - (x + np.log(-np.expm1(-x)))
+def young_violations(phi) -> list[str]:
+    """The Young-function axioms phi fails; an empty list means clean:
+    phi(0) = 0 to 1e-12, and ``_shape_violations`` at p = 1, the test of
+    ``check_g_class`` without its concave half."""
+    v0 = float(_grid_values(phi, np.zeros(1))[0])
+    out = [] if abs(v0) <= 1e-12 else [f"phi(0) = {v0!r}, expected 0"]
+    return out + _shape_violations(phi, 1.0)
 
 
 @dataclass
@@ -175,39 +202,13 @@ def check_g_class(phi: YoungFunction, p: float, q: float) -> GClassReport:
     phi lies in G(p, q, C) when phi(s^(1/p)) / g(s) and phi(s^(1/q)) / h(s)
     stay in [1/C, C] for some convex increasing g and concave increasing h.
     The witnesses g(s) = phi(s^(1/p)) and h(s) = phi(s^(1/q)) meet that
-    sandwich with C = 1, so membership is three shape tests of phi's values
-    on the grid, read as t-nodes: phi finite and increasing, phi convex in
-    s = t^p and concave in s = t^q, by its secant slopes against s between
-    neighbouring nodes, to 1e-12 in their logs.  This is the index test
-    p <= 1 + t phi''(t) / phi'(t) <= q with phi' replaced by its secant, so
-    kinks need no derivative.  It certifies the grid only, t in [1e-6, 1e6];
-    it is a report, not a proof.
-
-    Where a fast-growing phi underflows below the smallest normal float at
-    the bottom of the grid, or overflows to inf at its top, its values carry
-    no shape, so the tests run on the nodes between; those end nodes must
-    still be nondecreasing.  A NaN, a decrease, or an inf below a finite
-    value fails the first test.
+    sandwich with C = 1, so membership is ``_shape_violations`` at p and q,
+    the index test p <= 1 + t phi''(t) / phi'(t) <= q with phi' replaced by
+    its secant, so kinks need no derivative.  It is a report, not a proof.
     """
     if not 1 <= p < q:
         raise InvalidInputError(f"need 1 <= p < q, got p={p}, q={q}")
-    with np.errstate(all="ignore"):
-        vals = phi(LOG_GRID)
-    # the nodes where phi is a finite normal float: past a run of underflows
-    # at the bottom, before a run of overflows at the top
-    lo = int(np.argmax(~((vals >= 0.0) & (vals < np.finfo(float).tiny))))
-    hi = vals.size - int(np.argmax(vals[::-1] != np.inf))
-    inner = vals[lo:hi]
-    violations = []
-    if not (hi - lo > 2 and np.all(np.isfinite(inner)) and np.all(np.diff(inner) > 0)
-            and np.all(np.diff(vals[:lo + 1]) >= 0)):
-        violations.append("phi is not finite and increasing on the grid")
-    else:
-        nodes = LOG_GRID[lo:hi]
-        if np.any(np.diff(_log_secant_slopes(inner, p, nodes)) < -1e-12):
-            violations.append("witness g(s) = phi(s^(1/p)) is not convex on the grid")
-        if np.any(np.diff(_log_secant_slopes(inner, q, nodes)) > 1e-12):
-            violations.append("witness h(s) = phi(s^(1/q)) is not concave on the grid")
+    violations = _shape_violations(phi, p, q)
     return GClassReport(p=float(p), q=float(q), member=not violations,
                         violations=violations)
 

@@ -60,6 +60,28 @@ def test_norm_rejects_bad_phi(capsys):
         assert err.strip()
 
 
+def test_norm_custom_power_prints_the_named_power_value(capsys):
+    # t^60 overflows at the top of the t-grid in both spellings
+    values = []
+    for phi in ("power:60", "custom:t^60"):
+        code, out, _ = run(capsys, "norm", "--form", "poly:x1",
+                           "--kind", "luxemburg", "--phi", phi)
+        assert code == 0
+        values.append(out.strip().rsplit("=", 1)[1])
+    assert values[0] == values[1]
+
+
+def test_phi_help_and_unknown_spec_error_name_every_young_family(capsys):
+    specs = ["power:<p>", "power_log:<p>", "custom:<expression>"]
+    assert cli.PHI_SPECS == ", ".join(specs)
+    with pytest.raises(SystemExit):
+        main(["norm", "--help"])
+    assert cli.PHI_SPECS in " ".join(capsys.readouterr().out.split())
+    code, _, err = run(capsys, "norm", "--form", "poly:x1",
+                       "--kind", "luxemburg", "--phi", "cubic:3")
+    assert code == 2 and cli.PHI_SPECS in err
+
+
 @pytest.mark.parametrize("phi", ["power:inf", "power:nan", "power_log:inf"])
 def test_norm_rejects_a_non_finite_exponent(capsys, phi):
     code, out, err = run(capsys, "norm", "--form", "poly:x1",

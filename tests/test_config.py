@@ -270,14 +270,18 @@ def test_custom_young_built_at_load(expression):
     assert cfg.build_young()(2.0) == 4.0
 
 
-def test_overflowing_custom_young_is_one_violation_and_no_warning():
+def test_overflowing_custom_young_fails_only_the_g_class_gates_and_no_warning():
+    # exp(t) - 1 overflows at the top of the t-grid: a Young function past that
+    # end, but its index 1 + t runs from 1 to about 710, outside G(1.5, 3)
     spec = {"name": "custom", "expression": "exp(t) - 1"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as exc:
             load_config(overrides={"young": spec})
-    assert exc.value.violations == [
-        "young: not a Young function: phi not finite on the sample grid"]
+    fails = ("Young function fails the G(p,q) sandwich: "
+             "witness g(s) = phi(s^(1/p)) is not convex on the grid; "
+             "witness h(s) = phi(s^(1/q)) is not concave on the grid")
+    assert exc.value.violations == [f"thm_lipschitz: {fails}", f"thm_bmo: {fails}"]
 
 
 def test_overflowing_domination_check_is_one_violation_and_no_warning():

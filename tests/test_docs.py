@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+from orliczforms.cli import PHI_SPECS
 from orliczforms.config import DEFAULT_CONFIG
 from orliczforms.corpus import named_form
 
@@ -21,3 +22,8 @@ def test_readme_config_defaults_and_form_specs():
     assert {"zero", "corpus:radial-1form"} <= set(specs)  # first and last row
     for spec in specs:
         named_form(spec, 2)
+
+
+def test_readme_young_specs_are_the_cli_spellings():
+    line = _section("CLI").split("Young-function specs:", 1)[1].split("\n", 1)[0]
+    assert ", ".join(re.findall(r"`([^`]+)`", line)) == PHI_SPECS

@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczforms import (Ball, Box, DifferentialForm, YoungFunction, apply_T,
+from orliczforms import (Ball, Box, ConfigError, DifferentialForm, YoungFunction, apply_T,
                          ball_family, check_g_class, check_phi_dominated,
                          constant_weight, custom_young, lp_norm, luxemburg_norm,
-                         named_form, oscillation_profile, oscillation_residuals,
-                         power, power_log, power_weight, young_violations)
+                         load_config, named_form, oscillation_profile,
+                         oscillation_residuals, power, power_log, power_weight,
+                         young_violations)
+from orliczforms import cli
 from orliczforms import expressions as ex
 from orliczforms import homotopy
+from orliczforms.config import DEFAULT_CONFIG
 from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
                                 NoConvergenceError)
 from orliczforms.forms import CallableField, ExprField
 from orliczforms.homotopy import closed_part
-from orliczforms.young import LUX_REL_TOL
+from orliczforms.young import LOG_GRID, LUX_REL_TOL
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -50,6 +53,50 @@ def test_young_violations_reports_failures():
 @settings(max_examples=20, deadline=None)
 def test_power_is_always_admissible(p):
     assert young_violations(power(p)) == []
+
+
+@pytest.mark.parametrize("expression", ["t^60", "exp(t) - 1"])
+def test_custom_young_accepts_a_phi_that_overflows_at_the_top_of_the_grid(expression):
+    # the axioms skip the ends where phi under- or overflows, as G(p, q) does
+    assert young_violations(custom_young(expression)) == []
+
+
+def _load_violations(overrides: dict) -> list:
+    try:
+        load_config(overrides=overrides)
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
+@pytest.mark.parametrize("P", [2, 60])
+@pytest.mark.parametrize("family, expression", [
+    ("power", "t^{P}"), ("power_log", "t^{P}*log(e + t)")])
+def test_the_spelling_of_a_young_function_does_not_change_its_verdict(family, expression, P):
+    expression = expression.format(P=P)
+    specs = [{"name": family, "p": float(P)}, {"name": "custom", "expression": expression}]
+    phis = [cli._parse_phi(f"{family}:{P}"), cli._parse_phi(f"custom:{expression}")]
+    with np.errstate(over="ignore"):
+        np.testing.assert_allclose(phis[0](LOG_GRID), phis[1](LOG_GRID), rtol=1e-15, atol=0)
+    assert young_violations(phis[0]) == young_violations(phis[1]) == []
+    for p, q in [(1.5, 3.0), (P - 1, P + 1), (P, P + 2), (P + 0.5, P + 2)]:
+        reports = [check_g_class(phi, p, q) for phi in phis]
+        assert reports[0].violations == reports[1].violations
+    for g_class in [DEFAULT_CONFIG["g_class"], {"p": P - 1, "q": P + 1}]:
+        loads = [_load_violations({"young": spec, "g_class": g_class}) for spec in specs]
+        assert loads[0] == loads[1]
+    for weighted in [DEFAULT_CONFIG["weighted"],
+                     {"p": 300.0, "q": 100.0, "alpha": 2.0, "s": float(P)}]:
+        loads = [_load_violations({"weighted": {**weighted, "young": spec},
+                                   "verifiers": ["weighted_lipschitz"]}) for spec in specs]
+        assert loads[0] == loads[1]
+
+
+def test_a_high_power_loads_in_either_spelling():
+    g_class = {"p": 59.0, "q": 61.0}
+    for spec in ({"name": "power", "p": 60}, {"name": "custom", "expression": "t^60"}):
+        assert _load_violations({"young": spec, "g_class": g_class,
+                                 "verifiers": ["thm_lipschitz"]}) == []
 
 
 # ---------------------------------------------------------------- luxemburg
@@ -416,6 +463,25 @@ def test_g_class_skips_the_under_and_overflowing_ends_of_the_grid():
     assert check_g_class(power_log(60.0), 59.0, 62.0).member
     assert check_g_class(power(60.0), 60.5, 62.0).violations == [G_FAILS]
     assert check_g_class(power(60.0), 58.0, 59.5).violations == [H_FAILS]
+
+
+def test_a_phi_that_vanishes_up_to_one_is_young_but_in_no_g_class():
+    # abs(t - 1) + t - 1 is 0 up to t = 1 and 2(t - 1) above: convex,
+    # nondecreasing and 0 at 0, so a Young function.  A phi concave in t^q
+    # with phi(0) = 0 has phi(t) / t^q nonincreasing, so phi(t) >= 0.0277
+    # (t / 1.0139)^q below the first positive node; 0 breaks that bound, so
+    # the zeros are no underflow and no G(p, q) holds it
+    phi = custom_young("abs(t - 1) + t - 1")
+    assert young_violations(phi) == []
+    for q in (1.001, 2.0, 100.0):
+        assert check_g_class(phi, 1.0, q).violations == [H_FAILS]
+
+
+def test_g_class_rejects_an_inf_that_its_concave_bound_keeps_finite():
+    # concave in t^3, t^2 = 1e10 at t = 1e5 stays below 1e25 up to 1e6, so an
+    # inf above 1e5 is no overflow
+    phi = YoungFunction(lambda t: np.where(t > 1e5, np.inf, t ** 2), "custom")
+    assert check_g_class(phi, 1.5, 3.0).violations == [H_FAILS]
 
 
 NOT_INCREASING = "phi is not finite and increasing on the grid"
