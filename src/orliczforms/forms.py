@@ -16,11 +16,13 @@ The T kernel does not evaluate fields at its segment points directly: it
 asks each field, through ``_t_integral``, for its t-integral
 sum_j w_j f(t_j x + (1 - t_j) y) over the t-rule, at every y-node y and
 every point x of a batch, as one (Y, m) block.  The segment points arrive
-as a ``SegmentPoints``, which holds coordinate i as one (d_i, t, u_i) plane
-over the d_i distinct values of y_i among the y-nodes and the u_i distinct
-values of x_i among the points, with a map from each y-node to its row and
-from each point to its column.  Two fields of this module integrate
-themselves, chosen by exact type: a ``LinearCombinationField`` combines the
+as a ``SegmentPoints``, whose ``SegmentGeometry`` holds coordinate i as one
+(d_i, t, u_i) plane over the d_i distinct values of y_i among the y-nodes
+and the u_i distinct values of x_i among the points, with a map from each
+y-node to its row and from each point to its column; the geometry has no
+t-weights, so the kernel can share one, read-only, among the forms and
+degrees it evaluates on the same batch against the same y-nodes.  Two
+fields of this module integrate themselves, chosen by exact type: a ``LinearCombinationField`` combines the
 t-integrals of its terms, and an ``ExprField`` recurses over its
 expression, split once when it is built into maximal single-coordinate
 subtrees.  Its t-integral distributes over sums, differences and constant
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, NamedTuple, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -110,10 +112,66 @@ def _distinct(col: np.ndarray):
 CHUNK_VALUES = 16384
 
 
+class SegmentSide(NamedTuple):
+    """One side of a T batch's segment geometry, per coordinate i: the
+    products of the distinct values of coordinate i with the t-nodes, and
+    the map from each point or y-node to its value.
+
+    On the x-side (``x_side``) the products are t_j x_i, shape (t, u_i),
+    over the u_i distinct values of x_i among the m points, and the maps
+    have shape (m,); on the y-side (``y_side``) they are (1 - t_j) y_i,
+    shape (d_i, t), over the d_i distinct values of y_i among the Y
+    y-nodes, and the maps have shape (Y,).  Values are compared by their
+    bits, so that -0.0 and 0.0 stay apart."""
+
+    products: list
+    maps: list
+
+
+def x_side(cols: np.ndarray, tj: np.ndarray) -> SegmentSide:
+    """The x-side of the batch ``cols``, C-contiguous (n, m) coordinate
+    rows, for the t-nodes ``tj``."""
+    products, maps = [], []
+    for col in cols:
+        values, inv = _distinct(col)
+        products.append(tj[:, None] * values)
+        maps.append(inv)
+    return SegmentSide(products, maps)
+
+
+def y_side(ys: np.ndarray, tj: np.ndarray) -> SegmentSide:
+    """The y-side of the (Y, n) y-nodes ``ys`` for the t-nodes ``tj``."""
+    products, maps = [], []
+    for ycol in ys.T:
+        values, rows = _distinct(ycol)
+        products.append((1.0 - tj) * values[:, None])
+        maps.append(rows)
+    return SegmentSide(products, maps)
+
+
+class SegmentGeometry:
+    """Where the segment points of a T batch lie, apart from the t-weights:
+    the batch's x-side, the y-nodes' y-side and the coordinate planes that
+    add them.
+
+    It depends on the t-nodes, which every degree shares, and not on the
+    t-weights, which carry t^(l-1): so one geometry serves every form and
+    every degree evaluated on the same batch against the same y-nodes.  A
+    plane is formed on first request by any ``SegmentPoints`` over the
+    geometry and kept in ``planes``, so the others read it again.  Its
+    arrays are read-only."""
+
+    def __init__(self, xside: SegmentSide, yside: SegmentSide):
+        for a in (*xside.products, *xside.maps, *yside.products, *yside.maps):
+            a.setflags(write=False)
+        self.xside, self.yside = xside, yside
+        self.planes = [None] * len(xside.products)
+
+
 class SegmentPoints:
     """The segment points t_j x_k + (1 - t_j) y_q of one T-kernel batch of
-    points x_k, for all y-nodes y_q at once, with the weights ``tw`` of the
-    t-rule.
+    points x_k, for all y-nodes y_q at once: a ``SegmentGeometry`` with the
+    weights ``tw`` of the t-rule.
 
     Coordinate i of a segment point depends only on (y_qi, t_j, x_ki), and
     both the batches that T is evaluated on and the y-nodes of a bump's rule
@@ -123,11 +181,12 @@ class SegmentPoints:
     among the points (both compared by their bits, so that -0.0 and 0.0 stay
     apart), with the maps ``rows[i]`` of shape (Y,) from each y-node to its
     row and ``inverses[i]`` of shape (m,) from each point to its column.
-    t_j x_i and (1 - t_j) y_i are formed once per batch and each plane entry
-    adds them: the sum of the same two rounded products as in the full
-    segment array, so it has the same bits.  A plane is formed on first
-    request; ``on_rows`` forms a plane that would hold more than
-    ``CHUNK_VALUES`` values only in parts of its rows.
+    t_j x_i and (1 - t_j) y_i are formed once per side (``SegmentSide``)
+    and each plane entry adds them: the sum of the same two rounded products
+    as in the full segment array, so it has the same bits.  A plane is
+    formed on first request and kept in the geometry; ``on_rows`` forms a
+    plane that would hold more than ``CHUNK_VALUES`` values only in parts
+    of its rows.
 
     An ``ExprField`` evaluates and t-sums each one-coordinate leaf of its
     split on the leaf's plane, in parts of its rows (``on_rows``), and takes
@@ -146,27 +205,18 @@ class SegmentPoints:
     (n, Y, t, m) buffer, points in (y, t, point) order.
     """
 
-    def __init__(self, cols: np.ndarray, ys: np.ndarray, tj: np.ndarray,
-                 tw: np.ndarray):
-        """``cols``: the batch as C-contiguous (n, m) coordinate rows;
-        ``ys``: the (Y, n) y-nodes; ``tj``, ``tw``: the (t,) nodes and
-        weights of the t-rule."""
-        n, m = cols.shape
-        self._tx, self.inverses, self._ty, self.rows = [], [], [], []
-        for col, ycol in zip(cols, ys.T):
-            values, inv = _distinct(col)
-            self._tx.append(tj[:, None] * values)  # (t, u_i)
-            self.inverses.append(inv)
-            yvalues, rows = _distinct(ycol)
-            self._ty.append((1.0 - tj) * yvalues[:, None])  # (d_i, t)
-            self.rows.append(rows)
+    def __init__(self, geometry: SegmentGeometry, tw: np.ndarray):
+        """``tw``: the (t,) weights of the t-rule whose nodes ``geometry``
+        was formed with."""
+        self.geometry = geometry
+        self._tx, self.inverses = geometry.xside
+        self._ty, self.rows = geometry.yside
         self.widths = [tx.shape[1] for tx in self._tx]
-        self._planes = [None] * n
         self.tw = tw
         self.tw_sum = float(tw.sum())  # the t-integral of a constant 1
-        self.m = m
-        self.ynodes = ys.shape[0]
-        self.shape = (self.ynodes * tj.size * m, n)
+        self.m = self.inverses[0].size
+        self.ynodes = self.rows[0].size
+        self.shape = (self.ynodes * tw.size * self.m, len(self._tx))
 
     def _plane_rows(self, i: int, a: int, b: int) -> np.ndarray:
         """Rows a..b-1 of ``plane(i)``."""
@@ -175,9 +225,11 @@ class SegmentPoints:
     def plane(self, i: int) -> np.ndarray:
         """Coordinate i at the segment points, over its distinct values of
         y_i and x_i: shape (d_i, t, u_i)."""
-        if self._planes[i] is None:
-            self._planes[i] = self._plane_rows(i, 0, self._ty[i].shape[0])
-        return self._planes[i]
+        planes = self.geometry.planes
+        if planes[i] is None:
+            planes[i] = self._plane_rows(i, 0, self._ty[i].shape[0])
+            planes[i].setflags(write=False)
+        return planes[i]
 
     @property
     def ynode_planes(self) -> list:
@@ -211,13 +263,10 @@ class SegmentPoints:
         the part's planes."""
         if a == 0 and b >= self.ynodes:
             return self
-        part = copy.copy(self)
-        part._ty = [ty.take(rows[a:b], axis=0) for ty, rows in zip(self._ty, self.rows)]
-        part.ynodes = part._ty[0].shape[0]
-        part.rows = [np.arange(part.ynodes)] * len(self._tx)
-        part._planes = [None] * len(self._tx)
-        part.shape = (part.ynodes * self.tw.size * self.m, self.shape[1])
-        return part
+        ty = [ty.take(rows[a:b], axis=0) for ty, rows in zip(self._ty, self.rows)]
+        rows = [np.arange(ty[0].shape[0])] * len(ty)
+        return SegmentPoints(SegmentGeometry(self.geometry.xside, SegmentSide(ty, rows)),
+                             self.tw)
 
     def chunked(self, fn, width: int) -> np.ndarray:
         """``fn(part)``, shape (part.ynodes, m), for each part of consecutive

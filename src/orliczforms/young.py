@@ -141,10 +141,12 @@ def _shape_violations(phi, p: float, q: float | None = None) -> list[str]:
     Where a fast-growing phi underflows below the smallest normal float at
     the bottom of the grid, or overflows to inf at its top, its values carry
     no shape, so the tests run on the nodes between; those end nodes must
-    still be nondecreasing.  A NaN, a decrease, or an inf below a finite
-    value fails the first test.  phi is convex in s exactly when its secant
-    slopes against s between neighbouring nodes are nondecreasing, concave
-    exactly when they are nonincreasing, to 1e-12 in their logs.  A phi
+    still be nondecreasing.  Without ``q`` the convexity slopes start at the
+    last node of the bottom run, so a phi that jumps from 0 is not convex.
+    A NaN, a decrease, or an inf below a finite value fails the first test.
+    phi is convex in s exactly when its secant slopes against s between
+    neighbouring nodes are nondecreasing, concave exactly when they are
+    nonincreasing, to 1e-12 in their logs.  A phi
     concave in t^q with phi(0) = 0 has phi(t) / t^q nonincreasing, so a 0
     next to the kept nodes where that bound is a normal float, or an inf
     where it is finite, fails the concave half too.
@@ -155,7 +157,11 @@ def _shape_violations(phi, p: float, q: float | None = None) -> list[str]:
     # at the bottom, before a run of overflows at the top
     lo = int(np.argmax(~((vals >= 0.0) & (vals < tiny))))
     hi = vals.size - int(np.argmax(vals[::-1] != np.inf))
-    inner, log_t = vals[lo:hi], np.log(LOG_GRID[lo:hi])
+    # the axioms (no q) start their convexity slopes at the last node of a
+    # bottom run, so a jump from 0 is not convex; under G(p, q) the concave
+    # bound at q already fails such a jump, and the slopes start past the run
+    start = lo - 1 if q is None and lo > 0 else lo
+    inner, log_t = vals[start:hi], np.log(LOG_GRID[start:hi])
     if not (hi - lo > 2 and np.all(np.isfinite(inner)) and np.all(np.diff(inner) > 0)
             and np.all(np.diff(vals[:lo + 1]) >= 0)):
         return ["phi is not finite and increasing on the grid"]

@@ -16,8 +16,8 @@ from orliczforms import expressions as ex
 from orliczforms import forms
 from orliczforms.forms import (BumpField, CallableField, ConstantField, ExprField,
                                FDPartialField, GridField, LinearCombinationField,
-                               RadialPowerField, SegmentPoints, _OnPlane, _points_for,
-                               _pts, _t_integral)
+                               RadialPowerField, SegmentGeometry, SegmentPoints, _OnPlane,
+                               _points_for, _pts, _t_integral, x_side, y_side)
 from orliczforms.homotopy import T_NODES, _t_rule
 
 
@@ -470,6 +470,12 @@ def _split_problems(fields, seg):
     return problems
 
 
+def _segment_points(pts, ys, tj, tw):
+    """The ``SegmentPoints`` of the (m, n) batch ``pts`` on fresh sides."""
+    return SegmentPoints(SegmentGeometry(x_side(np.ascontiguousarray(pts.T), tj),
+                                         y_side(ys, tj)), tw)
+
+
 def _segment_array(pts, ys, tj):
     """The segment points t_j x + (1 - t_j) y, in (y, t, point) order."""
     return (tj[None, :, None, None] * pts[None, None, :, :]
@@ -489,7 +495,7 @@ def test_expr_field_on_segment_planes_bit_equal_to_segment_array(dims):
     problems = []
     for pts in (lattice, only_x1):
         ys = rng.uniform(0.0, 1.0, (4, dims))
-        seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+        seg = _segment_points(pts, ys, tj, tw)
         assert _pts(seg).tobytes() == _segment_array(pts, ys, tj).tobytes()
         problems += _plane_problems(fields, seg) + _split_problems(fields, seg)
     assert problems == []
@@ -509,8 +515,7 @@ def test_grid_field_on_segment_planes_bit_equal_to_segment_array(dims):
     scattered = rng.uniform(-0.05, 1.05, (40, dims))
     problems = []
     for pts in (lattice, scattered):
-        seg = SegmentPoints(np.ascontiguousarray(pts.T),
-                            rng.uniform(0.0, 1.0, (3, dims)), tj, tw)
+        seg = _segment_points(pts, rng.uniform(0.0, 1.0, (3, dims)), tj, tw)
         assert _points_for(f, seg) is seg
         problems += _plane_problems(fields, seg)
     assert problems == []
@@ -568,7 +573,7 @@ def test_segment_points_keep_signed_zeros_apart():
     tj, tw = _t_rule(1)
     pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
     y = np.array([-0.0, -0.0])
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), y[None, :], tj, tw)
+    seg = _segment_points(pts, y[None, :], tj, tw)
     want = _segment_array(pts, y[None, :], tj)
     assert np.signbit(want).any() and not np.signbit(want).all()
     assert _pts(seg).tobytes() == want.tobytes()
@@ -621,7 +626,7 @@ def test_closed_form_fields_on_segment_planes_bit_equal_to_segment_array(dims, b
     # so that segment points sit exactly on it (r = 0)
     pts = np.vstack([pts, np.zeros((1, dims))])
     ys = np.vstack([np.zeros((1, dims)), rng.uniform(0.0, 1.0, (3, dims))])
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    seg = _segment_points(pts, ys, tj, tw)
     arr = _pts(seg)
     assert (np.sum(arr * arr, axis=1) == 0.0).any()
     fields = _closed_form_fields(dims, np.zeros(dims), 0.6)
@@ -696,7 +701,7 @@ def test_leaf_product_bit_equal_on_the_pair_box_and_expanded(dims, a, b, batch, 
     pts, on_box = _pair_batches(dims, a)[batch]
     tj, tw = _t_rule(1)
     ys = np.random.default_rng(ynodes).uniform(0.0, 1.0, (ynodes, dims))
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    seg = _segment_points(pts, ys, tj, tw)
     expanded = seg.chunked(
         lambda part: forms._t_sum(part.tw, left.ev(part), right.ev(part)), seg.m)
     assert forms._pair_box(left, right, seg) is on_box
@@ -772,7 +777,7 @@ def test_t_integral_agrees_with_t_sum_of_field_values(data):
     ys = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n,
                                               max_size=n), min_size=1, max_size=4),
                             label="ys"))
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    seg = _segment_points(pts, ys, tj, tw)
     shape = (ys.shape[0], pts.shape[0])
     ref = np.einsum("t,ytm->ym", tw, f(_pts(seg)).reshape(shape[0], tj.size, shape[1]))
     got = _t_integral(f, seg)

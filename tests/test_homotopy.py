@@ -1,4 +1,5 @@
 """Averaged cone-contraction operator and the decomposition identity."""
+import collections
 import functools
 import tracemalloc
 
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 from orliczforms import (Ball, Box, DifferentialForm, OscillationNormSpec, apply_Ky,
                          apply_T, ball_family, build_corpus, closed_part,
                          decomposition_residual, default_domain, homotopy, materialize,
-                         named_form)
+                         named_form, oscillation_residuals)
 from orliczforms.errors import DegreeError, InvalidInputError
 from orliczforms import expressions as ex
 from orliczforms import forms as forms_module
 from orliczforms.exterior import _contraction_table, num_components
-from orliczforms.forms import (ExprField, LinearCombinationField, SegmentPoints,
-                               _OnPlane, _t_integral)
+from orliczforms.forms import (ExprField, LinearCombinationField, SegmentGeometry,
+                               SegmentPoints, _OnPlane, _t_integral, x_side, y_side)
 from orliczforms.homotopy import (FD_SCALE, T_NODES, BumpFunction, _t_rule, _TuEvaluator,
                                   closed_part_values)
 
@@ -114,6 +115,12 @@ def _split_integral(node, coords, tw):
             return _sum_over_t(tw, _split_values(left, coords),
                                _split_values(right, coords))
     return _sum_over_t(tw, _split_values(node, coords))
+
+
+def _segment_points(pts, ys, tj, tw):
+    """The ``SegmentPoints`` of the (m, n) batch ``pts`` on fresh sides."""
+    return SegmentPoints(SegmentGeometry(x_side(np.ascontiguousarray(pts.T), tj),
+                                         y_side(ys, tj)), tw)
 
 
 def _field_integral(f, seg, tw):
@@ -406,6 +413,102 @@ def test_T_kernel_evaluates_each_leaf_once_per_distinct_y_value(monkeypatch):
         5 * T_NODES * widths[axis] for axis, _ in seen)
 
 
+# The default bump keeps the segment geometry of its rule's own nodes, its
+# x-side, y-side and planes, and every form and degree whose T is evaluated
+# on that node array reads it; any other batch gets a fresh x-side on the
+# bump's kept y-side.  The bits are those of fresh segment points.
+@pytest.mark.parametrize("dims,kind,res", [(2, "box", 15), (2, "ball", 15),
+                                           (3, "box", 12), (3, "ball", 11)])
+def test_T_at_the_rule_nodes_bit_equal_on_the_shared_geometry(dims, kind, res, monkeypatch):
+    boxes = []
+    box_integral = forms_module._box_integral
+    monkeypatch.setattr(forms_module, "_box_integral",
+                        lambda *args: boxes.append(1) or box_integral(*args))
+    region = _kernel_regions(dims)[kind]
+    nodes = region.quadrature(res).points
+    forms = {fid: u for fid, u in _kernel_forms(dims).items() if fid != "closed-part"}
+    assert {u.degree for u in forms.values()} == set(range(1, dims + 1))
+    geometry = None
+    for fid in [*forms, next(iter(forms))]:  # the first again after all the others
+        ev = apply_T(forms[fid], region, resolution=res).components[0].evaluator
+        got = ev.coeffs(nodes)
+        geometry = geometry or ev.shared.node_geometry
+        assert ev.shared.node_geometry is geometry and ev.ys.shape[0] > 1
+        want = _TuEvaluator(forms[fid], ev.ys, ev.ws).coeffs(nodes)
+        assert got.tobytes() == want.tobytes(), fid
+    assert all(plane is not None for plane in geometry.planes) and boxes
+
+
+def _counting_sides(monkeypatch):
+    """Count the x-sides and y-sides the kernel builds."""
+    built = collections.Counter()
+    for name in ("x_side", "y_side"):
+        def counting(cols, tj, _side=getattr(homotopy, name), _name=name):
+            built[_name] += 1
+            return _side(cols, tj)
+        monkeypatch.setattr(homotopy, name, counting)
+    return built
+
+
+def _sweep_family():
+    spec = OscillationNormSpec(kind="bmo", ball_count=24)
+    return ball_family(default_domain(2), 24, spec.radius_fraction, expansion=spec.sigma)
+
+
+def _sweep_forms():
+    return [DifferentialForm(2, 1, (f"{a}*x2^3 + x1^2*x2", f"x1^3 - {a}*x1*x2"))
+            for a in (0.5, 1.5)] + [
+            DifferentialForm(2, 1, (f"{a}*sin(pi*x2) + x1*cos(pi*x2)", f"cos(pi*x1) + {a}*x2"))
+            for a in (0.5, 1.5)] + [named_form(f"corpus:{eid}", 2) for eid in (
+                "poly-closed-1form", "trig-closed-1form", "poly-1form", "mixed-1form")]
+
+
+def test_closed_parts_build_one_x_side_per_ball(monkeypatch):
+    balls, forms = _sweep_family(), _sweep_forms()
+    built = _counting_sides(monkeypatch)
+    for u in forms:
+        oscillation_residuals(u, balls, ball_resolution=21)
+    assert len(forms) == 8 and len(balls) == 24
+    assert built == {"x_side": 24, "y_side": 24}  # not 192 of each
+
+
+def test_explicit_bump_and_other_batches_build_fresh_sides(monkeypatch):
+    ball, res = Ball([0.5, 0.5], 0.2), 15
+    nodes = ball.quadrature(res).points
+    u = named_form("corpus:trig-1form", 2)
+    built = _counting_sides(monkeypatch)
+    psi = BumpFunction(ball, resolution=res)
+    tu = apply_T(u, ball, bump=psi)
+    for _ in range(2):
+        tu.evaluate(nodes)
+    assert built == {"x_side": 2, "y_side": 2}
+    assert "yside" not in vars(psi) and "node_geometry" not in vars(psi)
+    built.clear()
+    tu = apply_T(u, ball, resolution=res)
+    for pts in (nodes.copy(), _random_points(ball), nodes[:7]):
+        tu.evaluate(pts)
+    assert built == {"x_side": 3, "y_side": 1}
+    assert "node_geometry" not in vars(tu.components[0].evaluator.shared)
+
+
+def test_shared_geometry_memory_of_a_ball_family():
+    # what a family keeps after one form's closed parts: per ball at
+    # resolution 21, its bump with the x-side of the rule's 311 nodes, the
+    # y-side of its 21 y-nodes and two (5, 32, 21) planes, 72 kB measured
+    balls, u = _sweep_family(), _sweep_forms()[0]
+    for ball in balls:
+        ball.quadrature(21)
+    oscillation_residuals(_sweep_forms()[1], balls[:1], ball_resolution=21)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oscillation_residuals(u, balls, ball_resolution=21)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept <= 24 * 96_000
+
+
 # Only the (., Y, m) blocks of the kernel grow with the y-node count Y: the
 # C t-integrals, x - y, the contraction and its one product row.  Every
 # array that expands to the points is held to a part of the y-nodes.
@@ -449,7 +552,7 @@ def test_grid_field_basis_memory_on_a_scattered_batch(monkeypatch):
     tj, tw = _t_rule(1)
 
     def integral():
-        return _t_integral(f, SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw))
+        return _t_integral(f, _segment_points(pts, ys, tj, tw))
 
     tracemalloc.start()
     try:
@@ -673,7 +776,7 @@ def test_du_of_closed_form_t_integrates_to_zero(dims, eid):
     pts = ball.quadrature(9).points
     tj, tw = _t_rule(du.degree)
     ys = ball.quadrature(5).points
-    seg = SegmentPoints(np.ascontiguousarray(pts.T), ys, tj, tw)
+    seg = _segment_points(pts, ys, tj, tw)
     for f in du.components:
         got = _t_integral(f, seg)
         assert got.shape == (ys.shape[0], pts.shape[0]) and np.all(got == 0.0)

@@ -61,6 +61,24 @@ def test_custom_young_accepts_a_phi_that_overflows_at_the_top_of_the_grid(expres
     assert young_violations(custom_young(expression)) == []
 
 
+def test_young_violations_sees_a_jump_from_a_bottom_run_of_zeros():
+    # 0 up to t = 1e-3 and t^2 from there: a jump from 0 to 1e-6, not convex;
+    # the convexity slopes start at the last zero, not at the first 1e-6
+    phi = YoungFunction(lambda t: np.where(t < 1e-3, 0.0, t ** 2), "jump")
+    assert young_violations(phi) == ["witness g(s) = phi(s^(1/p)) is not convex on the grid"]
+
+
+@pytest.mark.parametrize("spec", ["t^60", "t^300", "exp(t) - 1", "exp(t^2) - 1",
+                                  "abs(t - 1) + t - 1", 1, 1.5, 2, 3, 51, 52, 200])
+def test_young_functions_stay_young_when_the_slopes_start_at_the_bottom_run(spec):
+    # t^52 and up underflow at the bottom of the grid and abs(t - 1) + t - 1
+    # is 0 up to t = 1: the jump that ends each run is convex
+    phi = custom_young(spec) if isinstance(spec, str) else power(spec)
+    assert young_violations(phi) == []
+    if spec == "t^60":  # the concave bound at q keeps its slopes past the run
+        assert check_g_class(phi, 59.0, 61.0).member
+
+
 def _load_violations(overrides: dict) -> list:
     try:
         load_config(overrides=overrides)
