@@ -34,14 +34,16 @@ from .young import (YOUNG_FAMILIES, OscillationNormSpec, lp_norm, luxemburg_norm
 
 ENV_CONFIG = "ORLICZFORMS_CONFIG"
 # the --phi spellings, one per Young-function family
-PHI_SPECS = ", ".join(f"{name}:<{key}>" for name, (key, _, _) in YOUNG_FAMILIES.items())
+PHI_SPECS = ", ".join(f"{name}:<{key}>" for name, (keys, _) in YOUNG_FAMILIES.items()
+                      for key in keys)
 
 
 def _parse_phi(spec: str):
     name, _, rest = spec.partition(":")
     if name not in YOUNG_FAMILIES:
         raise ConfigError([f"unknown Young function spec {spec!r}; use {PHI_SPECS}"])
-    _, kind, make = YOUNG_FAMILIES[name]
+    keys, make = YOUNG_FAMILIES[name]
+    (kind,) = keys.values()
     try:
         value = kind(rest)
     except ValueError:

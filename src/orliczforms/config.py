@@ -5,7 +5,7 @@ Schema (all keys optional, defaults shown):
 
 {
   "dims": 2,
-  "domain": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+  "domain": null,                    // null -> unit box; else a domain spec
   "grid_resolution": 51,
   "ball_resolution": 15,
   "ball_count": 24,
@@ -13,14 +13,14 @@ Schema (all keys optional, defaults shown):
   "rho": null,                       // null -> same as sigma
   "k": 0.5,
   "radius_fraction": 0.25,
-  "young": {"name": "power", "p": 2.0},           // or power_log / custom
+  "young": {"name": "power", "p": 2.0},           // a Young function spec
   "g_class": {"p": 1.5, "q": 3.0},  // young must lie in G(p, q)
   "conjugate": {"p": 2.0, "q": 2.0},
   "weighted": {"p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
                "young": {"name": "power", "p": 1.2}},
-  "weights": [{"name": "constant", "value": 1.0},
+  "weights": [{"name": "constant", "value": 1.0},  // nonempty, weight specs
               {"name": "constant", "value": 2.5},
-              {"name": "power", "exponent": 0.5}], // optional "center"
+              {"name": "power", "exponent": 0.5}],
   "lemma_exponent_t": 2.0,
   "sobolev_t": 1.5,
   "osc_a_values": [0.5, 1.0, 2.0],
@@ -28,8 +28,14 @@ Schema (all keys optional, defaults shown):
   "stability_check": true
 }
 
+A domain spec names its "kind" in ``geometry.DOMAIN_FAMILIES``, a Young
+function spec and a weight spec their "name" in ``young.YOUNG_FAMILIES`` and
+``weights.WEIGHT_FAMILIES``.  One reader checks the name, the keys and each
+key's kind, then builds the spec, so each range rule is its constructor's.
+
 ``grid_resolution ** dims`` and ``ball_resolution ** dims`` may not exceed
 ``NODE_BUDGET`` (10^6 nodes), so no gate samples a grid larger than that.
+Both ball families, at sigma and at rho, must be placeable in the domain.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, OrliczFormsError
-from .geometry import Ball, Box, Domain
+from .corpus import default_domain
+from .geometry import DOMAIN_FAMILIES, Domain, ball_family
 from .harness import VERIFIER_NAMES, VERIFIERS
-from .weights import constant_weight, custom_weight, power_weight
+from .weights import WEIGHT_FAMILIES
 from .young import YOUNG_FAMILIES, YoungFunction
 
 __all__ = ["RunConfig", "load_config", "DEFAULT_CONFIG"]
@@ -74,19 +81,6 @@ DEFAULT_CONFIG: dict = {
 
 NODE_BUDGET = 10 ** 6  # most nodes a grid or ball quadrature may have
 
-# the keys each nested section may hold; a weight by its "name", a domain by
-# its "kind" (a Young function spec by ``YOUNG_FAMILIES``)
-_SECTION_KEYS = {
-    "g_class": ("p", "q"),
-    "conjugate": ("p", "q"),
-    "weighted": ("p", "q", "alpha", "s", "young"),
-    "weights": {"constant": ("name", "value"),
-                "power": ("name", "exponent", "center"),
-                "custom": ("name", "expression")},
-    "domain": {"box": ("kind", "lo", "hi"), "ball": ("kind", "center", "radius")},
-}
-
-
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -96,31 +90,45 @@ def _check_keys(spec, allowed: tuple, where: str, errors: list):
         errors.extend(f"{where}: unknown key {k!r}" for k in spec if k not in allowed)
 
 
-def _check_young_spec(spec, where: str, errors: list):
-    """Check a Young function spec by building it, so its family's own
-    checks (p >= 1, the Young-function axioms) run at load."""
-    if not isinstance(spec, dict) or "name" not in spec:
-        errors.append(f"{where}: expected an object with a 'name' key")
-        return
-    name = spec["name"]
-    if not (isinstance(name, str) and name in YOUNG_FAMILIES):
-        errors.append(f"{where}: unknown Young function {name!r}")
-        return
-    key, kind, make = YOUNG_FAMILIES[name]
-    _check_keys(spec, ("name", key), where, errors)
-    value = spec.get(key)
-    if not (_is_num(value) if kind is float else isinstance(value, kind)):
-        errors.append(f"{where}: {name} needs a {kind.__name__} {key!r}, got {value!r}")
-        return
+def _fits(value, kind, dims: int) -> bool:
+    """Whether ``value`` is of a family key's ``kind``."""
+    if kind is float:
+        return _is_num(value)
+    if value is None or kind is str:
+        return isinstance(value, kind)  # None fits only ``list | None``
+    return isinstance(value, list) and len(value) == dims and all(map(_is_num, value))
+
+
+def _make(spec: dict, families: dict, label: str, *context):
+    """Build a checked ``spec`` by the family its ``label`` key names."""
+    keys, make = families[spec[label]]
+    return make(*context, *(spec.get(key) for key in keys))
+
+
+def _read(spec, families: dict, label: str, where: str, errors: list, dims: int,
+          *context):
+    """Build ``spec``, an object {label: name, key: value, ...}, from its
+    family table; add to ``errors`` an unknown name, unknown keys, the first
+    value not of its key's kind, or the constructor's ``OrliczFormsError``,
+    and return None when it cannot be built."""
+    name = spec.get(label) if isinstance(spec, dict) else None
+    if not (isinstance(name, str) and name in families):
+        errors.append(f"{where}: unknown {label} {name!r}; expected an object "
+                      f"with {label!r} in {list(families)}")
+        return None
+    keys = families[name][0]
+    _check_keys(spec, (label, *keys), where, errors)
+    for key, kind in keys.items():
+        if not _fits(spec.get(key), kind, dims):
+            what = ("a finite number" if kind is float else "a string" if kind is str
+                    else f"a length-{dims} point")
+            errors.append(f"{where}: {key} must be {what}")
+            return None
     try:
-        make(value)
+        return _make(spec, families, label, *context)
     except OrliczFormsError as exc:
         errors.append(f"{where}: {exc}")
-
-
-def _build_young(spec: dict) -> YoungFunction:
-    key, _, make = YOUNG_FAMILIES[spec["name"]]
-    return make(spec[key])
+        return None
 
 
 @dataclass
@@ -159,32 +167,18 @@ class RunConfig:
     def build_domain(self) -> Domain:
         spec = self.raw["domain"]
         if spec is None:
-            n = self.raw["dims"]
-            return Box([0.0] * n, [1.0] * n)
-        if spec["kind"] == "box":
-            return Box(spec["lo"], spec["hi"])
-        return Ball(spec["center"], spec["radius"])
+            return default_domain(self.raw["dims"])
+        return _make(spec, DOMAIN_FAMILIES, "kind")
 
     def build_young(self) -> YoungFunction:
-        return _build_young(self.raw["young"])
+        return _make(self.raw["young"], YOUNG_FAMILIES, "name")
 
     def build_weighted_young(self) -> YoungFunction:
-        return _build_young(self.raw["weighted"]["young"])
+        return _make(self.raw["weighted"]["young"], YOUNG_FAMILIES, "name")
 
     def build_weights(self) -> list:
-        out = []
-        for spec in self.raw["weights"]:
-            if spec["name"] == "constant":
-                out.append(constant_weight(spec["value"]))
-            elif spec["name"] == "power":
-                center = spec.get("center")
-                if center is None:
-                    from .corpus import _offgrid_center
-                    center = _offgrid_center(self.build_domain())
-                out.append(power_weight(center, spec["exponent"]))
-            else:
-                out.append(custom_weight(spec["expression"], self.raw["dims"]))
-        return out
+        domain = self.build_domain()
+        return [_make(spec, WEIGHT_FAMILIES, "name", domain) for spec in self.raw["weights"]]
 
     def enabled_verifiers(self) -> tuple:
         names = self.raw["verifiers"]
@@ -204,24 +198,9 @@ def _validate(run_cfg: RunConfig) -> list:
         dims = 2  # keep later checks meaningful
 
     dom = cfg["domain"]
-    if dom is not None:
-        if not isinstance(dom, dict) or dom.get("kind") not in ("box", "ball"):
-            e.append("domain: expected {'kind': 'box'|'ball', ...}")
-        elif dom["kind"] == "box":
-            _check_keys(dom, _SECTION_KEYS["domain"]["box"], "domain", e)
-            lo, hi = dom.get("lo"), dom.get("hi")
-            if (not isinstance(lo, list) or not isinstance(hi, list)
-                    or len(lo) != dims or len(hi) != dims
-                    or not all(_is_num(a) for a in lo + hi)):
-                e.append(f"domain: box needs numeric lo/hi of length {dims}")
-            elif not all(a < b for a, b in zip(lo, hi)):
-                e.append("domain: box needs lo < hi per axis")
-        else:
-            _check_keys(dom, _SECTION_KEYS["domain"]["ball"], "domain", e)
-            c, r = dom.get("center"), dom.get("radius")
-            if (not isinstance(c, list) or len(c) != dims
-                    or not all(_is_num(a) for a in c) or not _is_num(r) or r <= 0):
-                e.append(f"domain: ball needs a length-{dims} center and radius > 0")
+    # the unit box also when the domain fails, so the weight specs are built
+    domain = (dom is not None and _read(dom, DOMAIN_FAMILIES, "kind", "domain", e, dims)
+              or default_domain(dims))
 
     for key, low in (("grid_resolution", 5), ("ball_resolution", 5),
                      ("ball_count", 1)):
@@ -244,58 +223,43 @@ def _validate(run_cfg: RunConfig) -> list:
     if not (_is_num(cfg["radius_fraction"]) and 0 < cfg["radius_fraction"] <= 1):
         e.append(f"radius_fraction must lie in (0, 1], got {cfg['radius_fraction']!r}")
 
-    _check_young_spec(cfg["young"], "young", e)
+    if not e:  # a sane geometry and ball parameters: place each ball family
+        for key in ("sigma", "rho"):
+            if key == "rho" and run_cfg.rho == cfg["sigma"]:
+                continue  # sigma's family
+            try:
+                ball_family(domain, cfg["ball_count"], cfg["radius_fraction"],
+                            expansion=getattr(run_cfg, key))
+            except OrliczFormsError as exc:
+                e.append(f"{key}, radius_fraction, ball_count: {exc}")
+
+    _read(cfg["young"], YOUNG_FAMILIES, "name", "young", e, dims)
 
     g = cfg["g_class"]
-    _check_keys(g, _SECTION_KEYS["g_class"], "g_class", e)
+    _check_keys(g, ("p", "q"), "g_class", e)
     if not isinstance(g, dict) or not all(_is_num(g.get(x)) for x in ("p", "q")):
         e.append("g_class: needs numeric p and q")
     elif not 1 <= g["p"] < g["q"]:
         e.append(f"g_class: needs 1 <= p < q, got p={g['p']}, q={g['q']}")
 
     cj = cfg["conjugate"]
-    _check_keys(cj, _SECTION_KEYS["conjugate"], "conjugate", e)
+    _check_keys(cj, ("p", "q"), "conjugate", e)
     if not isinstance(cj, dict) or not all(_is_num(cj.get(x)) for x in ("p", "q")):
         e.append("conjugate: needs numeric p and q")
 
     w = cfg["weighted"]
-    _check_keys(w, _SECTION_KEYS["weighted"], "weighted", e)
+    _check_keys(w, ("p", "q", "alpha", "s", "young"), "weighted", e)
     if not isinstance(w, dict) or not all(_is_num(w.get(x)) for x in ("p", "q", "alpha", "s")):
         e.append("weighted: needs numeric p, q, alpha, s")
     else:
-        _check_young_spec(w.get("young", {}), "weighted.young", e)
+        _read(w.get("young"), YOUNG_FAMILIES, "name", "weighted.young", e, dims)
 
     weights_from = len(e)
     if not isinstance(cfg["weights"], list) or not cfg["weights"]:
         e.append("weights: needs a nonempty list")
     else:
         for i, spec in enumerate(cfg["weights"]):
-            where = f"weights[{i}]"
-            if not isinstance(spec, dict) or "name" not in spec:
-                e.append(f"{where}: expected an object with a 'name' key")
-            elif spec["name"] == "constant":
-                _check_keys(spec, _SECTION_KEYS["weights"]["constant"], where, e)
-                if not (_is_num(spec.get("value")) and spec["value"] > 0):
-                    e.append(f"{where}: constant needs value > 0")
-            elif spec["name"] == "power":
-                _check_keys(spec, _SECTION_KEYS["weights"]["power"], where, e)
-                if not _is_num(spec.get("exponent")):
-                    e.append(f"{where}: power needs a numeric exponent")
-                c = spec.get("center")
-                if c is not None and (not isinstance(c, list) or len(c) != dims
-                                      or not all(_is_num(a) for a in c)):
-                    e.append(f"{where}: center must be a length-{dims} point")
-            elif spec["name"] == "custom":
-                _check_keys(spec, _SECTION_KEYS["weights"]["custom"], where, e)
-                if not isinstance(spec.get("expression"), str):
-                    e.append(f"{where}: custom needs an 'expression' string")
-                else:
-                    try:  # parse it against x1..x{dims} now, not in run_suite
-                        custom_weight(spec["expression"], dims)
-                    except OrliczFormsError as exc:
-                        e.append(f"{where}: {exc}")
-            else:
-                e.append(f"{where}: unknown weight {spec['name']!r}")
+            _read(spec, WEIGHT_FAMILIES, "name", f"weights[{i}]", e, dims, domain)
     weights_ok = len(e) == weights_from
 
     for key in ("lemma_exponent_t", "sobolev_t"):

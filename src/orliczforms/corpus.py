@@ -14,14 +14,11 @@ violations raise instead of silently weakening coverage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidInputError
 from .forms import BumpField, DifferentialForm, RadialPowerField
-from .geometry import Box, Domain
+from .geometry import Box, Domain, offgrid_center
 from .homotopy import decomposition_residual
 
 __all__ = ["CorpusEntry", "default_domain", "build_corpus", "named_form",
@@ -54,19 +51,11 @@ def default_domain(dims: int) -> Box:
     return Box([0.0] * dims, [1.0] * dims)
 
 
-def _offgrid_center(domain: Domain) -> np.ndarray:
-    # irrational barycentric fractions keep the singular point off any lattice
-    fracs = [math.sqrt(2) - 1.0, math.sqrt(5) - 2.0, math.sqrt(3) - 1.0]
-    lo, hi = domain.bounding_box()
-    f = np.array([fracs[i % len(fracs)] for i in range(domain.dims)])
-    return lo + f * (hi - lo)
-
-
 def _entries_2d(domain: Domain) -> list[CorpusEntry]:
     n = 2
     c = domain.centroid()
     bump = BumpField(c, 0.7 * domain.inradius())
-    radial = RadialPowerField(_offgrid_center(domain), 1.5)
+    radial = RadialPowerField(offgrid_center(domain), 1.5)
     raw = [
         # (id, degree, components or pair, tags, provenance)
         ("poly-closed-1form", 1, ["3*x1^2*x2", "x1^3"],
@@ -108,7 +97,7 @@ def _entries_2d(domain: Domain) -> list[CorpusEntry]:
 
 def _entries_3d(domain: Domain) -> list[CorpusEntry]:
     n = 3
-    radial = RadialPowerField(_offgrid_center(domain), 1.5)
+    radial = RadialPowerField(offgrid_center(domain), 1.5)
     raw = [
         ("poly-closed-1form", 1, {(1,): "3*x1^2*x2*x3", (2,): "x1^3*x3", (3,): "x1^3*x2"},
          {"closed", "smooth"}, {"preset": "polynomial", "potential": "x1^3*x2*x3"}),

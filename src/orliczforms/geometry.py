@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EmptyBallFamilyError, InvalidInputError
 
 __all__ = ["Domain", "Box", "Ball", "Quadrature", "ball_volume",
-           "ball_family", "ball_inside"]
+           "ball_family", "ball_inside", "offgrid_center", "DOMAIN_FAMILIES"]
 
 
 def ball_volume(n: int, radius: float) -> float:
@@ -206,6 +206,20 @@ class Ball(Domain):
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
+
+
+# kind -> (keys, constructor) of each domain shape, as ``young.YOUNG_FAMILIES``
+DOMAIN_FAMILIES = {"box": ({"lo": list, "hi": list}, Box),
+                   "ball": ({"center": list, "radius": float}, Ball)}
+
+
+def offgrid_center(domain: Domain) -> np.ndarray:
+    """The point at irrational fractions of the bounding box, a singular point
+    kept off any lattice."""
+    fracs = [math.sqrt(2) - 1.0, math.sqrt(5) - 2.0, math.sqrt(3) - 1.0]
+    lo, hi = domain.bounding_box()
+    f = np.array([fracs[i % len(fracs)] for i in range(domain.dims)])
+    return lo + f * (hi - lo)
 
 
 def ball_family(domain: Domain, count: int, radius_fraction: float = 0.25,

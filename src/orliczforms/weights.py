@@ -3,11 +3,11 @@
 A weight enters every norm as the density of the measure d(mu) = w(x) dx.
 ``Weight.__call__``, which every norm, oscillation and class test reads a
 weight through, raises ``InvalidInputError`` when the weight is not positive
-at some of the nodes it is evaluated at; ``load_config`` also checks the
-configured weights on the domain grid.  Positivity is checked at nodes
-only, so a weight vanishing on a measure-zero set must keep its zeros off
-the grid (the power weight defaults its center slightly off the domain
-centroid for exactly this reason).
+and finite at some of the nodes it is evaluated at; ``load_config`` also
+checks the configured weights on the domain grid.  A weight vanishing or
+singular on a measure-zero set must keep that set off the grid, so the power
+weight's default center sits at the irrational fractions sqrt(2) - 1,
+sqrt(5) - 2 and sqrt(3) - 1 of the domain's bounding box.
 
 The class test computes, over a ball family,
 
@@ -27,16 +27,16 @@ import numpy as np
 from .errors import EmptyBallFamilyError, InvalidInputError
 from .expressions import BinOp, Call, parse, substitute
 from .forms import ConstantField, ExprField, RadialPowerField
-from .geometry import Ball
+from .geometry import Ball, offgrid_center
 from .young import LOG_GRID, YoungFunction, _grid_values, _require_positive
 
 __all__ = ["Weight", "constant_weight", "power_weight", "custom_weight",
-           "check_a_class", "AClassReport", "check_phi_dominated",
+           "WEIGHT_FAMILIES", "check_a_class", "AClassReport", "check_phi_dominated",
            "PhiDominatedReport"]
 
 
 class Weight:
-    """A strictly positive scalar density with a printable identity."""
+    """A positive, finite scalar density with a printable identity."""
 
     def __init__(self, field, name: str, params: dict | None = None):
         self.field = field
@@ -44,8 +44,9 @@ class Weight:
         self.params = dict(params or {})
 
     def __call__(self, points):
-        return _require_positive(np.asarray(self.field(points), dtype=np.float64),
-                                 self.describe())
+        with np.errstate(all="ignore"):  # a zero, inf or nan raises below
+            vals = np.asarray(self.field(points), dtype=np.float64)
+        return _require_positive(vals, self.describe())
 
     def describe(self) -> str:
         if self.params:
@@ -54,7 +55,7 @@ class Weight:
         return self.name
 
     def validate_positive(self, region, resolution: int = 21) -> None:
-        """Require w > 0 at every quadrature node of the region."""
+        """Require 0 < w < inf at every quadrature node of the region."""
         self(region.quadrature(resolution).points)
 
     def __repr__(self):
@@ -82,6 +83,18 @@ def custom_weight(text: str, dims: int) -> Weight:
         r2 = BinOp("+", r2, parse(f"x{i}^2"))
     node = substitute(node, {"r": Call("sqrt", r2)})
     return Weight(ExprField(node, dims), "custom", {"expr": text})
+
+
+# name -> (keys, constructor) of each weight family, as ``YOUNG_FAMILIES``; a
+# constructor takes the domain first, where a power weight's center defaults
+WEIGHT_FAMILIES = {
+    "constant": ({"value": float}, lambda domain, value: constant_weight(value)),
+    "power": ({"center": list | None, "exponent": float},
+              lambda domain, center, exponent: power_weight(
+                  offgrid_center(domain) if center is None else center, exponent)),
+    "custom": ({"expression": str},
+               lambda domain, expression: custom_weight(expression, domain.dims)),
+}
 
 
 @dataclass

@@ -120,10 +120,12 @@ def custom_young(text: str) -> YoungFunction:
     return phi
 
 
-# name -> (key, type, constructor) of each Young-function family and its one
-# parameter: a config spec is {"name": name, key: value}, a CLI spec name:value
-YOUNG_FAMILIES = {"power": ("p", float, power), "power_log": ("p", float, power_log),
-                  "custom": ("expression", str, custom_young)}
+# name -> (keys, constructor) of each Young-function family; ``keys`` maps each
+# parameter, in the constructor's order, to its kind: float (a finite number),
+# str, or list (a length-dims point; ``list | None`` if optional).  A config
+# spec is {"name": name, key: value}, a CLI spec name:value.
+YOUNG_FAMILIES = {"power": ({"p": float}, power), "power_log": ({"p": float}, power_log),
+                  "custom": ({"expression": str}, custom_young)}
 
 
 def _grid_values(phi, t: np.ndarray = LOG_GRID) -> np.ndarray:
@@ -235,10 +237,12 @@ def _field_values(f, points):
 
 def _require_positive(vals: np.ndarray, name: str) -> np.ndarray:
     """``vals``, the density ``name`` at quadrature nodes, if every one is
-    positive; raises ``InvalidInputError`` otherwise."""
-    bad = int(np.count_nonzero(~(vals > 0)))
+    positive and finite; raises ``InvalidInputError`` otherwise."""
+    inf = vals == np.inf
+    bad = int(np.count_nonzero(~(vals > 0) | inf))
     if bad:
-        raise InvalidInputError(f"weight {name} is not positive at {bad} of "
+        finite = " and finite" if inf.any() else ""
+        raise InvalidInputError(f"weight {name} is not positive{finite} at {bad} of "
                                 f"{vals.size} quadrature nodes")
     return vals
 
@@ -246,7 +250,7 @@ def _require_positive(vals: np.ndarray, name: str) -> np.ndarray:
 def _node_measure(quad, weight) -> np.ndarray:
     """The quadrature weights, times the density ``weight`` at the nodes when
     one is given: a ``weights.Weight`` or a bare callable, which must be
-    positive at every node."""
+    positive and finite at every node."""
     if weight is None:
         return quad.weights
     vals = np.asarray(weight(quad.points), dtype=np.float64)

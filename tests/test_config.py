@@ -9,8 +9,10 @@ import pytest
 from orliczforms import ConfigError, HarnessContext, default_domain, load_config
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
 from orliczforms.errors import InvalidInputError
-from orliczforms.geometry import Box
+from orliczforms.geometry import DOMAIN_FAMILIES, Box
 from orliczforms.harness import VERIFIERS
+from orliczforms.weights import WEIGHT_FAMILIES
+from orliczforms.young import YOUNG_FAMILIES
 
 
 def test_defaults_load_clean():
@@ -124,6 +126,93 @@ def test_unknown_nested_key_rejected(section, violation):
     with pytest.raises(ConfigError) as exc:
         load_config(overrides=section)
     assert exc.value.violations == [violation]
+
+
+# where load_config reports a spec of each family table, the key naming the
+# family, the table, the overrides placing a spec there, and a valid spec of
+# each family
+_FAMILY_TABLES = {
+    "young": ("name", YOUNG_FAMILIES, lambda spec: {"young": spec},
+              {"power": {"p": 2.0}, "power_log": {"p": 2.0},
+               "custom": {"expression": "t^2"}}),
+    "weights[0]": ("name", WEIGHT_FAMILIES, lambda spec: {"weights": [spec]},
+                   {"constant": {"value": 2.0},
+                    "power": {"exponent": 0.5, "center": [0.3, 0.7]},
+                    "custom": {"expression": "1 + x1^2"}}),
+    "domain": ("kind", DOMAIN_FAMILIES, lambda spec: {"domain": spec},
+               {"box": {"lo": [0.0, 0.0], "hi": [2.0, 1.0]},
+                "ball": {"center": [0.5, 0.5], "radius": 0.5}}),
+}
+
+
+def _spec_violations(where: str, spec) -> list:
+    # thm_bmo_le_lip has no parameter gate and runs on a ball domain too
+    try:
+        load_config(overrides={**_FAMILY_TABLES[where][2](spec),
+                               "verifiers": ["thm_bmo_le_lip"]})
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
+def test_every_table_family_has_a_valid_spec_here():
+    for _, table, _, specs in _FAMILY_TABLES.values():
+        assert {name: set(spec) for name, spec in specs.items()} == {
+            name: set(keys) for name, (keys, _) in table.items()}
+
+
+@pytest.mark.parametrize("where, name", [(where, name) for where, row in _FAMILY_TABLES.items()
+                                         for name in row[3]])
+def test_family_table_reader(where, name):
+    label, table, _, specs = _FAMILY_TABLES[where]
+    spec = {label: name, **specs[name]}
+    assert _spec_violations(where, spec) == []
+    assert _spec_violations(where, {**spec, "bogus": 1}) == [f"{where}: unknown key 'bogus'"]
+    for key, kind in table[name][0].items():
+        wrong = "2" if kind is float else 2.0 if kind is str else [0.5, "a"]
+        bad = _spec_violations(where, {**spec, key: wrong})
+        assert len(bad) == 1 and bad[0].startswith(f"{where}: {key} must be "), bad
+    for bad_name in (3, None, [name], "nope"):
+        bad = _spec_violations(where, {**spec, label: bad_name})
+        assert len(bad) == 1 and bad[0].startswith(f"{where}: unknown {label} {bad_name!r}")
+    bad = _spec_violations(where, name)  # not an object
+    assert len(bad) == 1 and bad[0].startswith(f"{where}: unknown {label} None")
+
+
+@pytest.mark.parametrize("weight, grid", [
+    # odd Gauss grids have a node at 0.5, where |x - center|^-3 is inf
+    ({"name": "power", "exponent": -3.0, "center": [0.5, 0.5]}, 11),
+    ({"name": "power", "exponent": -3.0, "center": [0.5, 0.5]}, 51),
+    # exp(1000 x1) overflows to inf on most of the unit box
+    ({"name": "custom", "expression": "exp(x1*1000)"}, 51),
+])
+def test_infinite_weight_rejected_at_load(weight, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"weights": [weight], "grid_resolution": grid})
+    [violation] = exc.value.violations
+    assert violation.startswith("weighted_lipschitz: weights[0]: weight ")
+    assert " is not positive and finite at " in violation
+    assert violation.endswith(f" of {grid ** 2} quadrature nodes")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"sigma": 1e308}, "sigma"), ({"rho": 1e308}, "rho"),
+    ({"radius_fraction": 1e-300}, "sigma")])
+def test_unplaceable_ball_family_rejected_at_load(overrides, key):
+    # both pass their scalar checks; run_suite would raise EmptyBallFamilyError
+    with pytest.raises(ConfigError) as exc:
+        load_config(overrides=overrides)
+    [violation] = exc.value.violations
+    assert violation.startswith(f"{key}, radius_fraction, ball_count: could not place 24 balls")
+
+
+def test_default_weight_descriptions():
+    # the power weight's center sits at sqrt(2) - 1 and sqrt(5) - 2 of the box
+    assert [w.describe() for w in load_config().build_weights()] == [
+        "constant(value=1.0)", "constant(value=2.5)",
+        "power(center=[0.41421356237309515, 0.2360679774997898],exponent=0.5)"]
 
 
 # ---------------------------------------------------------------- gates

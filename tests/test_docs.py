@@ -6,6 +6,7 @@ from pathlib import Path
 from orliczforms.cli import PHI_SPECS
 from orliczforms.config import DEFAULT_CONFIG
 from orliczforms.corpus import named_form
+from orliczforms.weights import WEIGHT_FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -27,3 +28,12 @@ def test_readme_config_defaults_and_form_specs():
 def test_readme_young_specs_are_the_cli_spellings():
     line = _section("CLI").split("Young-function specs:", 1)[1].split("\n", 1)[0]
     assert ", ".join(re.findall(r"`([^`]+)`", line)) == PHI_SPECS
+
+
+def test_readme_weight_families_are_the_table():
+    table = _section("Config file").split("Weight families", 1)[1]
+    table = table.split("| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)
+    assert {name: re.findall(r"`(\w+)`:", keys) for name, keys in rows} == {
+        name: list(keys) for name, (keys, _) in WEIGHT_FAMILIES.items()}
+    assert [name for name, _ in rows] == list(WEIGHT_FAMILIES)
