@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import exterior
-from .config import load_config
+from .config import NODE_BUDGET, load_config
 from .corpus import build_corpus, default_domain, named_form
 from .errors import ConfigError, OrliczFormsError
 from .forms import DifferentialForm
@@ -54,6 +54,9 @@ def _parse_phi(spec: str):
 
 def cmd_norm(args) -> int:
     dims = args.dims
+    if args.resolution ** dims > NODE_BUDGET:  # the budget load_config applies
+        raise ConfigError([f"--resolution {args.resolution} gives {args.resolution ** dims} "
+                           f"nodes at --dims {dims}, above the budget of {NODE_BUDGET}"])
     domain = default_domain(dims)
     form = named_form(args.form, dims, domain)
     if args.kind == "lp":
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--p", type=float, default=2.0)
     p_norm.add_argument("--phi", default="power:2",
                         help=f"Young function: {PHI_SPECS} (default power:2)")
-    p_norm.add_argument("--dims", type=int, default=2)
+    p_norm.add_argument("--dims", type=int, default=2, choices=[2, 3])
     p_norm.add_argument("--resolution", type=int, default=41)
     p_norm.add_argument("--k", type=float, default=0.5)
     p_norm.add_argument("--sigma", type=float, default=1.1)

@@ -32,6 +32,8 @@ A domain spec names its "kind" in ``geometry.DOMAIN_FAMILIES``, a Young
 function spec and a weight spec their "name" in ``young.YOUNG_FAMILIES`` and
 ``weights.WEIGHT_FAMILIES``.  One reader checks the name, the keys and each
 key's kind, then builds the spec, so each range rule is its constructor's.
+The reader builds each spec once, at load, and the RunConfig keeps what it
+built: ``domain``, ``young``, ``weighted_young`` and ``weights``.
 
 ``grid_resolution ** dims`` and ``ball_resolution ** dims`` may not exceed
 ``NODE_BUDGET`` (10^6 nodes), so no gate samples a grid larger than that.
@@ -43,14 +45,13 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, OrliczFormsError
 from .corpus import default_domain
 from .geometry import DOMAIN_FAMILIES, Domain, ball_family
 from .harness import VERIFIER_NAMES, VERIFIERS
 from .weights import WEIGHT_FAMILIES
-from .young import YOUNG_FAMILIES, YoungFunction
+from .young import YOUNG_FAMILIES
 
 __all__ = ["RunConfig", "load_config", "DEFAULT_CONFIG"]
 
@@ -99,12 +100,6 @@ def _fits(value, kind, dims: int) -> bool:
     return isinstance(value, list) and len(value) == dims and all(map(_is_num, value))
 
 
-def _make(spec: dict, families: dict, label: str, *context):
-    """Build a checked ``spec`` by the family its ``label`` key names."""
-    keys, make = families[spec[label]]
-    return make(*context, *(spec.get(key) for key in keys))
-
-
 def _read(spec, families: dict, label: str, where: str, errors: list, dims: int,
           *context):
     """Build ``spec``, an object {label: name, key: value, ...}, from its
@@ -116,7 +111,7 @@ def _read(spec, families: dict, label: str, where: str, errors: list, dims: int,
         errors.append(f"{where}: unknown {label} {name!r}; expected an object "
                       f"with {label!r} in {list(families)}")
         return None
-    keys = families[name][0]
+    keys, make = families[name]
     _check_keys(spec, (label, *keys), where, errors)
     for key, kind in keys.items():
         if not _fits(spec.get(key), kind, dims):
@@ -125,20 +120,26 @@ def _read(spec, families: dict, label: str, where: str, errors: list, dims: int,
             errors.append(f"{where}: {key} must be {what}")
             return None
     try:
-        return _make(spec, families, label, *context)
+        return make(*context, *(spec.get(key) for key in keys))
     except OrliczFormsError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
 
-@dataclass
 class RunConfig:
-    raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
+    """A run's settings: the merged JSON in ``raw``, each key an attribute
+    unless shadowed by what load built from its spec: ``domain`` (the unit
+    box of ``dims`` for a null spec), ``young``, ``weighted_young`` and
+    ``weights`` (a tuple).  A spec that failed its check is unset."""
+
+    def __init__(self, raw: dict, **built):
+        self.raw = raw
+        self.__dict__.update((k, v) for k, v in built.items() if v is not None)
 
     # -- field accessors ----------------------------------------------------
     def __getattr__(self, name: str):
         raw = object.__getattribute__(self, "raw")
-        if name in raw:
+        if name in raw and name not in ("domain", "young", "weights"):
             return raw[name]
         raise AttributeError(name)
 
@@ -157,28 +158,18 @@ class RunConfig:
         for k in merged:
             if k in data:
                 merged[k] = copy.deepcopy(data[k])
-        config = cls(merged)
-        errors.extend(_validate(config))
+        config, violations = _validate(merged)
+        errors.extend(violations)
         if errors:
             raise ConfigError(errors)
         return config
 
-    # -- builders ---------------------------------------------------------
+    # -- the names perfbench reads; use the attributes ----------------------
     def build_domain(self) -> Domain:
-        spec = self.raw["domain"]
-        if spec is None:
-            return default_domain(self.raw["dims"])
-        return _make(spec, DOMAIN_FAMILIES, "kind")
-
-    def build_young(self) -> YoungFunction:
-        return _make(self.raw["young"], YOUNG_FAMILIES, "name")
-
-    def build_weighted_young(self) -> YoungFunction:
-        return _make(self.raw["weighted"]["young"], YOUNG_FAMILIES, "name")
+        return self.domain
 
     def build_weights(self) -> list:
-        domain = self.build_domain()
-        return [_make(spec, WEIGHT_FAMILIES, "name", domain) for spec in self.raw["weights"]]
+        return list(self.weights)
 
     def enabled_verifiers(self) -> tuple:
         names = self.raw["verifiers"]
@@ -188,10 +179,10 @@ class RunConfig:
                      if isinstance(names, list) and n in names)
 
 
-def _validate(run_cfg: RunConfig) -> list:
-    """Every violation in ``run_cfg``."""
+def _validate(cfg: dict) -> tuple:
+    """The RunConfig of the merged ``cfg``, with each spec built once, and
+    every violation in it."""
     e: list = []
-    cfg = run_cfg.raw
     dims = cfg["dims"]
     if type(dims) is not int or dims not in (2, 3):
         e.append(f"dims must be 2 or 3 (corpus presets exist for those), got {dims!r}")
@@ -225,15 +216,15 @@ def _validate(run_cfg: RunConfig) -> list:
 
     if not e:  # a sane geometry and ball parameters: place each ball family
         for key in ("sigma", "rho"):
-            if key == "rho" and run_cfg.rho == cfg["sigma"]:
+            if key == "rho" and cfg["rho"] in (None, cfg["sigma"]):
                 continue  # sigma's family
             try:
                 ball_family(domain, cfg["ball_count"], cfg["radius_fraction"],
-                            expansion=getattr(run_cfg, key))
+                            expansion=cfg[key])
             except OrliczFormsError as exc:
                 e.append(f"{key}, radius_fraction, ball_count: {exc}")
 
-    _read(cfg["young"], YOUNG_FAMILIES, "name", "young", e, dims)
+    young = _read(cfg["young"], YOUNG_FAMILIES, "name", "young", e, dims)
 
     g = cfg["g_class"]
     _check_keys(g, ("p", "q"), "g_class", e)
@@ -249,18 +240,22 @@ def _validate(run_cfg: RunConfig) -> list:
 
     w = cfg["weighted"]
     _check_keys(w, ("p", "q", "alpha", "s", "young"), "weighted", e)
+    weighted_young = None
     if not isinstance(w, dict) or not all(_is_num(w.get(x)) for x in ("p", "q", "alpha", "s")):
         e.append("weighted: needs numeric p, q, alpha, s")
     else:
-        _read(w.get("young"), YOUNG_FAMILIES, "name", "weighted.young", e, dims)
+        weighted_young = _read(w.get("young"), YOUNG_FAMILIES, "name", "weighted.young",
+                               e, dims)
 
     weights_from = len(e)
     if not isinstance(cfg["weights"], list) or not cfg["weights"]:
         e.append("weights: needs a nonempty list")
     else:
-        for i, spec in enumerate(cfg["weights"]):
-            _read(spec, WEIGHT_FAMILIES, "name", f"weights[{i}]", e, dims, domain)
+        weights = tuple(_read(spec, WEIGHT_FAMILIES, "name", f"weights[{i}]", e, dims, domain)
+                        for i, spec in enumerate(cfg["weights"]))
     weights_ok = len(e) == weights_from
+    run_cfg = RunConfig(cfg, domain=domain, young=young, weighted_young=weighted_young,
+                        weights=weights if weights_ok else None)
 
     for key in ("lemma_exponent_t", "sobolev_t"):
         if not _is_num(cfg[key]):
@@ -279,7 +274,7 @@ def _validate(run_cfg: RunConfig) -> list:
                 e.append(f"verifiers: unknown names {unknown!r}; known: "
                          f"{list(VERIFIER_NAMES)}")
     requested = run_cfg.enabled_verifiers()
-    clean = not e  # else a gate may trip over a malformed value reported above
+    clean = not e  # else a gate may trip over a bad value or unset spec reported above
     for row in VERIFIERS:
         if row.name in requested:
             try:
@@ -287,7 +282,7 @@ def _validate(run_cfg: RunConfig) -> list:
                 # only on a sane domain and resolution, and on buildable weights
                 if geometry_ok and weights_ok:
                     e.extend(f"{row.name}: {m}" for m in row.domain_gate(run_cfg))
-            except (TypeError, KeyError, OrliczFormsError) as exc:
+            except (AttributeError, TypeError, KeyError, OrliczFormsError) as exc:
                 if clean:  # a failure no check above explains
                     e.append(f"{row.name}: {exc}")
     if (isinstance(dom, dict) and dom.get("kind") == "ball"
@@ -297,7 +292,7 @@ def _validate(run_cfg: RunConfig) -> list:
 
     if not isinstance(cfg["stability_check"], bool):
         e.append(f"stability_check must be boolean, got {cfg['stability_check']!r}")
-    return e
+    return run_cfg, e
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:

@@ -592,9 +592,9 @@ class Verifier:
     ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
     only when dims, the domain, the resolutions and the weights are valid.
-    ``run(ctx, config, scale)``
-    returns its reports.  Runners look ``verify_*`` up in this module at call
-    time, so rebinding the module attribute reaches ``run_suite``."""
+    ``run(ctx, config, scale)`` returns its reports.  All three read the
+    objects the config built at load.  Runners look ``verify_*`` up in this
+    module at call time, so rebinding the module attribute reaches ``run_suite``."""
 
     name: str
     needs_box: bool  # reads the materialized Tu, a spline on the box grid
@@ -615,34 +615,29 @@ VERIFIERS = (
              lambda ctx, c, sc: [verify_sobolev_poincare(ctx, c.sobolev_t, sc)]),
     Verifier("oscillation_lower_bound", False, lambda c, n: [],
              lambda ctx, c, sc: [verify_oscillation_lower_bound(
-                 ctx, c.build_young(), tuple(c.osc_a_values), None, sc)]),
+                 ctx, c.young, tuple(c.osc_a_values), None, sc)]),
     Verifier("thm_lipschitz", True,
-             lambda c, n: _thm_lipschitz_gate(
-                 c.build_young(), c.g_class["p"], c.g_class["q"]),
+             lambda c, n: _thm_lipschitz_gate(c.young, c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_lipschitz(
-                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
+                 ctx, c.young, c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo", True,
-             lambda c, n: _thm_bmo_gate(
-                 c.build_young(), n, c.g_class["p"], c.g_class["q"]),
+             lambda c, n: _thm_bmo_gate(c.young, n, c.g_class["p"], c.g_class["q"]),
              lambda ctx, c, sc: [verify_thm_bmo(
-                 ctx, c.build_young(), c.g_class["p"], c.g_class["q"], sc)]),
+                 ctx, c.young, c.g_class["p"], c.g_class["q"], sc)]),
     Verifier("thm_bmo_le_lip", False, lambda c, n: [],
-             lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.build_young(), sc)]),
+             lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.young, sc)]),
     Verifier("conjugate_pair", False,
-             lambda c, n: _conjugate_gate(c.build_young(),
-                                          c.conjugate["p"], c.conjugate["q"]),
+             lambda c, n: _conjugate_gate(c.young, c.conjugate["p"], c.conjugate["q"]),
              lambda ctx, c, sc: [verify_conjugate_pair(
-                 ctx, c.build_young(), c.conjugate["p"], c.conjugate["q"], None, sc)]),
+                 ctx, c.young, c.conjugate["p"], c.conjugate["q"], None, sc)]),
     Verifier("weighted_lipschitz", False,
              lambda c, n: _weighted_gate(
-                 c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
+                 c.weighted_young, c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"]),
              lambda ctx, c, sc: [verify_weighted_lipschitz(
-                 ctx, c.build_weighted_young(), c.weighted["p"], c.weighted["q"],
-                 c.weighted["alpha"], c.weighted["s"], w, sc)
-                 for w in c.build_weights()],
-             lambda c: _weights_gate(c.build_weights(), c.build_domain(),
-                                     c.grid_resolution)),
+                 ctx, c.weighted_young, c.weighted["p"], c.weighted["q"],
+                 c.weighted["alpha"], c.weighted["s"], w, sc) for w in c.weights],
+             lambda c: _weights_gate(c.weights, c.domain, c.grid_resolution)),
 )
 VERIFIER_NAMES = tuple(v.name for v in VERIFIERS)
 
@@ -666,15 +661,15 @@ def run_suite(config) -> list:
     ``config`` is a RunConfig; reports come back in the fixed registry order,
     with one weighted report per configured weight.  Deterministic for a
     fixed config: the corpus, ball family, and all quadratures involve no
-    unseeded randomness.
+    unseeded randomness.  It runs on the objects the config built at load,
+    so a rerun of one config reuses its domain's quadratures.
     """
     from .corpus import build_corpus  # local import keeps module load light
 
-    domain = config.build_domain()
-    corpus = build_corpus(domain, config.dims, admit=True,
+    corpus = build_corpus(config.domain, config.dims, admit=True,
                           resolution=config.grid_resolution)
     ctx = HarnessContext(
-        domain, corpus, grid_resolution=config.grid_resolution,
+        config.domain, corpus, grid_resolution=config.grid_resolution,
         ball_resolution=config.ball_resolution, ball_count=config.ball_count,
         sigma=config.sigma, rho=config.rho,
         k=config.k, radius_fraction=config.radius_fraction)

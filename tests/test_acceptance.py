@@ -230,7 +230,7 @@ def test_criterion_5_bmo_lipschitz_proof_constant(capfd, corpora):
 def test_criterion_6_orlicz_below_lp_constant_one(capfd, corpora):
     domain = default_domain(2)
     balls = ball_family(domain, 50, expansion=1.1)
-    weights = load_config().build_weights()
+    weights = load_config().weights
     pairs = [(power(2.0), 2.0), (power(3.0), 3.0),
              (custom_young("t^2/(1+t)"), 2.0)]
     worst_excess = -math.inf

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from orliczforms import cli
+from orliczforms import Box, cli
 from orliczforms.cli import main
+from orliczforms.config import NODE_BUDGET
 
 
 def run(capsys, *argv):
@@ -103,6 +104,25 @@ def test_norm_rejects_deep_nesting(capsys, depth):
                        "--kind", "lp", "--p", "2")
     assert code == 2
     assert "nests deeper" in err
+
+
+@pytest.mark.parametrize("dims, resolution", [("2", "1001"), ("3", "101")])
+def test_norm_rejects_resolution_over_the_node_budget(capsys, monkeypatch, dims, resolution):
+    # the budget load_config applies, checked before any quadrature is built
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature was built")
+    monkeypatch.setattr(Box, "_build_quadrature", no_quadrature)
+    code, out, err = run(capsys, "norm", "--form", "poly:x1", "--kind", "lp",
+                         "--dims", dims, "--resolution", resolution)
+    assert code == 2 and not out
+    assert "--resolution" in err and "--dims" in err and str(NODE_BUDGET) in err
+
+
+def test_norm_dims_is_2_or_3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--form", "poly:x1", "--kind", "lp", "--dims", "1"])
+    assert exc.value.code == 2
+    assert "--dims" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- verify

@@ -24,8 +24,10 @@ from orliczforms import (Ball, CorpusEntry, DifferentialForm, HarnessContext,
 from orliczforms.errors import InvalidInputError, RejectedPairError
 from orliczforms.expressions import parse, substitute
 from orliczforms.forms import ExprField
-from orliczforms.geometry import Box
+from orliczforms.geometry import DOMAIN_FAMILIES, Box
 from orliczforms.harness import VERIFIER_NAMES
+from orliczforms.weights import WEIGHT_FAMILIES
+from orliczforms.young import YOUNG_FAMILIES
 
 DOM = default_domain(2)
 
@@ -332,6 +334,44 @@ def test_acceptance_suite_builds_each_ball_rule_once(rho, most, monkeypatch):
                                  "rho": rho})
     run_suite(cfg)
     assert len(builds) == len(set(builds)) <= most
+
+
+def test_load_and_suite_build_each_spec_once(monkeypatch):
+    # load_config builds the domain, both Young functions and each weight
+    # once; the verifier gates and runs, and run_suite, read those objects
+    builds = []
+    for where, table in (("domain", DOMAIN_FAMILIES), ("young", YOUNG_FAMILIES),
+                         ("weight", WEIGHT_FAMILIES)):
+        for name, (keys, make) in table.items():
+            def counting(*args, where=where, name=name, keys=keys, make=make):
+                builds.append(repr((where, name, args[len(args) - len(keys):])))
+                return make(*args)
+            monkeypatch.setitem(table, name, (keys, counting))
+    seen = []
+    verify = orliczforms.harness.verify_weighted_lipschitz
+
+    def recording(ctx, phi, p, q, alpha, s, weight, scale=1):
+        seen.append((phi, weight))
+        return verify(ctx, phi, p, q, alpha, s, weight, scale)
+
+    monkeypatch.setattr(orliczforms.harness, "verify_weighted_lipschitz", recording)
+    cfg = load_config(overrides={
+        "grid_resolution": 27, "ball_resolution": 9, "ball_count": 12,
+        "stability_check": True,
+        "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "young": {"name": "custom", "expression": "t^2 + t^3"},
+        "weighted": {"p": 4.0, "q": 1.5, "alpha": 2.0, "s": 1.2,
+                     "young": {"name": "custom", "expression": "t^1.2"}},
+        "weights": [{"name": "constant", "value": 2.0},
+                    {"name": "power", "exponent": 0.5},
+                    {"name": "custom", "expression": "1 + x1^2"}]})
+    reports = run_suite(cfg)
+    assert len(builds) == len(set(builds)) == 6, builds
+    assert len(seen) == 2 * len(cfg.weights)  # the base run and the rerun
+    assert all(phi is cfg.weighted_young and w is kept
+               for (phi, w), kept in zip(seen, cfg.weights * 2))
+    assert [r.config["weight"] for r in reports if r.inequality == "weighted_lipschitz"] \
+        == [w.describe() for w in cfg.weights]
 
 
 def test_suite_contracts_on_every_T_evaluation_and_reads_u_omega_once(monkeypatch):
