@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import exterior
-from .config import NODE_BUDGET, load_config
+from .config import DEFAULT_CONFIG, NODE_BUDGET, load_config
 from .corpus import build_corpus, default_domain, named_form
 from .errors import ConfigError, OrliczFormsError
 from .forms import DifferentialForm
@@ -89,8 +89,12 @@ def cmd_verify(args) -> int:
     payload = (reports_to_csv(reports) if args.output == "csv"
                else reports_to_json(reports, cfg))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     if not suite_passed(reports):
@@ -198,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"Young function: {PHI_SPECS} (default power:2)")
     p_norm.add_argument("--dims", type=int, default=2, choices=[2, 3])
     p_norm.add_argument("--resolution", type=int, default=41)
-    p_norm.add_argument("--k", type=float, default=0.5)
-    p_norm.add_argument("--sigma", type=float, default=1.1)
-    p_norm.add_argument("--ball-count", type=int, default=24)
+    p_norm.add_argument("--k", type=float, default=DEFAULT_CONFIG["k"])
+    p_norm.add_argument("--sigma", type=float, default=DEFAULT_CONFIG["sigma"])
+    p_norm.add_argument("--ball-count", type=int, default=DEFAULT_CONFIG["ball_count"])
     p_norm.set_defaults(fn=cmd_norm)
 
     p_verify = sub.add_parser("verify", help="run the inequality suite")

@@ -37,7 +37,10 @@ built: ``domain``, ``young``, ``weighted_young`` and ``weights``.
 
 ``grid_resolution ** dims`` and ``ball_resolution ** dims`` may not exceed
 ``NODE_BUDGET`` (10^6 nodes), so no gate samples a grid larger than that.
-Both ball families, at sigma and at rho, must be placeable in the domain.
+Both ball families, at sigma and at rho, must be placeable in the domain;
+the RunConfig keeps the families load placed as ``balls`` (sigma) and
+``wrh_balls`` (rho), tuples that are the same object when rho is null or
+equal to sigma.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ class RunConfig:
     """A run's settings: the merged JSON in ``raw``, each key an attribute
     unless shadowed by what load built from its spec: ``domain`` (the unit
     box of ``dims`` for a null spec), ``young``, ``weighted_young`` and
-    ``weights`` (a tuple).  A spec that failed its check is unset."""
+    ``weights`` (a tuple); and the ball families load placed, ``balls`` and
+    ``wrh_balls``.  A spec that failed its check is unset."""
 
     def __init__(self, raw: dict, **built):
         self.raw = raw
@@ -214,13 +218,15 @@ def _validate(cfg: dict) -> tuple:
     if not (_is_num(cfg["radius_fraction"]) and 0 < cfg["radius_fraction"] <= 1):
         e.append(f"radius_fraction must lie in (0, 1], got {cfg['radius_fraction']!r}")
 
+    families: dict = {}  # key -> the balls B with cfg[key]*B inside the domain
     if not e:  # a sane geometry and ball parameters: place each ball family
         for key in ("sigma", "rho"):
             if key == "rho" and cfg["rho"] in (None, cfg["sigma"]):
-                continue  # sigma's family
+                families["rho"] = families.get("sigma")  # sigma's family
+                continue
             try:
-                ball_family(domain, cfg["ball_count"], cfg["radius_fraction"],
-                            expansion=cfg[key])
+                families[key] = tuple(ball_family(
+                    domain, cfg["ball_count"], cfg["radius_fraction"], expansion=cfg[key]))
             except OrliczFormsError as exc:
                 e.append(f"{key}, radius_fraction, ball_count: {exc}")
 
@@ -255,7 +261,8 @@ def _validate(cfg: dict) -> tuple:
                         for i, spec in enumerate(cfg["weights"]))
     weights_ok = len(e) == weights_from
     run_cfg = RunConfig(cfg, domain=domain, young=young, weighted_young=weighted_young,
-                        weights=weights if weights_ok else None)
+                        weights=weights if weights_ok else None,
+                        balls=families.get("sigma"), wrh_balls=families.get("rho"))
 
     for key in ("lemma_exponent_t", "sobolev_t"):
         if not _is_num(cfg[key]):

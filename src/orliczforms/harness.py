@@ -23,9 +23,10 @@ scale) and shared by the three global verifiers.  On the balls, the values
 |u - u_B| at each ball's quadrature nodes are computed once per (form,
 scale), keyed by the form itself, and shared by every Young function,
 weight and norm kind; each seminorm then runs one Luxemburg solve per ball
-on them.  The sigma family of the seminorms and the rho family of the weak
-reverse-Hoelder check are built once per dilation factor (one family when
-rho = sigma), and each ball builds its rho-dilate once.
+on them.  The context runs on a loaded RunConfig, which holds every setting
+and the two ball families its load placed: the sigma family of the
+seminorms and the rho family of the weak reverse-Hoelder check (one family
+when rho = sigma); each ball builds its rho-dilate once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .corpus import CorpusEntry
 from .errors import InvalidInputError, RejectedPairError
 from .forms import DifferentialForm, codifferential, pointwise_modulus
-from .geometry import Ball, Box, Domain, ball_family
+from .geometry import Ball, Box, Domain
 from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part_values, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
 from .young import (OscillationNormSpec, YoungFunction, _node_measure,
@@ -123,77 +124,47 @@ def _collect(inequality: str, config: dict, entries: list) -> VerificationReport
     return VerificationReport(inequality, config, entries, best, arg, status)
 
 
-class HarnessContext:
-    """Shared geometry, corpus, and caches for the verifier battery.
+# the settings every report's ``config`` echoes, with ``t_nodes``
+_ECHOED = ("dims", "grid_resolution", "ball_resolution", "ball_count", "sigma",
+           "rho", "k", "radius_fraction")
 
+
+class HarnessContext:
+    """What the verifier battery computes on one loaded RunConfig and corpus.
+
+    Every setting, the domain and both ball families are read from
+    ``config``: ``config.balls`` (the balls B with sigma*B inside the domain)
+    for the seminorms and ``config.wrh_balls`` (rho*B inside) for the weak
+    reverse-Hoelder check.  The context keeps only what it computes from
+    them: the materialized Tu, the global moduli and the per-ball residuals.
     ``scale`` arguments on the accessors multiply the norm-quadrature and
     materialization resolutions (the stability rerun passes 2); the ball
     families and the y-quadrature behind the domain's T never change with
     scale, while per-ball closed parts take theirs from ``ball_res(scale)``.
-    ``sigma`` and ``rho`` (default: sigma) must exceed 1.
     """
 
-    def __init__(self, domain: Domain, corpus: list, *, grid_resolution: int = 51,
-                 ball_resolution: int = 15, ball_count: int = 24,
-                 sigma: float = 1.1, rho: float | None = None, k: float = 0.5,
-                 radius_fraction: float = 0.25):
-        rho = sigma if rho is None else rho
-        if not sigma > 1:
-            raise InvalidInputError(f"sigma must exceed 1, got {sigma}")
-        if not rho > 1:
-            raise InvalidInputError(f"rho must exceed 1, got {rho}")
-        if not 0 < k < 1:
-            raise InvalidInputError(f"k must lie in (0, 1), got {k}")
-        self.domain = domain
-        self.dims = domain.dims
+    def __init__(self, config, corpus: list):
+        self.config = config
         self.corpus = list(corpus)
-        self.grid_resolution = grid_resolution
-        self.ball_resolution = ball_resolution
-        self.ball_count = ball_count
-        self.sigma = sigma
-        self.rho = rho
-        self.k = k
-        self.radius_fraction = radius_fraction
-        self._families: dict = {}
         self._tu: dict = {}
         self._global: dict = {}
         self._residuals: dict = {}
 
     # -- geometry ---------------------------------------------------------
     def grid_res(self, scale: int = 1) -> int:
-        return self.grid_resolution * scale
+        return self.config.grid_resolution * scale
 
     def ball_res(self, scale: int = 1) -> int:
-        return self.ball_resolution * scale
-
-    def _family(self, expansion: float) -> tuple:
-        if expansion not in self._families:
-            self._families[expansion] = tuple(ball_family(
-                self.domain, self.ball_count, self.radius_fraction,
-                expansion=expansion))
-        return self._families[expansion]
-
-    def balls(self) -> tuple:
-        """The balls B with sigma*B inside the domain, for the seminorms."""
-        return self._family(self.sigma)
-
-    def wrh_balls(self) -> tuple:
-        """The balls B with rho*B inside the domain, for the WRH check; the
-        same tuple as ``balls()`` when rho = sigma."""
-        return self._family(self.rho)
+        return self.config.ball_resolution * scale
 
     def echo(self, **extra) -> dict:
-        base = {"dims": self.dims, "grid_resolution": self.grid_resolution,
-                "ball_resolution": self.ball_resolution,
-                "ball_count": self.ball_count, "t_nodes": T_NODES,
-                "sigma": self.sigma, "rho": self.rho, "k": self.k,
-                "radius_fraction": self.radius_fraction}
-        base.update(extra)
+        base = {key: getattr(self.config, key) for key in _ECHOED}
+        base.update(t_nodes=T_NODES, **extra)
         return base
 
     # -- cached fields ----------------------------------------------------
     def form_entries(self, min_degree: int = 0, max_degree: int | None = None) -> list:
-        hi = self.dims if max_degree is None else max_degree
+        hi = self.config.dims if max_degree is None else max_degree
         return [e for e in self.corpus
                 if e.form is not None and min_degree <= e.degree <= hi]
 
@@ -204,12 +175,12 @@ class HarnessContext:
         """Materialized homotopy image of the entry on the domain grid."""
         key = (entry.id, scale)
         if key not in self._tu:
-            if not isinstance(self.domain, Box):
+            domain = self.config.domain
+            if not isinstance(domain, Box):
                 raise InvalidInputError(
                     "homotopy-image verifiers require a box domain")
-            tu = apply_T(entry.form, self.domain, resolution=self.grid_resolution)
-            self._tu[key] = materialize(tu, self.domain,
-                                        resolution=self.grid_res(scale))
+            tu = apply_T(entry.form, domain, resolution=self.grid_res())
+            self._tu[key] = materialize(tu, domain, resolution=self.grid_res(scale))
         return self._tu[key]
 
     def global_moduli(self, entry: CorpusEntry, scale: int = 1) -> tuple:
@@ -219,16 +190,17 @@ class HarnessContext:
         with the T behind Tu (at ``grid_resolution`` on both scales)."""
         key = (entry.id, scale)
         if key not in self._global:
-            quad = self.domain.quadrature(self.grid_res(scale))
+            quad = self.config.domain.quadrature(self.grid_res(scale))
             u = entry.form.evaluate(quad.points)
-            u_omega = closed_part_values(entry.form, self.domain, quad, u,
-                                         resolution=self.grid_resolution)
+            u_omega = closed_part_values(entry.form, self.config.domain, quad, u,
+                                         resolution=self.grid_res())
             self._global[key] = tuple(map(pointwise_modulus, (u, u_omega, u - u_omega)))
         return self._global[key]
 
     def oscillation(self, form: DifferentialForm, phi: YoungFunction, kind: str,
                     weight: Weight | None = None, scale: int = 1):
-        """(value, argmax ball) of the BMO or Lipschitz seminorm over balls().
+        """(value, argmax ball) of the BMO or Lipschitz seminorm over
+        ``config.balls``.
 
         The node values |form - form_B| on every ball, closed parts
         included, are computed once per (form, scale) and shared by every
@@ -237,17 +209,17 @@ class HarnessContext:
         to the same bits every time, so comparisons between the kinds are
         exact to rounding.
         """
-        balls = list(self.balls())
+        cfg = self.config
         key = (form, scale)
         if key not in self._residuals:
             self._residuals[key] = oscillation_residuals(
-                form, balls, ball_resolution=self.ball_res(scale))
-        profile = oscillation_profile(form, balls, phi, weight,
+                form, cfg.balls, ball_resolution=self.ball_res(scale))
+        profile = oscillation_profile(form, cfg.balls, phi, weight,
                                       ball_resolution=self.ball_res(scale),
                                       residuals=self._residuals[key])
-        res = oscillation_norm(form, self.domain, phi,
-                               OscillationNormSpec(kind, k=self.k, sigma=self.sigma),
-                               balls=balls, profile=profile)
+        res = oscillation_norm(form, cfg.domain, phi,
+                               OscillationNormSpec(kind, k=cfg.k, sigma=cfg.sigma),
+                               balls=cfg.balls, profile=profile)
         return res.value, res.argmax_ball
 
 
@@ -350,7 +322,7 @@ def _weights_gate(weights: list, region: Domain, resolution: int) -> list:
 def verify_lemma_T_bound(ctx: HarnessContext, t: float, scale: int = 1) -> VerificationReport:
     """||Tu||_t <= C |domain| diam(domain) ||u||_t over entries of degree >= 1."""
     _raise_on(_exponent_t_gate(t))
-    dom = ctx.domain
+    dom = ctx.config.domain
     geom = dom.volume() * dom.diameter()
     entries = []
     for e in ctx.form_entries(min_degree=1):
@@ -364,7 +336,7 @@ def verify_lemma_closedpart_bound(ctx: HarnessContext, t: float,
                                   scale: int = 1) -> VerificationReport:
     """||u_Omega||_t <= C |domain| ||u||_t (mean for 0-forms, u - T(du) above)."""
     _raise_on(_exponent_t_gate(t))
-    dom = ctx.domain
+    dom = ctx.config.domain
     entries = []
     for e in ctx.form_entries():
         mod_u, mod_omega, _ = ctx.global_moduli(e, scale)
@@ -380,10 +352,10 @@ def verify_sobolev_poincare(ctx: HarnessContext, t: float,
 
     Closed entries make both sides vanish and are skip-flagged.
     """
-    n = ctx.dims
+    n = ctx.config.dims
     _raise_on(_sobolev_gate(n, t))
     s = n * t / (n - t)
-    dom = ctx.domain
+    dom = ctx.config.domain
     entries = []
     for e in ctx.form_entries(max_degree=n - 1):
         du = e.form.d(fd_step=FD_SCALE * dom.diameter())
@@ -403,7 +375,7 @@ def verify_oscillation_lower_bound(ctx: HarnessContext, psi: YoungFunction,
     The hypothesis requires |u - u_Omega| > 0 on a set of positive measure;
     entries violating it on the grid are skip-flagged.
     """
-    dom = ctx.domain
+    dom = ctx.config.domain
     quad = dom.quadrature(ctx.grid_res(scale))
     w = _node_measure(quad, weight)
     entries = []
@@ -434,10 +406,11 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
     _raise_on(_thm_lipschitz_gate(phi, p, q))
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        wrh = check_wrh(e.form, s=q, t=p, rho=ctx.rho, balls=list(ctx.wrh_balls()),
-                        resolution=ctx.ball_res(scale))
+        wrh = check_wrh(e.form, s=q, t=p, rho=ctx.config.rho,
+                        balls=ctx.config.wrh_balls, resolution=ctx.ball_res(scale))
         lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "lipschitz", scale=scale)
-        rhs = luxemburg_norm(e.form, ctx.domain, phi, resolution=ctx.grid_res(scale))
+        rhs = luxemburg_norm(e.form, ctx.config.domain, phi,
+                             resolution=ctx.grid_res(scale))
         entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg),
                              wrh_constant=wrh.constant)
         if not wrh.ok:
@@ -455,9 +428,9 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
 
     No reverse-Hoelder hypothesis here; the gate on (p, q) replaces it.
     """
-    n = ctx.dims
+    n = ctx.config.dims
     _raise_on(_thm_bmo_gate(phi, n, p, q))
-    dom = ctx.domain
+    dom = ctx.config.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
         lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "bmo", scale=scale)
@@ -472,8 +445,8 @@ def verify_thm_bmo_le_lip(ctx: HarnessContext, phi: YoungFunction,
                           scale: int = 1) -> VerificationReport:
     """||u||_{phi*} <= |domain|^{k/n} ||u||_{phi locLip_k} with the explicit
     proof constant; per-entry breaches fail the report."""
-    n = ctx.dims
-    constant = ctx.domain.volume() ** (ctx.k / n)
+    n = ctx.config.dims
+    constant = ctx.config.domain.volume() ** (ctx.config.k / n)
     entries = []
     failed = False
     for e in ctx.form_entries():
@@ -512,8 +485,9 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
     part), which would make the comparison vacuous.
     """
     _raise_on(_conjugate_gate(phi, p, q))
-    beta = 1.0 + 1.0 / ctx.dims - p / (ctx.dims * q)
-    quad = ctx.domain.quadrature(ctx.grid_res(scale))
+    n = ctx.config.dims
+    beta = 1.0 + 1.0 / n - p / (n * q)
+    quad = ctx.config.domain.quadrature(ctx.grid_res(scale))
     entries = []
     structural = []
     failed = False
@@ -538,7 +512,7 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
             failed = True
         bmo_u, _ = ctx.oscillation(u, phi, "bmo", scale=scale)
         bmo_v, _ = ctx.oscillation(v.star(), phi, "bmo", scale=scale)
-        for i, b in enumerate(ctx.balls()):
+        for i, b in enumerate(ctx.config.balls):
             entries.append(_ratio_entry(
                 f"{e.id}[ball{i}]", bmo_u, b.volume() ** beta * bmo_v,
                 ball=_ball_dict(b)))
@@ -561,13 +535,13 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
     _raise_on(_weighted_gate(phi, p, q, alpha, s))
     beta = alpha * q / (alpha * p - p - alpha * q)
     gamma = alpha * q / p
-    a_rep = check_a_class(weight, alpha, beta, gamma, list(ctx.balls()),
+    a_rep = check_a_class(weight, alpha, beta, gamma, ctx.config.balls,
                           resolution=ctx.ball_res(scale))
     entries = []
     for e in ctx.form_entries(min_degree=1):
         lhs, arg = ctx.oscillation(e.form, phi, "lipschitz", weight=weight,
                                    scale=scale)
-        rhs = lp_norm(e.form, ctx.domain, p, weight=weight,
+        rhs = lp_norm(e.form, ctx.config.domain, p, weight=weight,
                       resolution=ctx.grid_res(scale))
         entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg))
         if not a_rep.finite:
@@ -592,51 +566,57 @@ class Verifier:
     ``domain_gate(config)`` those found on the config's domain;
     ``load_config`` reports both when the verifier is requested, the second
     only when dims, the domain, the resolutions and the weights are valid.
-    ``run(ctx, config, scale)`` returns its reports.  All three read the
-    objects the config built at load.  Runners look ``verify_*`` up in this
-    module at call time, so rebinding the module attribute reaches ``run_suite``."""
+    ``run(ctx, scale)`` returns its reports on ``ctx.config``.  All three read
+    the objects the config built at load.  Runners look ``verify_*`` up in
+    this module at call time, so rebinding the module attribute reaches
+    ``run_suite``."""
 
     name: str
     needs_box: bool  # reads the materialized Tu, a spline on the box grid
     gate: Callable[[object, int], list]
-    run: Callable[[HarnessContext, object, int], list]
+    run: Callable[[HarnessContext, int], list]
     domain_gate: Callable[[object], list] = lambda c: []
 
 
 VERIFIERS = (
     Verifier("lemma_T_bound", True,
              lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
-             lambda ctx, c, sc: [verify_lemma_T_bound(ctx, c.lemma_exponent_t, sc)]),
+             lambda ctx, sc: [verify_lemma_T_bound(ctx, ctx.config.lemma_exponent_t, sc)]),
     Verifier("lemma_closed_part_bound", False,
              lambda c, n: _exponent_t_gate(c.lemma_exponent_t),
-             lambda ctx, c, sc: [verify_lemma_closedpart_bound(ctx, c.lemma_exponent_t, sc)]),
+             lambda ctx, sc: [verify_lemma_closedpart_bound(
+                 ctx, ctx.config.lemma_exponent_t, sc)]),
     Verifier("sobolev_poincare", False,
              lambda c, n: _sobolev_gate(n, c.sobolev_t),
-             lambda ctx, c, sc: [verify_sobolev_poincare(ctx, c.sobolev_t, sc)]),
+             lambda ctx, sc: [verify_sobolev_poincare(ctx, ctx.config.sobolev_t, sc)]),
     Verifier("oscillation_lower_bound", False, lambda c, n: [],
-             lambda ctx, c, sc: [verify_oscillation_lower_bound(
-                 ctx, c.young, tuple(c.osc_a_values), None, sc)]),
+             lambda ctx, sc: [verify_oscillation_lower_bound(
+                 ctx, ctx.config.young, tuple(ctx.config.osc_a_values), None, sc)]),
     Verifier("thm_lipschitz", True,
              lambda c, n: _thm_lipschitz_gate(c.young, c.g_class["p"], c.g_class["q"]),
-             lambda ctx, c, sc: [verify_thm_lipschitz(
-                 ctx, c.young, c.g_class["p"], c.g_class["q"], sc)]),
+             lambda ctx, sc: [verify_thm_lipschitz(
+                 ctx, ctx.config.young, ctx.config.g_class["p"], ctx.config.g_class["q"],
+                 sc)]),
     Verifier("thm_bmo", True,
              lambda c, n: _thm_bmo_gate(c.young, n, c.g_class["p"], c.g_class["q"]),
-             lambda ctx, c, sc: [verify_thm_bmo(
-                 ctx, c.young, c.g_class["p"], c.g_class["q"], sc)]),
+             lambda ctx, sc: [verify_thm_bmo(
+                 ctx, ctx.config.young, ctx.config.g_class["p"], ctx.config.g_class["q"],
+                 sc)]),
     Verifier("thm_bmo_le_lip", False, lambda c, n: [],
-             lambda ctx, c, sc: [verify_thm_bmo_le_lip(ctx, c.young, sc)]),
+             lambda ctx, sc: [verify_thm_bmo_le_lip(ctx, ctx.config.young, sc)]),
     Verifier("conjugate_pair", False,
              lambda c, n: _conjugate_gate(c.young, c.conjugate["p"], c.conjugate["q"]),
-             lambda ctx, c, sc: [verify_conjugate_pair(
-                 ctx, c.young, c.conjugate["p"], c.conjugate["q"], None, sc)]),
+             lambda ctx, sc: [verify_conjugate_pair(
+                 ctx, ctx.config.young, ctx.config.conjugate["p"],
+                 ctx.config.conjugate["q"], None, sc)]),
     Verifier("weighted_lipschitz", False,
              lambda c, n: _weighted_gate(
                  c.weighted_young, c.weighted["p"], c.weighted["q"],
                  c.weighted["alpha"], c.weighted["s"]),
-             lambda ctx, c, sc: [verify_weighted_lipschitz(
-                 ctx, c.weighted_young, c.weighted["p"], c.weighted["q"],
-                 c.weighted["alpha"], c.weighted["s"], w, sc) for w in c.weights],
+             lambda ctx, sc: [verify_weighted_lipschitz(
+                 ctx, ctx.config.weighted_young, ctx.config.weighted["p"],
+                 ctx.config.weighted["q"], ctx.config.weighted["alpha"],
+                 ctx.config.weighted["s"], w, sc) for w in ctx.config.weights],
              lambda c: _weights_gate(c.weights, c.domain, c.grid_resolution)),
 )
 VERIFIER_NAMES = tuple(v.name for v in VERIFIERS)
@@ -658,29 +638,26 @@ def _attach_stability(base: VerificationReport, doubled: VerificationReport):
 def run_suite(config) -> list:
     """Run every enabled verifier against the configured corpus.
 
-    ``config`` is a RunConfig; reports come back in the fixed registry order,
-    with one weighted report per configured weight.  Deterministic for a
-    fixed config: the corpus, ball family, and all quadratures involve no
-    unseeded randomness.  It runs on the objects the config built at load,
-    so a rerun of one config reuses its domain's quadratures.
+    ``config`` is a loaded RunConfig; reports come back in the fixed
+    registry order, with one weighted report per configured weight.
+    Deterministic for a fixed config: the corpus, ball families, and all
+    quadratures involve no unseeded randomness.  It runs on the objects the
+    config built at load, its domain, Young functions, weights and ball
+    families, so a rerun of one config reuses their quadratures.
     """
     from .corpus import build_corpus  # local import keeps module load light
 
     corpus = build_corpus(config.domain, config.dims, admit=True,
                           resolution=config.grid_resolution)
-    ctx = HarnessContext(
-        config.domain, corpus, grid_resolution=config.grid_resolution,
-        ball_resolution=config.ball_resolution, ball_count=config.ball_count,
-        sigma=config.sigma, rho=config.rho,
-        k=config.k, radius_fraction=config.radius_fraction)
+    ctx = HarnessContext(config, corpus)
     enabled = config.enabled_verifiers()
     reports = []
     for verifier in VERIFIERS:
         if verifier.name not in enabled:
             continue
-        base = verifier.run(ctx, config, 1)
+        base = verifier.run(ctx, 1)
         if config.stability_check:
-            for b, d in zip(base, verifier.run(ctx, config, 2)):
+            for b, d in zip(base, verifier.run(ctx, 2)):
                 _attach_stability(b, d)
         reports.extend(base)
     return reports

@@ -9,7 +9,7 @@ import pytest
 
 from orliczforms import Box, cli
 from orliczforms.cli import main
-from orliczforms.config import NODE_BUDGET
+from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET
 
 
 def run(capsys, *argv):
@@ -118,6 +118,12 @@ def test_norm_rejects_resolution_over_the_node_budget(capsys, monkeypatch, dims,
     assert "--resolution" in err and "--dims" in err and str(NODE_BUDGET) in err
 
 
+def test_norm_oscillation_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["norm", "--form", "zero", "--kind", "bmo"])
+    assert (args.k, args.sigma, args.ball_count) == (
+        DEFAULT_CONFIG["k"], DEFAULT_CONFIG["sigma"], DEFAULT_CONFIG["ball_count"])
+
+
 def test_norm_dims_is_2_or_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--form", "poly:x1", "--kind", "lp", "--dims", "1"])
@@ -160,6 +166,16 @@ def test_verify_writes_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["reports"]
+
+
+def test_verify_reports_an_unwritable_out_path(tmp_path, capsys):
+    # a usage error, not a verification failure, and no traceback
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--config", write_config(tmp_path),
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+    assert not target.parent.exists()
 
 
 def test_verify_reads_config_from_environment(tmp_path, capsys, monkeypatch):

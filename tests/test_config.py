@@ -1,11 +1,12 @@
 """Config loading: deep-merged defaults, aggregated validation, builders."""
 import json
+import math
 import tracemalloc
 import warnings
 
 import pytest
 
-from orliczforms import ConfigError, HarnessContext, default_domain, load_config
+from orliczforms import ConfigError, HarnessContext, load_config
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET, RunConfig
 from orliczforms.errors import InvalidInputError
 from orliczforms.geometry import DOMAIN_FAMILIES, Box
@@ -272,7 +273,7 @@ def test_load_rejects_what_the_verifier_would(name, section):
     row = next(v for v in VERIFIERS if v.name == name)
     cfg = load_config(overrides={**section, "verifiers": ["sobolev_poincare"]})
     with pytest.raises(InvalidInputError) as direct:
-        row.run(HarnessContext(default_domain(2), []), cfg, 1)
+        row.run(HarnessContext(cfg, []), 1)
     assert str(direct.value) == "; ".join(v.removeprefix(f"{name}: ")
                                           for v in exc.value.violations)
 
@@ -285,7 +286,8 @@ def test_gates_apply_only_to_requested_verifiers():
 
 
 def test_numeric_gates():
-    for bad in ({"grid_resolution": 3}, {"sigma": 1.0}, {"k": 0.0},
+    for bad in ({"grid_resolution": 3}, {"sigma": 1.0}, {"rho": 1.0},
+                {"rho": math.nan}, {"k": 0.0},
                 {"k": 1.0}, {"ball_count": 0}, {"radius_fraction": 0.0},
                 {"lemma_exponent_t": 1.0}, {"sobolev_t": 2.0}):
         with pytest.raises(ConfigError):

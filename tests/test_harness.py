@@ -12,9 +12,9 @@ import pytest
 import orliczforms
 from orliczforms import (Ball, CorpusEntry, DifferentialForm, HarnessContext,
                          ball_family, build_corpus, check_wrh, constant_weight,
-                         custom_weight, default_domain, homotopy, load_config,
-                         named_form, power, power_log, power_weight, reports_to_csv,
-                         reports_to_json, run_suite, suite_passed,
+                         custom_weight, default_domain, geometry, homotopy,
+                         load_config, named_form, power, power_log, power_weight,
+                         reports_to_csv, reports_to_json, run_suite, suite_passed,
                          verify_conjugate_pair, verify_lemma_T_bound,
                          verify_lemma_closedpart_bound,
                          verify_oscillation_lower_bound,
@@ -24,7 +24,7 @@ from orliczforms import (Ball, CorpusEntry, DifferentialForm, HarnessContext,
 from orliczforms.errors import InvalidInputError, RejectedPairError
 from orliczforms.expressions import parse, substitute
 from orliczforms.forms import ExprField
-from orliczforms.geometry import DOMAIN_FAMILIES, Box
+from orliczforms.geometry import DOMAIN_FAMILIES
 from orliczforms.harness import VERIFIER_NAMES
 from orliczforms.weights import WEIGHT_FAMILIES
 from orliczforms.young import YOUNG_FAMILIES
@@ -37,10 +37,14 @@ def corpus():
     return build_corpus(dims=2, resolution=21)
 
 
+def context(corpus, **overrides):
+    """A context on the config loaded with ``overrides``."""
+    return HarnessContext(load_config(overrides=overrides), corpus)
+
+
 @pytest.fixture(scope="module")
 def ctx(corpus):
-    return HarnessContext(DOM, corpus, grid_resolution=21, ball_resolution=9,
-                          ball_count=8)
+    return context(corpus, grid_resolution=21, ball_resolution=9, ball_count=8)
 
 
 def entry(eid, spec, degree=1, tags=("smooth",)):
@@ -89,8 +93,7 @@ def test_ratios_invariant_under_form_scaling():
     # every per-entry ratio fixed
     pair = [entry("base", "oneform:x2^3,0"),
             entry("scaled", "oneform:17*x2^3,0")]
-    ctx2 = HarnessContext(DOM, pair, grid_resolution=15, ball_resolution=7,
-                          ball_count=6)
+    ctx2 = context(pair, grid_resolution=15, ball_resolution=7, ball_count=6)
     for rep in (verify_lemma_T_bound(ctx2, 2.0),
                 verify_thm_lipschitz(ctx2, power(2.0), 1.5, 3.0),
                 verify_thm_bmo(ctx2, power(2.0), 1.5, 3.0)):
@@ -101,8 +104,7 @@ def test_ratios_invariant_under_form_scaling():
 def test_sobolev_ratio_invariant_under_doubling():
     pair = [entry("base", "oneform:0,sin(pi*x1)"),
             entry("double", "oneform:0,2*sin(pi*x1)")]
-    ctx2 = HarnessContext(DOM, pair, grid_resolution=15, ball_resolution=7,
-                          ball_count=6)
+    ctx2 = context(pair, grid_resolution=15, ball_resolution=7, ball_count=6)
     rep = verify_sobolev_poincare(ctx2, 1.5)
     ratios = [e["ratio"] for e in rep.entries]
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-6)
@@ -110,10 +112,8 @@ def test_sobolev_ratio_invariant_under_doubling():
 
 def test_constant_grows_with_nested_ball_family(corpus):
     # families are nested by prefix, so the sup over balls cannot shrink
-    small = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
-                           ball_count=4)
-    large = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
-                           ball_count=10)
+    small = context(corpus, grid_resolution=15, ball_resolution=7, ball_count=4)
+    large = context(corpus, grid_resolution=15, ball_resolution=7, ball_count=10)
     c_small = verify_thm_bmo(small, power(2.0), 1.5, 3.0).empirical_constant
     c_large = verify_thm_bmo(large, power(2.0), 1.5, 3.0).empirical_constant
     assert c_large >= c_small - 1e-12
@@ -135,17 +135,11 @@ def test_sobolev_exponent_gate(ctx):
 
 def test_bmo_dimension_gate_rejects():
     corpus3 = build_corpus(dims=3, resolution=11)
-    ctx3 = HarnessContext(default_domain(3), corpus3, grid_resolution=11,
-                          ball_resolution=7, ball_count=4)
+    ctx3 = context(corpus3, dims=3, g_class={"p": 1.5, "q": 2.5},
+                   grid_resolution=11, ball_resolution=7, ball_count=4)
     # q(n-p) < np fails for n=3, p=1.2, q=4
     with pytest.raises(InvalidInputError):
         verify_thm_bmo(ctx3, power(2.0), 1.2, 4.0)
-
-
-@pytest.mark.parametrize("kw", [{"sigma": 1.0}, {"rho": 1.0}, {"rho": math.nan}])
-def test_context_rejects_a_dilation_factor_not_above_one(kw):
-    with pytest.raises(InvalidInputError, match="must exceed 1"):
-        HarnessContext(DOM, [], **kw)
 
 
 def test_lipschitz_sandwich_gate(ctx):
@@ -179,7 +173,7 @@ def test_weighted_lipschitz_rejects_non_positive_weight(ctx):
                                   custom_weight("x1 - 0.5", 2))
     # zero only at a ball center, a node of that ball's quadrature that the
     # domain grid misses
-    center = ctx.balls()[0].center
+    center = ctx.config.balls[0].center
     assert power_weight(center, 0.5)(DOM.quadrature(ctx.grid_res()).points).min() > 0
     with pytest.raises(InvalidInputError, match="not positive at 1 of"):
         verify_weighted_lipschitz(ctx, power(1.2), 4.0, 1.5, 2.0, 1.2,
@@ -193,8 +187,7 @@ def test_conjugate_pair_rejects_non_conjugate_data():
     v = DifferentialForm.from_components(2, 2, {(1, 2): ExprField("x1^2", 2)})
     bad = CorpusEntry("broken-pair", 2, 0, None, (u, v),
                       frozenset({"pair"}), {})
-    ctx2 = HarnessContext(DOM, [bad], grid_resolution=11, ball_resolution=7,
-                          ball_count=4)
+    ctx2 = context([bad], grid_resolution=11, ball_resolution=7, ball_count=4)
     with pytest.raises(RejectedPairError):
         verify_conjugate_pair(ctx2, power(2.0), 2.0, 2.0)
 
@@ -203,8 +196,7 @@ def test_conjugate_pair_rejects_non_conjugate_data():
 
 def test_zero_forms_are_flagged_not_failed():
     z = entry("null", "zero")
-    ctx2 = HarnessContext(DOM, [z], grid_resolution=11, ball_resolution=7,
-                          ball_count=4)
+    ctx2 = context([z], grid_resolution=11, ball_resolution=7, ball_count=4)
     rep = verify_lemma_T_bound(ctx2, 2.0)
     assert rep.ok
     assert rep.empirical_constant is None
@@ -246,10 +238,9 @@ def test_wrh_constant_recorded_by_lipschitz_theorem(ctx):
 def test_wrh_constant_taken_on_the_rho_family(corpus):
     # rho != sigma: the WRH check runs on its own family, whose rho-dilates
     # fit the domain, while the seminorm keeps the sigma family
-    ctx = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
-                         ball_count=6, rho=1.3)
-    rho_family = ball_family(DOM, 6, ctx.radius_fraction, expansion=1.3)
-    assert [b.radius for b in ctx.wrh_balls()] == [b.radius for b in rho_family]
+    ctx = context(corpus, grid_resolution=15, ball_resolution=7, ball_count=6, rho=1.3)
+    rho_family = ball_family(DOM, 6, ctx.config.radius_fraction, expansion=1.3)
+    assert [b.radius for b in ctx.config.wrh_balls] == [b.radius for b in rho_family]
     rep = verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
     assert len(rep.entries) == len(ctx.form_entries(min_degree=1))
     for e in rep.entries:
@@ -260,7 +251,31 @@ def test_wrh_constant_taken_on_the_rho_family(corpus):
 
 
 def test_one_family_when_rho_equals_sigma(ctx):
-    assert ctx.wrh_balls() is ctx.balls()
+    assert isinstance(ctx.config.balls, tuple)
+    assert ctx.config.wrh_balls is ctx.config.balls
+    explicit = load_config(overrides={"rho": 1.1})  # sigma's default
+    assert explicit.wrh_balls is explicit.balls
+
+
+@pytest.mark.parametrize("rho, placed", [(None, 1), (1.3, 2)])
+def test_load_and_suite_place_each_ball_family_once(rho, placed, monkeypatch):
+    # load_config places the sigma family, and the rho family when rho !=
+    # sigma; run_suite reads both from the config
+    calls = []
+    original = geometry.ball_family
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("expansion"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orliczforms" and \
+                getattr(module, "ball_family", None) is original:
+            monkeypatch.setattr(module, "ball_family", counting)
+    cfg = load_config(overrides={"grid_resolution": 11, "ball_resolution": 7,
+                                 "ball_count": 4, "stability_check": True, "rho": rho})
+    assert run_suite(cfg)
+    assert len(calls) == placed, calls
 
 
 # ---------------------------------------------------------------- caching
@@ -275,7 +290,7 @@ def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypa
     # and two weighted reports must build each per-ball closed part once; a
     # 0-form's mean is taken from its residual's own values, with none
     kw = dict(grid_resolution=21, ball_resolution=9, ball_count=4)
-    ctx = HarnessContext(DOM, corpus, **kw)
+    ctx = context(corpus, **kw)
     weights = (constant_weight(1.0), constant_weight(2.5))
 
     def run(c, i):
@@ -294,16 +309,15 @@ def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypa
     monkeypatch.setattr(homotopy, "closed_part", counting)
     shared = [run(ctx, i) for i in range(3)]
     assert len(ctx.form_entries(max_degree=0)) > 0
-    assert len(calls) == len(ctx.form_entries(min_degree=1)) * len(ctx.balls())
+    assert len(calls) == len(ctx.form_entries(min_degree=1)) * len(ctx.config.balls)
     for i, report in enumerate(shared):
-        assert report.to_dict() == run(HarnessContext(DOM, corpus, **kw), i).to_dict()
+        assert report.to_dict() == run(context(corpus, **kw), i).to_dict()
 
 
 def test_thm_bmo_reuses_the_closed_parts_of_thm_lipschitz(corpus, monkeypatch):
     # the node values |Tu - (Tu)_B| are keyed by the materialized Tu itself,
     # so the BMO theorem after the Lipschitz one builds no closed part
-    ctx = HarnessContext(DOM, corpus, grid_resolution=15, ball_resolution=7,
-                         ball_count=4)
+    ctx = context(corpus, grid_resolution=15, ball_resolution=7, ball_count=4)
     verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
     calls = []
     original = homotopy.closed_part
@@ -432,8 +446,8 @@ def _dilated(e, factor):
 
 
 def _dilation_ratios(domain, entries):
-    ctx = HarnessContext(domain, entries, grid_resolution=27, ball_resolution=9,
-                         ball_count=12)
+    ctx = context(entries, domain=domain, grid_resolution=27, ball_resolution=9,
+                  ball_count=12)
     phi = power(2.0)
     reports = [verify_lemma_T_bound(ctx, 2.0), verify_lemma_closedpart_bound(ctx, 2.0),
                verify_sobolev_poincare(ctx, 1.5), verify_thm_lipschitz(ctx, phi, 1.5, 3.0),
@@ -445,8 +459,9 @@ def _dilation_ratios(domain, entries):
 def test_ratios_scale_by_the_dilation_exponents():
     unit = [e for e in build_corpus(dims=2, admit=False) if e.id in DILATION_FORMS]
     assert len(unit) == len(DILATION_FORMS)
-    small = _dilation_ratios(DOM, unit)
-    large = _dilation_ratios(Box([0.0, 0.0], [2.0, 2.0]), [_dilated(e, 2.0) for e in unit])
+    small = _dilation_ratios(None, unit)
+    large = _dilation_ratios({"kind": "box", "lo": [0.0, 0.0], "hi": [2.0, 2.0]},
+                             [_dilated(e, 2.0) for e in unit])
     assert sorted(small) == sorted(DILATION_EXPONENTS)
     for name, exponent in DILATION_EXPONENTS.items():
         assert small[name] and sorted(small[name]) == sorted(large[name]), name
@@ -481,6 +496,16 @@ def test_suite_reports_echo_their_parameters(light_reports):
     weights = [r.config["weight"] for r in light_reports
                if r.inequality == "weighted_lipschitz"]
     assert len(set(map(str, weights))) == 3
+
+
+def test_suite_reports_echo_the_run_settings():
+    settings = {"grid_resolution": 15, "ball_resolution": 7, "ball_count": 6,
+                "sigma": 1.2, "rho": 1.3, "k": 0.4, "radius_fraction": 0.3}
+    reports = run_suite(load_config(overrides={**settings, "stability_check": False}))
+    assert len(reports) == len(VERIFIER_NAMES) + 2  # three weights
+    expected = {**settings, "dims": 2, "t_nodes": homotopy.T_NODES}
+    for r in reports:
+        assert {key: r.config[key] for key in expected} == expected, r.inequality
 
 
 def test_suite_reports_echo_the_fixed_t_rule(light_reports):
