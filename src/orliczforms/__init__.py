@@ -20,8 +20,8 @@ from .homotopy import (BumpFunction, apply_Ky, apply_T, closed_part,
 from .young import (GClassReport, OscillationNormSpec, OscillationResult,
                     WRHReport, YoungFunction, check_g_class, check_wrh,
                     custom_young, lp_norm, luxemburg_norm, oscillation_norm,
-                    oscillation_profile, oscillation_residuals, power,
-                    power_log, young_violations)
+                    oscillation_profile, oscillation_residuals, oscillation_sup,
+                    power, power_log, young_violations)
 from .weights import (AClassReport, PhiDominatedReport, Weight, check_a_class,
                       check_phi_dominated, constant_weight, custom_weight,
                       power_weight)

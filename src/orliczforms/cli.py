@@ -15,6 +15,7 @@ for ``verify`` when --config is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -85,18 +86,17 @@ def cmd_verify(args) -> int:
     if args.no_stability:
         overrides["stability_check"] = False
     cfg = load_config(path, overrides)
-    reports = run_suite(cfg)
-    payload = (reports_to_csv(reports) if args.output == "csv"
-               else reports_to_json(reports, cfg))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+    try:  # open --out before the suite runs; empty it once the reports are in
+        with (open(args.out, "a", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            reports = run_suite(cfg)
+            if args.out:
+                fh.truncate(0)
+            fh.write(reports_to_csv(reports) if args.output == "csv"
+                     else reports_to_json(reports, cfg))
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     if not suite_passed(reports):
         failing = [r.inequality for r in reports if not r.ok]
         print(f"FAILED verifiers: {', '.join(failing)}", file=sys.stderr)

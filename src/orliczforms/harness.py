@@ -19,11 +19,12 @@ so there the rerun also changes the operator.
 
 Besides the materialized Tu, the context caches node values.  On the
 domain grid, |u|, |u_Omega| and |u - u_Omega| are computed once per (entry,
-scale) and shared by the three global verifiers.  On the balls, the values
-|u - u_B| at each ball's quadrature nodes are computed once per (form,
-scale), keyed by the form itself, and shared by every Young function,
-weight and norm kind; each seminorm then runs one Luxemburg solve per ball
-on them.  The context runs on a loaded RunConfig, which holds every setting
+scale) and shared by the three global verifiers.  On the balls, the
+component residuals u - u_B at each ball's quadrature nodes are computed
+once per (form, scale), keyed by the form itself, and shared by every Young
+function and weight; each profile takes their modulus and runs one
+Luxemburg solve per ball, and both seminorm kinds are sups over one
+profile.  The context runs on a loaded RunConfig, which holds every setting
 and the two ball families its load placed: the sigma family of the
 seminorms and the rho family of the weak reverse-Hoelder check (one family
 when rho = sigma); each ball builds its rho-dilate once.
@@ -46,9 +47,9 @@ from .forms import DifferentialForm, codifferential, pointwise_modulus
 from .geometry import Ball, Box, Domain
 from .homotopy import FD_SCALE, T_NODES, apply_T, closed_part_values, materialize
 from .weights import Weight, check_a_class, check_phi_dominated
-from .young import (OscillationNormSpec, YoungFunction, _node_measure,
-                    check_g_class, check_wrh, luxemburg_norm, lp_norm,
-                    oscillation_norm, oscillation_profile, oscillation_residuals)
+from .young import (YoungFunction, _node_measure, check_g_class, check_wrh,
+                    luxemburg_norm, lp_norm, oscillation_profile,
+                    oscillation_residuals, oscillation_sup)
 
 __all__ = [
     "HarnessContext", "VerificationReport", "Verifier", "VERIFIERS", "VERIFIER_NAMES",
@@ -197,30 +198,22 @@ class HarnessContext:
             self._global[key] = tuple(map(pointwise_modulus, (u, u_omega, u - u_omega)))
         return self._global[key]
 
-    def oscillation(self, form: DifferentialForm, phi: YoungFunction, kind: str,
-                    weight: Weight | None = None, scale: int = 1):
-        """(value, argmax ball) of the BMO or Lipschitz seminorm over
-        ``config.balls``.
+    def oscillation(self, form: DifferentialForm, phi: YoungFunction,
+                    weight: Weight | None = None, scale: int = 1) -> list:
+        """The profile ||form - form_B||_{phi, B} over ``config.balls``, of
+        which ``oscillation_sup`` takes either seminorm.
 
-        The node values |form - form_B| on every ball, closed parts
-        included, are computed once per (form, scale) and shared by every
-        Young function, weight and kind; equal forms have equal values.  The
-        profile ||form - form_B||_{phi, B} is solved from them on each call,
-        to the same bits every time, so comparisons between the kinds are
-        exact to rounding.
-        """
-        cfg = self.config
+        The component residuals form - form_B on every ball are computed
+        once per (form, scale) and shared by every Young function and
+        weight; equal forms have equal residuals.  The profile is solved
+        from them on each call, to the same bits every time."""
         key = (form, scale)
         if key not in self._residuals:
             self._residuals[key] = oscillation_residuals(
-                form, cfg.balls, ball_resolution=self.ball_res(scale))
-        profile = oscillation_profile(form, cfg.balls, phi, weight,
-                                      ball_resolution=self.ball_res(scale),
-                                      residuals=self._residuals[key])
-        res = oscillation_norm(form, cfg.domain, phi,
-                               OscillationNormSpec(kind, k=cfg.k, sigma=cfg.sigma),
-                               balls=cfg.balls, profile=profile)
-        return res.value, res.argmax_ball
+                form, self.config.balls, ball_resolution=self.ball_res(scale))
+        return oscillation_profile(form, self.config.balls, phi, weight,
+                                   ball_resolution=self.ball_res(scale),
+                                   residuals=self._residuals[key])
 
 
 def _ball_dict(ball: Ball) -> dict:
@@ -404,14 +397,15 @@ def verify_thm_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
     """||Tu||_{phi locLip_k} <= C ||u||_phi for phi in G(p, q) and entries
     passing the weak reverse Hoelder check with s=q, t=p on rho-dilated balls."""
     _raise_on(_thm_lipschitz_gate(phi, p, q))
+    cfg = ctx.config
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        wrh = check_wrh(e.form, s=q, t=p, rho=ctx.config.rho,
-                        balls=ctx.config.wrh_balls, resolution=ctx.ball_res(scale))
-        lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "lipschitz", scale=scale)
-        rhs = luxemburg_norm(e.form, ctx.config.domain, phi,
-                             resolution=ctx.grid_res(scale))
-        entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg),
+        wrh = check_wrh(e.form, s=q, t=p, rho=cfg.rho, balls=cfg.wrh_balls,
+                        resolution=ctx.ball_res(scale))
+        lip = oscillation_sup(ctx.oscillation(ctx.Tu(e, scale), phi, scale=scale),
+                              cfg.balls, "lipschitz", cfg.k)
+        rhs = luxemburg_norm(e.form, cfg.domain, phi, resolution=ctx.grid_res(scale))
+        entry = _ratio_entry(e.id, lip.value, rhs, argmax_ball=_ball_dict(lip.argmax_ball),
                              wrh_constant=wrh.constant)
         if not wrh.ok:
             entry["flags"].append("wrh-degenerate")
@@ -428,14 +422,16 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
 
     No reverse-Hoelder hypothesis here; the gate on (p, q) replaces it.
     """
-    n = ctx.config.dims
+    cfg = ctx.config
+    n = cfg.dims
     _raise_on(_thm_bmo_gate(phi, n, p, q))
-    dom = ctx.config.domain
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        lhs, arg = ctx.oscillation(ctx.Tu(e, scale), phi, "bmo", scale=scale)
-        rhs = luxemburg_norm(e.form, dom, phi, resolution=ctx.grid_res(scale))
-        entries.append(_ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg)))
+        bmo = oscillation_sup(ctx.oscillation(ctx.Tu(e, scale), phi, scale=scale),
+                              cfg.balls, "bmo", cfg.k)
+        rhs = luxemburg_norm(e.form, cfg.domain, phi, resolution=ctx.grid_res(scale))
+        entries.append(_ratio_entry(e.id, bmo.value, rhs,
+                                    argmax_ball=_ball_dict(bmo.argmax_ball)))
     return _collect("thm_bmo", ctx.echo(phi=phi.describe(), p=p, q=q,
                                         gate=f"{q}*({n}-{p}) < {n}*{p}",
                                         scale=scale), entries)
@@ -444,14 +440,16 @@ def verify_thm_bmo(ctx: HarnessContext, phi: YoungFunction, p: float, q: float,
 def verify_thm_bmo_le_lip(ctx: HarnessContext, phi: YoungFunction,
                           scale: int = 1) -> VerificationReport:
     """||u||_{phi*} <= |domain|^{k/n} ||u||_{phi locLip_k} with the explicit
-    proof constant; per-entry breaches fail the report."""
-    n = ctx.config.dims
-    constant = ctx.config.domain.volume() ** (ctx.config.k / n)
+    proof constant, both sides from one profile per entry; per-entry breaches
+    fail the report."""
+    cfg = ctx.config
+    constant = cfg.domain.volume() ** (cfg.k / cfg.dims)
     entries = []
     failed = False
     for e in ctx.form_entries():
-        bmo, _ = ctx.oscillation(e.form, phi, "bmo", scale=scale)
-        lip, _ = ctx.oscillation(e.form, phi, "lipschitz", scale=scale)
+        profile = ctx.oscillation(e.form, phi, scale=scale)
+        bmo, lip = (oscillation_sup(profile, cfg.balls, kind, cfg.k).value
+                    for kind in ("bmo", "lipschitz"))
         entry = _ratio_entry(e.id, bmo, constant * lip,
                              bmo=bmo, lipschitz=lip,
                              margin=float(constant * lip - bmo))
@@ -510,8 +508,9 @@ def verify_conjugate_pair(ctx: HarnessContext, phi: YoungFunction, p: float,
                            "pointwise_margin": margin})
         if not pointwise_ok:
             failed = True
-        bmo_u, _ = ctx.oscillation(u, phi, "bmo", scale=scale)
-        bmo_v, _ = ctx.oscillation(v.star(), phi, "bmo", scale=scale)
+        bmo_u, bmo_v = (oscillation_sup(ctx.oscillation(f, phi, scale=scale),
+                                        ctx.config.balls, "bmo", ctx.config.k).value
+                        for f in (u, v.star()))
         for i, b in enumerate(ctx.config.balls):
             entries.append(_ratio_entry(
                 f"{e.id}[ball{i}]", bmo_u, b.volume() ** beta * bmo_v,
@@ -539,11 +538,11 @@ def verify_weighted_lipschitz(ctx: HarnessContext, phi: YoungFunction, p: float,
                           resolution=ctx.ball_res(scale))
     entries = []
     for e in ctx.form_entries(min_degree=1):
-        lhs, arg = ctx.oscillation(e.form, phi, "lipschitz", weight=weight,
-                                   scale=scale)
+        lip = oscillation_sup(ctx.oscillation(e.form, phi, weight, scale),
+                              ctx.config.balls, "lipschitz", ctx.config.k)
         rhs = lp_norm(e.form, ctx.config.domain, p, weight=weight,
                       resolution=ctx.grid_res(scale))
-        entry = _ratio_entry(e.id, lhs, rhs, argmax_ball=_ball_dict(arg))
+        entry = _ratio_entry(e.id, lip.value, rhs, argmax_ball=_ball_dict(lip.argmax_ball))
         if not a_rep.finite:
             entry["flags"].append("weight-not-in-class")
             entry["ratio"] = math.nan

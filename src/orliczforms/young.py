@@ -23,11 +23,6 @@ result is the discrete L^p norm on the same quadrature grid to rounding,
 which is the main cross-check oracle.  A root at max|f| itself, as for a
 constant field, comes back to rounding.
 
-The two oscillation norms share one per-ball profile ||u - u_B||_{phi,B};
-only the |B| prefactor differs (|B|^-1 versus |B|^-(n+k)/n), so comparisons
-between them are exact to rounding by construction.  Ball volumes in the
-prefactors use the closed form, never quadrature.
-
 The Young-function axioms and G(p, q) membership are one shape test of
 phi's values on ``LOG_GRID``, 1000 log-spaced t in [1e-6, 1e6]
 (``_shape_violations``); it is deterministic and certifies the grid only.
@@ -52,7 +47,7 @@ __all__ = [
     "YoungFunction", "power", "power_log", "custom_young", "young_violations",
     "LOG_GRID", "LUX_REL_TOL", "check_g_class", "GClassReport", "luxemburg_norm",
     "lp_norm", "OscillationNormSpec", "OscillationResult", "oscillation_residuals",
-    "oscillation_profile", "oscillation_norm", "check_wrh", "WRHReport",
+    "oscillation_profile", "oscillation_sup", "oscillation_norm", "check_wrh", "WRHReport",
 ]
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 1000)
@@ -364,7 +359,7 @@ def lp_norm(f, region, p: float, weight=None, resolution: int = 41) -> float:
 
 @dataclass(frozen=True)
 class OscillationNormSpec:
-    """Which oscillation norm to take and over which ball family."""
+    """Which oscillation norm to take, and the ball family to place without one."""
 
     kind: str  # "bmo" | "lipschitz"
     k: float = 0.5
@@ -373,17 +368,16 @@ class OscillationNormSpec:
     radius_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in ("bmo", "lipschitz"):
-            raise InvalidInputError(f"kind must be 'bmo' or 'lipschitz', got {self.kind!r}")
-        if self.kind == "lipschitz" and not 0 < self.k < 1:
-            raise InvalidInputError(f"Lipschitz exponent k must lie in (0,1), got {self.k}")
+        _check_kind(self.kind, self.k)
         if not self.sigma > 1:
             raise InvalidInputError(f"sigma must exceed 1, got {self.sigma}")
 
-    def exponent(self, n: int) -> float:
-        if self.kind == "bmo":
-            return -1.0
-        return -(n + self.k) / n
+
+def _check_kind(kind: str, k: float) -> None:
+    if kind not in ("bmo", "lipschitz"):
+        raise InvalidInputError(f"kind must be 'bmo' or 'lipschitz', got {kind!r}")
+    if kind == "lipschitz" and not 0 < k < 1:
+        raise InvalidInputError(f"Lipschitz exponent k must lie in (0,1), got {k}")
 
 
 @dataclass
@@ -400,15 +394,16 @@ class OscillationResult:
 
 def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
                           ball_resolution: int = 15) -> list[np.ndarray]:
-    """|u - u_B| at the nodes of ``B.quadrature(ball_resolution)``, per ball.
+    """u - u_B at the nodes of ``B.quadrature(ball_resolution)``, per ball, as
+    a (components, nodes) array.
 
     u_B is the per-ball closed part.  The values depend on neither the Young
     function nor the weight, so one set serves every (phi, weight) profile.
     u is evaluated once for the whole family, on the nodes of every ball in
     turn; each ball's u_B is formed from its own slice of those values
-    (``homotopy.closed_part_values``), and the difference and its modulus
-    are taken once and split back per ball.  Evaluation, difference and
-    modulus are pointwise, so the bits are those of one ball at a time.
+    (``homotopy.closed_part_values``), and the difference is taken once and
+    split back per ball.  Evaluation and difference are pointwise, so the
+    bits are those of one ball at a time.
     """
     quads = [ball.quadrature(ball_resolution) for ball in balls]
     if not quads:
@@ -418,48 +413,54 @@ def oscillation_residuals(u: DifferentialForm, balls: list[Ball], *,
     u_b = [homotopy.closed_part_values(u, ball, quad, values[:, b - quad.weights.size:b],
                                        resolution=ball_resolution)
            for ball, quad, b in zip(balls, quads, ends)]
-    return np.split(pointwise_modulus(values - np.concatenate(u_b, axis=1)), ends[:-1])
+    return np.split(values - np.concatenate(u_b, axis=1), ends[:-1], axis=1)
 
 
 def oscillation_profile(u: DifferentialForm, balls: list[Ball], phi: YoungFunction,
                         weight=None, *, ball_resolution: int = 15,
                         residuals: list[np.ndarray] | None = None) -> list[float]:
-    """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part.
+    """||u - u_B||_{phi,B} for each ball, with u_B the per-ball closed part:
+    one Luxemburg solve per ball on the pointwise modulus of its residuals.
 
     ``residuals``, when given, are the ``oscillation_residuals`` of ``u`` on
-    ``balls`` at ``ball_resolution``, one array per ball; only the Luxemburg
-    solve then runs.
+    ``balls`` at ``ball_resolution``, one array per ball.
     """
     if residuals is None:
         residuals = oscillation_residuals(u, balls, ball_resolution=ball_resolution)
     _check_per_ball("residuals", residuals, balls)
-    return [luxemburg_norm(r, ball, phi, weight=weight, resolution=ball_resolution)
+    return [luxemburg_norm(pointwise_modulus(r), ball, phi, weight=weight,
+                           resolution=ball_resolution)
             for ball, r in zip(balls, residuals)]
+
+
+def oscillation_sup(profile: list[float], balls: list[Ball], kind: str,
+                    k: float) -> OscillationResult:
+    """max over ``balls`` of |B|^e ||u - u_B||_{phi,B} from the per-ball
+    ``profile``: e = -1 for the BMO kind, -(n + k)/n for the Lipschitz kind
+    with k in (0, 1), and |B| is the closed form.  The kinds differ only in
+    e, so on one profile comparisons between them are exact to rounding."""
+    _check_kind(kind, k)
+    if not balls:
+        raise EmptyBallFamilyError("no admissible balls for the oscillation norm")
+    _check_per_ball("profile", profile, balls)
+    n = balls[0].dims
+    e = -1.0 if kind == "bmo" else -(n + k) / n
+    per = [b.volume() ** e * v for b, v in zip(balls, profile)]
+    return OscillationResult(value=float(max(per)),
+                             argmax_ball=balls[int(np.argmax(per))], per_ball=per)
 
 
 def oscillation_norm(u: DifferentialForm, domain: Domain, phi: YoungFunction,
                      spec: OscillationNormSpec, weight=None, *,
-                     ball_resolution: int = 15, balls: list[Ball] | None = None,
-                     profile: list[float] | None = None) -> OscillationResult:
-    """sup over the ball family of |B|^e ||u - u_B||_{phi,B}.
-
-    ``balls`` and ``profile`` allow sharing one family (and one set of
-    per-ball Luxemburg values) between the two norm kinds, which keeps
-    comparisons between them exact; ``profile`` needs one value per ball.
-    """
+                     ball_resolution: int = 15,
+                     balls: list[Ball] | None = None) -> OscillationResult:
+    """The ``oscillation_sup`` of u's ``oscillation_profile`` on ``balls``,
+    or, when they are None, on the family that ``spec`` places in ``domain``."""
     if balls is None:
         balls = ball_family(domain, spec.ball_count, spec.radius_fraction,
                             expansion=spec.sigma)
-    if not balls:
-        raise EmptyBallFamilyError("no admissible balls for the oscillation norm")
-    if profile is None:
-        profile = oscillation_profile(u, balls, phi, weight,
-                                      ball_resolution=ball_resolution)
-    _check_per_ball("profile", profile, balls)
-    e = spec.exponent(domain.dims)
-    per = [b.volume() ** e * v for b, v in zip(balls, profile)]
-    return OscillationResult(value=float(max(per)),
-                             argmax_ball=balls[int(np.argmax(per))], per_ball=per)
+    profile = oscillation_profile(u, balls, phi, weight, ball_resolution=ball_resolution)
+    return oscillation_sup(profile, balls, spec.kind, spec.k)
 
 
 def _check_per_ball(name: str, values, balls) -> None:

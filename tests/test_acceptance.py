@@ -16,8 +16,8 @@ from orliczforms import (Box, ConfigError, DifferentialForm, ball_family,
                          build_corpus, check_phi_dominated, codifferential,
                          custom_young, decomposition_residual, default_domain,
                          load_config, lp_norm, luxemburg_norm, named_form,
-                         oscillation_norm, oscillation_profile, power,
-                         run_suite, suite_passed, OscillationNormSpec)
+                         oscillation_norm, oscillation_profile, oscillation_sup,
+                         power, run_suite, suite_passed, OscillationNormSpec)
 from orliczforms import exterior
 from orliczforms.cli import main
 from orliczforms.corpus import RESIDUAL_GATE
@@ -184,14 +184,8 @@ def test_criterion_5_bmo_lipschitz_proof_constant(capfd, corpora):
                 continue
             prof = oscillation_profile(entry.form, fam, power(2.0),
                                        ball_resolution=bres)
-            spec = dict(ball_count=count)
-            bmo = oscillation_norm(entry.form, dom, power(2.0),
-                                   OscillationNormSpec(kind="bmo", **spec),
-                                   balls=fam, profile=prof).value
-            lip = oscillation_norm(entry.form, dom, power(2.0),
-                                   OscillationNormSpec(kind="lipschitz", k=k,
-                                                       **spec),
-                                   balls=fam, profile=prof).value
+            bmo = oscillation_sup(prof, fam, "bmo", k).value
+            lip = oscillation_sup(prof, fam, "lipschitz", k).value
             worst_excess = max(worst_excess, bmo - factor * lip)
             entries += 1
     assert entries >= 17
@@ -208,13 +202,8 @@ def test_criterion_5_bmo_lipschitz_proof_constant(capfd, corpora):
     def ratio(u, dom):
         fam = ball_family(dom, 16, expansion=1.1)
         prof = oscillation_profile(u, fam, power(2.0), ball_resolution=11)
-        spec = dict(ball_count=16)
-        b = oscillation_norm(u, dom, power(2.0),
-                             OscillationNormSpec(kind="bmo", **spec),
-                             balls=fam, profile=prof).value
-        l = oscillation_norm(u, dom, power(2.0),
-                             OscillationNormSpec(kind="lipschitz", k=k, **spec),
-                             balls=fam, profile=prof).value
+        b = oscillation_sup(prof, fam, "bmo", k).value
+        l = oscillation_sup(prof, fam, "lipschitz", k).value
         return b / l
 
     scale_factor = ratio(u_big, big) / ratio(u_unit, domain)

@@ -10,6 +10,7 @@ import pytest
 from orliczforms import Box, cli
 from orliczforms.cli import main
 from orliczforms.config import DEFAULT_CONFIG, NODE_BUDGET
+from orliczforms.errors import OrliczFormsError
 
 
 def run(capsys, *argv):
@@ -176,6 +177,41 @@ def test_verify_reports_an_unwritable_out_path(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
     assert not target.parent.exists()
+
+
+def test_verify_checks_the_out_path_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    def no_suite(cfg):
+        raise AssertionError("run_suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--config", write_config(tmp_path),
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+
+
+def test_verify_replaces_an_existing_out_file_only_with_reports(tmp_path, capsys,
+                                                                monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sigma": 0.5}))
+    code, out, err = run(capsys, "verify", "--config", str(bad), "--out", str(target))
+    assert code == 2 and out == "" and "sigma" in err
+    assert target.read_text() == "kept\n"
+    good = write_config(tmp_path)
+    code, _, _ = run(capsys, "verify", "--config", good, "--out", str(target))
+    assert code == 0 and json.loads(target.read_text())["reports"]
+
+    def failing_suite(cfg):
+        raise OrliczFormsError("suite failed")
+
+    target.write_text("kept\n")
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    code, _, err = run(capsys, "verify", "--config", good, "--out", str(target))
+    assert code == 2 and err == "error: suite failed\n"
+    assert target.read_text() == "kept\n"
 
 
 def test_verify_reads_config_from_environment(tmp_path, capsys, monkeypatch):

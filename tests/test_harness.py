@@ -315,8 +315,8 @@ def test_closed_parts_shared_across_young_functions_and_weights(corpus, monkeypa
 
 
 def test_thm_bmo_reuses_the_closed_parts_of_thm_lipschitz(corpus, monkeypatch):
-    # the node values |Tu - (Tu)_B| are keyed by the materialized Tu itself,
-    # so the BMO theorem after the Lipschitz one builds no closed part
+    # the component residuals Tu - (Tu)_B are keyed by the materialized Tu
+    # itself, so the BMO theorem after the Lipschitz one builds no closed part
     ctx = context(corpus, grid_resolution=15, ball_resolution=7, ball_count=4)
     verify_thm_lipschitz(ctx, power(2.0), 1.5, 3.0)
     calls = []
@@ -329,6 +329,35 @@ def test_thm_bmo_reuses_the_closed_parts_of_thm_lipschitz(corpus, monkeypatch):
     monkeypatch.setattr(homotopy, "closed_part", counting)
     verify_thm_bmo(ctx, power(2.0), 1.5, 3.0)
     assert calls == []
+
+
+def _counting_profiles(monkeypatch) -> list:
+    """The forms of every profile the harness solves, from here on."""
+    calls = []
+    original = orliczforms.harness.oscillation_profile
+
+    def counting(u, *args, **kwargs):
+        calls.append(u)
+        return original(u, *args, **kwargs)
+
+    monkeypatch.setattr(orliczforms.harness, "oscillation_profile", counting)
+    return calls
+
+
+def test_bmo_le_lip_takes_both_seminorms_from_one_profile(ctx, monkeypatch):
+    calls = _counting_profiles(monkeypatch)
+    report = verify_thm_bmo_le_lip(ctx, power(2.0), scale=1)
+    forms = [e.form for e in ctx.form_entries()]
+    assert calls == forms and len(report.entries) == len(forms)
+
+
+def test_acceptance_suite_solves_106_profiles(monkeypatch):
+    # per scale: 8 thm_lipschitz, 8 thm_bmo, 11 thm_bmo_le_lip (one per
+    # entry), 2 conjugate_pair and 3 weights x 8 weighted_lipschitz
+    calls = _counting_profiles(monkeypatch)
+    run_suite(load_config(overrides={"grid_resolution": 27, "ball_resolution": 9,
+                                     "ball_count": 12, "stability_check": True}))
+    assert len(calls) == 106
 
 
 @pytest.mark.parametrize("rho, most", [(None, 48), (1.3, 72)])

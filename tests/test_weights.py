@@ -8,7 +8,7 @@ from orliczforms import (Ball, Box, OscillationNormSpec, ball_family,
                          check_a_class, check_wrh, constant_weight,
                          custom_weight, default_domain, lp_norm, luxemburg_norm,
                          named_form, oscillation_norm, oscillation_profile,
-                         power, power_weight)
+                         oscillation_sup, power, power_weight)
 from orliczforms.errors import (EmptyBallFamilyError, InvalidInputError)
 
 BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -147,19 +147,15 @@ def test_oscillation_profile_reuse_is_consistent():
     fresh = oscillation_norm(u, BOX, power(2.0),
                              OscillationNormSpec(kind="bmo", ball_count=8),
                              ball_resolution=9)
-    reused = oscillation_norm(u, BOX, power(2.0),
-                              OscillationNormSpec(kind="bmo", ball_count=8),
-                              ball_resolution=9, balls=balls, profile=profile)
+    reused = oscillation_sup(profile, balls, "bmo", 0.5)
     assert reused.value == pytest.approx(fresh.value, rel=1e-12)
 
 
 def test_per_ball_lists_must_match_the_balls():
     u = named_form("corpus:trig-0form", 2)
     balls = ball_family(BOX, 4, expansion=1.1)
-    spec = OscillationNormSpec(kind="bmo", ball_count=4)
     with pytest.raises(InvalidInputError, match="profile has 1 entries for 4 balls"):
-        oscillation_norm(u, BOX, power(2.0), spec, ball_resolution=9,
-                         balls=balls, profile=[1.0])
+        oscillation_sup([1.0], balls, "bmo", 0.5)
     with pytest.raises(InvalidInputError, match="residuals has 1 entries for 4 balls"):
         oscillation_profile(u, balls, power(2.0), ball_resolution=9,
                             residuals=[np.ones(3)])
@@ -178,3 +174,20 @@ def test_oscillation_norm_rejects_unknown_kind():
     u = named_form("const:dx1", 2)
     with pytest.raises(InvalidInputError):
         oscillation_norm(u, BOX, power(2.0), OscillationNormSpec(kind="osc"))
+
+
+def test_oscillation_sup_checks_kind_exponent_and_family():
+    balls = ball_family(BOX, 4, expansion=1.1)
+    with pytest.raises(InvalidInputError, match="kind must be 'bmo' or 'lipschitz'"):
+        oscillation_sup([1.0] * 4, balls, "osc", 0.5)
+    for k in (0.0, 1.0, math.nan):
+        with pytest.raises(InvalidInputError, match="Lipschitz exponent k"):
+            oscillation_sup([1.0] * 4, balls, "lipschitz", k)
+    with pytest.raises(EmptyBallFamilyError, match="no admissible balls"):
+        oscillation_sup([], [], "bmo", 0.5)
+    # the exponents -1 and -(n + k)/n, on the closed-form ball volumes
+    bmo = oscillation_sup([1.0] * 4, balls, "bmo", 0.5)
+    lip = oscillation_sup([1.0] * 4, balls, "lipschitz", 0.5)
+    assert bmo.per_ball == [b.volume() ** -1.0 for b in balls]
+    assert lip.per_ball == [b.volume() ** -1.25 for b in balls]
+    assert bmo.value == max(bmo.per_ball) and bmo.argmax_ball in balls

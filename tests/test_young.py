@@ -19,7 +19,7 @@ from orliczforms import homotopy
 from orliczforms.config import DEFAULT_CONFIG
 from orliczforms.errors import (DivergedIntegralError, InvalidInputError,
                                 NoConvergenceError)
-from orliczforms.forms import CallableField, ExprField
+from orliczforms.forms import CallableField, ExprField, pointwise_modulus
 from orliczforms.homotopy import closed_part
 from orliczforms.young import LOG_GRID, LUX_REL_TOL
 
@@ -212,8 +212,9 @@ def test_default_y_rule_built_once_per_ball_and_resolution(monkeypatch):
 # u - u_B is formed from one evaluation of u on the nodes of the whole ball
 # family: each ball's u_B = u - T(du) takes that ball's slice of u's values
 # as (0.0 + u) - T(du), the top-degree u_B = u reuses them, and the 0-form
-# u_B is the mean.  The residuals keep the bits of evaluating the closed part
-# as a form, one ball at a time.
+# u_B is the mean.  The component residuals, and the moduli the profile
+# takes of them, keep the bits of evaluating the closed part as a form, one
+# ball at a time.
 RESIDUAL_FORMS = ["corpus:trig-1form", "corpus:mixed-1form", "corpus:poly-top-form",
                   "corpus:trig-0form"]
 
@@ -222,11 +223,12 @@ RESIDUAL_FORMS = ["corpus:trig-1form", "corpus:mixed-1form", "corpus:poly-top-fo
 def test_oscillation_residuals_evaluate_u_once_per_ball(name, monkeypatch):
     u = named_form(name, 2)
     balls = ball_family(BOX, 3, expansion=1.1)
-    want = []
+    want, want_moduli = [], []
     for ball in balls:
         pts = ball.quadrature(9).points
         diff = u.evaluate(pts) - closed_part(u, ball, resolution=9).evaluate(pts)
-        want.append(np.sqrt(np.sum(diff * diff, axis=0)))
+        want.append(diff)
+        want_moduli.append(np.sqrt(np.sum(diff * diff, axis=0)))
     calls = []
     original = ExprField.__call__
 
@@ -236,7 +238,10 @@ def test_oscillation_residuals_evaluate_u_once_per_ball(name, monkeypatch):
 
     monkeypatch.setattr(ExprField, "__call__", counting)
     got = oscillation_residuals(u, balls, ball_resolution=9)
+    assert [g.shape for g in got] == [w.shape for w in want]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert ([pointwise_modulus(g).tobytes() for g in got]
+            == [w.tobytes() for w in want_moduli])
     expr_components = sum(type(f) is ExprField for f in u.components)
     assert calls == expr_components * [sum(b.quadrature(9).points.shape[0] for b in balls)]
 
